@@ -12,6 +12,13 @@ n being the block size; the weights follow from the Capelli norm ladder
 |v t^{k+1}|^2 = prod_i (mu_i + n - i + gamma + k + 1) |v t^k|^2 together with
 F_gamma ~ F_{gamma+1}.  Components are split per bi-charge slice with exact
 spectral projectors of the quadratic (and, on collisions, cubic) gl Casimir.
+
+Each (n, gamma) has one shared `BlockForm`.  It memoises the spectral data of
+every slice it has met, the weight c_mu of every component, and, per distinct
+block vector, which single component (if any) holds it, so a vector entering
+many Gram entries is tested against the Casimirs once.  A size-1 block needs
+no test: every vector of degree d lies in the one component mu = (d).
+`clear_caches()` drops all of this together with the cubic-Casimir table.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from ..partitions import Partition
+from ..partitions import Partition, partitions_bounded
 from ..rationals import rat
 from .states import block_matrix
 
@@ -30,20 +37,6 @@ def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
     for (i, j) in mu.cells():
         out *= Fraction(gamma + n - i + j, 1) / (n - i + j)
     return out
-
-
-def _partitions_of(d: int, max_h: int):
-    def rec(rem, maxpart, height):
-        if rem == 0:
-            yield ()
-            return
-        if height == 0:
-            return
-        for first in range(min(rem, maxpart), 0, -1):
-            for rest in rec(rem - first, first, height - 1):
-                yield (first,) + rest
-
-    return [Partition(t) for t in rec(d, d, max_h)]
 
 
 def _casimir2_value(mu: Partition, n: int) -> int:
@@ -266,6 +259,8 @@ class BlockForm:
         self.n = n
         self.gamma = rat(gamma)
         self._slices = {}
+        self._classes = {}  # frozenset(coords.items()) -> classify() result
+        self._weights = {}  # mu -> c_mu(gamma)
 
     def margins(self, m):
         rows = tuple(sum(r) for r in m)
@@ -285,6 +280,13 @@ class BlockForm:
         sl = self.slice_data(*margins)
         return sl.eval_projected(sl.project(coords1), sl.project(coords2))
 
+    def weight(self, mu: Partition) -> Fraction:
+        """c_mu(gamma), computed once per mu."""
+        w = self._weights.get(mu)
+        if w is None:
+            w = self._weights[mu] = c_mu(mu, self.gamma, self.n)
+        return w
+
     def _fock_pair(self, coords1, coords2) -> Fraction:
         total = Fraction(0)
         for m, c in coords1.items():
@@ -297,36 +299,57 @@ class BlockForm:
                 total += c * c2 * f
         return total
 
+    def classify(self, coords: dict):
+        """(C2 eigenvalue, mu) for a C2 eigenvector, None otherwise.
+
+        mu is the one component holding the vector, told apart by the cubic
+        invariant when C2 eigenvalues collide, or None when no single
+        component is identified.  Memoised by content, so equal vectors are
+        tested once.
+        """
+        key = frozenset(coords.items())
+        if key in self._classes:
+            return self._classes[key]
+        n = self.n
+        lam2 = _eigen_value(coords, n, 2)
+        out = None
+        if lam2 is not None:
+            d = sum(sum(row) for row in next(iter(coords)))
+            mus = [
+                mu for mu in partitions_bounded(n, d)
+                if mu.size == d and _casimir2_value(mu, n) == lam2
+            ]
+            if len(mus) > 1:
+                lam3 = _eigen_value(coords, n, 3)
+                mus = [] if lam3 is None else [
+                    mu for mu in mus if _casimir3_value(n, mu) == lam3
+                ]
+            out = (lam2, mus[0] if len(mus) == 1 else None)
+        self._classes[key] = out
+        return out
+
     def _single_component(self, margins, coords1, coords2):
-        """c_mu * Fock pairing when both vectors are exact C2 (and, on
-        collisions, C3) eigenvectors of one component; None otherwise.
+        """c_mu * Fock pairing when both vectors lie in one component mu,
+        zero when they lie in different C2 eigenspaces, None otherwise.
 
         This avoids building the spectral decomposition of large slices for
         vectors like the Delta+ ladders, which live in a single component.
+        A slice of degree 0 or of a size-1 block is one component, mu = (d).
         """
         d = sum(margins[0])
-        if d == 0:
-            return c_mu(Partition(), self.gamma, self.n) * self._fock_pair(coords1, coords2)
-        lam1 = _eigen_value(coords1, self.n, 2)
-        if lam1 is None:
+        if d == 0 or self.n == 1:
+            return self.weight(Partition((d,))) * self._fock_pair(coords1, coords2)
+        cls1 = self.classify(coords1)
+        if cls1 is None:
             return None
-        if coords2 is not coords1:
-            lam2 = _eigen_value(coords2, self.n, 2)
-            if lam2 != lam1:
-                return None if lam2 is None else Fraction(0)
-        mus = [m for m in _partitions_of(d, self.n) if _casimir2_value(m, self.n) == lam1]
-        if not mus:
+        cls2 = self.classify(coords2)
+        if cls2 is None:
             return None
-        if len(mus) > 1:
-            lam3 = _eigen_value(coords1, self.n, 3)
-            if lam3 is None:
-                return None
-            mus = [m for m in mus if _casimir3_value(self.n, m) == lam3]
-            if len(mus) != 1:
-                return None
-            if coords2 is not coords1 and _eigen_value(coords2, self.n, 3) != lam3:
-                return None
-        return c_mu(mus[0], self.gamma, self.n) * self._fock_pair(coords1, coords2)
+        if cls2[0] != cls1[0]:
+            return Fraction(0)
+        if cls1[1] is None or cls2[1] != cls1[1]:
+            return None
+        return self.weight(cls1[1]) * self._fock_pair(coords1, coords2)
 
     def slice_data(self, rows, cols) -> BlockSlice:
         key = (rows, cols)
@@ -349,7 +372,7 @@ class BlockForm:
         if d == 0:
             components.append((Partition(), [[Fraction(1)]]))
         else:
-            cands = _partitions_of(d, self.n)
+            cands = [mu for mu in partitions_bounded(self.n, d) if mu.size == d]
             C2 = _casimir_matrix(basis, index, self.n, 2)
             by_c2 = {}
             for mu in cands:
@@ -397,7 +420,7 @@ class BlockForm:
 
         comps = []
         for mu, vecs in components:
-            weight = c_mu(mu, self.gamma, self.n)
+            weight = self.weight(mu)
             k = len(vecs)
             S = [
                 [
@@ -459,6 +482,13 @@ def block_form(n: int, gamma: Fraction) -> BlockForm:
     if key not in _BLOCK_FORMS:
         _BLOCK_FORMS[key] = BlockForm(*key)
     return _BLOCK_FORMS[key]
+
+
+def clear_caches() -> None:
+    """Drop every shared block form (slices, classifications, weights) and
+    the cubic-Casimir eigenvalue table; later calls recompute them."""
+    _BLOCK_FORMS.clear()
+    _casimir3_value.cache_clear()
 
 
 # ---------------------------------------------------------------------------

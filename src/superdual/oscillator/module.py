@@ -214,12 +214,16 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
 
     extend((), 0)
 
+    base_weights = []
+    for base in u0_basis:
+        weights = {spec.state_weight(s) for s in base}
+        assert len(weights) == 1
+        base_weights.append(weights.pop())
+
     slices = {}
     for mono in monomials:
         for bi, base in enumerate(u0_basis):
-            base_weight = {spec.state_weight(s) for s in base}
-            assert len(base_weight) == 1
-            weight = list(base_weight.pop())
+            weight = list(base_weights[bi])
             for gi in mono:
                 i, j, _odd = gens[gi]
                 weight[i] += 1
