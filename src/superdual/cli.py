@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok / unitary, 3 non-unitary, 2 usage error, 4 internal
+Exit codes: 0 ok / unitary, 3 non-unitary, 2 usage error (malformed input,
+or a request the package refuses with ValueError), 4 internal error,
 inconsistency or golden mismatch.
 """
 
@@ -36,8 +37,11 @@ EXIT_INTERNAL = 4
 
 def _load_json_arg(text: str):
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        try:
+            with open(text) as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read JSON file {text!r} ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -46,18 +50,29 @@ def _load_json_arg(text: str):
         ) from exc
 
 
+def _from_json(what: str, build, data):
+    """build(data), reporting malformed JSON input as a ValueError (exit 2)."""
+    try:
+        return build(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc
+
+
 def _label_arg(text: str) -> RepLabel:
-    return RepLabel.from_json(_load_json_arg(text))
+    return _from_json("label", RepLabel.from_json, _load_json_arg(text))
 
 
-def _weight_arg(text: str) -> FundamentalWeight:
-    d = _load_json_arg(text)
+def _weight_from_json(d) -> FundamentalWeight:
     g = parse_grading(d["grading"]) if isinstance(d["grading"], str) else None
     if g is None:
         from .gradings import Grading
 
         g = Grading.from_blocks([(b["size"], b["p"], b["c"]) for b in d["grading"]["blocks"]])
     return FundamentalWeight(g, tuple(rat(v) for v in d["values"]))
+
+
+def _weight_arg(text: str) -> FundamentalWeight:
+    return _from_json("weight", _weight_from_json, _load_json_arg(text))
 
 
 def weight_to_json(w: FundamentalWeight) -> dict:
@@ -74,7 +89,7 @@ def _diagram_arg(args) -> NonCompactYoungDiagram:
     label = _label_arg(args.label)
     data = _load_json_arg(args.label)
     if all(k in data for k in ("gamma_L", "gamma_R", "fdelta", "P")):
-        return realize(label, strategy=Realization.from_json(data))
+        return realize(label, strategy=_from_json("realization", Realization.from_json, data))
     if getattr(args, "P", None):
         # pick the realization with the requested colour count via iso moves
         d = realize(label)
@@ -342,11 +357,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other failure is a bug, never a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

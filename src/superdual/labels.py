@@ -166,9 +166,6 @@ def classify_supqm(label: RepLabel) -> Verdict:
         witnesses.append("left: " + why_l)
     if witnesses:
         return Verdict(NON_UNITARY, tuple(witnesses))
-    if label.m == 0:
-        # no fermionic plaquettes, hence no shortening in the atypicality sense
-        return Verdict(UNITARY_LONG)
     sides = []
     if label.p and label.beta_L <= label.p - 1:
         sides.append("left")

@@ -21,7 +21,7 @@ from ..diagrams import NonCompactYoungDiagram, Realization, realize
 from ..labels import RepLabel, grading_pmq, weight_pmq_from_realization
 from ..rationals import rat
 from ..weights import FundamentalWeight
-from .states import PERMS, State, add_into, combine, reduce_state, scale, zero_state
+from .states import PERMS, State, _bump, add_into, combine, reduce_state, scale, zero_state
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,6 @@ class OscillatorSpec:
 # ---------------------------------------------------------------------------
 # primitive oscillator actions (linear maps on LinCombs)
 # ---------------------------------------------------------------------------
-
-def _bump(mat, row, col, delta):
-    r = list(mat[row])
-    r[col] += delta
-    out = list(mat)
-    out[row] = tuple(r)
-    return tuple(out)
-
 
 def _fsign(mask: int, bit: int) -> int:
     return -1 if bin(mask & ((1 << bit) - 1)).count("1") % 2 else 1

@@ -11,20 +11,22 @@ rescaled by
 n being the block size; the weights follow from the Capelli norm ladder
 |v t^{k+1}|^2 = prod_i (mu_i + n - i + gamma + k + 1) |v t^k|^2 together with
 F_gamma ~ F_{gamma+1}.  Components are split per bi-charge slice with exact
-spectral projectors of the quadratic (and, on collisions, cubic) gl Casimir.
+spectral projectors of the quadratic (and, on collisions, cubic) gl Casimir,
+whose eigenvalues on V_mu are closed-form integers (`_casimir_value`).
 
-Each (n, gamma) has one shared `BlockForm`.  It memoises the spectral data of
-every slice it has met, the weight c_mu of every component, and, per distinct
-block vector, which single component (if any) holds it, so a vector entering
-many Gram entries is tested against the Casimirs once.  A size-1 block needs
-no test: every vector of degree d lies in the one component mu = (d).
-`clear_caches()` drops all of this together with the cubic-Casimir table.
+None of this spectral data depends on gamma, so each block size n has one
+shared `BlockSpectrum`.  It memoises the component bases of every slice it has
+met and, per distinct block vector, which single component (if any) holds it,
+so a vector entering many Gram entries, at any gamma, is tested against the
+Casimirs once.  Each (n, gamma) has one `BlockForm` on top of it, which adds
+only the weights c_mu(gamma).  A size-1 block needs no test: every vector of
+degree d lies in the one component mu = (d).  `clear_caches()` drops both
+tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from ..partitions import Partition, partitions_bounded
@@ -39,8 +41,21 @@ def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
     return out
 
 
-def _casimir2_value(mu: Partition, n: int) -> int:
-    return sum(mu.part(k) * (mu.part(k) + n + 1 - 2 * k) for k in range(1, n + 1))
+def _casimir_value(mu: Partition, n: int, order: int) -> int:
+    """Eigenvalue on V_mu of the quadratic (order 2) or cubic (order 3) gl(n)
+    invariant applied by `_casimir_apply`.
+
+    The Perelomov-Popov formula, summed in closed form over mu padded to n
+    parts (k = 1..n).
+    """
+    lam = mu.padded(n)
+    if order == 2:
+        return sum(x * (x + n + 1 - 2 * k) for k, x in enumerate(lam, 1))
+    size = sum(lam)
+    return sum(
+        x**3 + (2 * n + 1 - 3 * k) * x * x + ((n + 1 - 2 * k) ** 2 - k * (k - 1)) * x
+        for k, x in enumerate(lam, 1)
+    ) - (size * size - sum(x * x for x in lam)) // 2
 
 
 # -- linear algebra over Q ---------------------------------------------------
@@ -157,80 +172,31 @@ def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
 
 def _casimir_matrix(basis, index, n, order):
     """Matrix of the quadratic/cubic gl(n) invariant on the margin slice."""
-    dim = len(basis)
-    total = [[Fraction(0)] * dim for _ in range(dim)]
+    total = [[Fraction(0)] * len(basis) for _ in basis]
     for k, mat in enumerate(basis):
-        start = {mat: Fraction(1)}
-        if order == 2:
-            words = [(i, j) for i in range(n) for j in range(n)]
-            for i, j in words:
-                img = _L_apply(_L_apply(start, j, i, n), i, j, n)
-                for tgt, coef in img.items():
-                    total[index[tgt]][k] += coef
-        else:
-            for i in range(n):
-                for j in range(n):
-                    for kk in range(n):
-                        img = _L_apply(
-                            _L_apply(_L_apply(start, kk, i, n), j, kk, n), i, j, n
-                        )
-                        for tgt, coef in img.items():
-                            total[index[tgt]][k] += coef
+        for tgt, coef in _casimir_apply({mat: Fraction(1)}, n, order).items():
+            total[index[tgt]][k] += coef
     return total
-
-
-@lru_cache(maxsize=None)
-def _casimir3_value(n: int, mu: Partition) -> Fraction:
-    """Eigenvalue of the cubic gl(n) invariant on V_mu, read off a model slice."""
-    # highest-weight slice: rows = mu padded, cols = mu padded
-    rows = mu.padded(n)
-    basis = _slice_monomials(rows, rows)
-    index = {m: i for i, m in enumerate(basis)}
-    # highest-weight vector: the minor-product monomial = diag exponent matrix
-    hw = tuple(
-        tuple(rows[r] if r == c else 0 for c in range(n)) for r in range(n)
-    )
-    C3 = _casimir_matrix(basis, index, n, 3)
-    col = index[hw]
-    # C3 hw = c3 hw + lower-order terms that vanish on the hw line after
-    # projecting back; since hw spans a 1-dim weight space intersected with
-    # V_mu's top component, read the diagonal entry via iterated refinement:
-    # instead apply C3 and project onto the C2-eigenspace of mu.
-    C2 = _casimir_matrix(basis, index, n, 2)
-    lam2 = _casimir2_value(mu, n)
-    dim = len(basis)
-    M = [[C2[r][c] - (lam2 if r == c else 0) for c in range(dim)] for r in range(dim)]
-    kern = _null_space(M)
-    # expand e_hw in kern + complement is overkill; C3 commutes with C2, so
-    # restrict C3 to the kernel and it acts as the scalar we want on the
-    # component containing hw.  The kernel here is exactly the mu-component.
-    if not kern:
-        raise AssertionError("hw slice lost its own component")
-    v = kern[0]
-    w = [sum(C3[r][c] * v[c] for c in range(dim)) for r in range(dim)]
-    for r in range(dim):
-        if v[r] != 0:
-            return w[r] / v[r]
-    raise AssertionError("zero kernel vector")
 
 
 class BlockSlice:
     """One bi-charge slice of the deformed-block form.
 
-    Stores, per GL x GL component mu: the weight c_mu(gamma), the inverse
-    Fock-Gram of a component basis, and the Fock-weighted component rows DB,
-    so that <u, v> = sum_mu c_mu (DB u)^T S^-1 (DB v) costs O(k^2) per
-    vector pair after an O(dim * k) projection.
+    Stores, per GL x GL component mu: mu, the inverse Fock-Gram of a
+    component basis, and the Fock-weighted component rows DB, so that
+    <u, v> = sum_mu c_mu (DB u)^T S^-1 (DB v) costs O(k^2) per vector pair
+    after an O(dim * k) projection.  Nothing here depends on gamma; the
+    weights c_mu come in through `eval_projected`.
     """
 
     def __init__(self, index, comps):
         self.index = index
-        self.comps = comps  # list of (weight, Sinv, DB)
+        self.comps = comps  # list of (mu, Sinv, DB)
 
     def project(self, coords: dict):
         """coords: submatrix -> coeff.  Returns per-component k-vectors."""
         out = []
-        for _w, _sinv, db in self.comps:
+        for _mu, _sinv, db in self.comps:
             out.append(
                 [
                     sum(c * row[self.index[m]] for m, c in coords.items())
@@ -239,12 +205,13 @@ class BlockSlice:
             )
         return out
 
-    def eval_projected(self, u, v) -> Fraction:
+    def eval_projected(self, u, v, weight) -> Fraction:
+        """The pairing of two projected vectors; weight(mu) gives c_mu."""
         total = Fraction(0)
-        for (w, sinv, _db), uc, vc in zip(self.comps, u, v):
+        for (mu, sinv, _db), uc, vc in zip(self.comps, u, v):
             if all(x == 0 for x in uc) or all(x == 0 for x in vc):
                 continue
-            total += w * sum(
+            total += weight(mu) * sum(
                 uc[r] * sinv[r][c] * vc[c]
                 for r in range(len(uc))
                 for c in range(len(vc))
@@ -253,13 +220,13 @@ class BlockSlice:
 
 
 class BlockForm:
-    """Cached deformed-block pairings for one (size, gamma)."""
+    """Deformed-block pairings for one (size, gamma): the shared spectrum of
+    its size plus the weights c_mu(gamma)."""
 
     def __init__(self, n: int, gamma: Fraction):
         self.n = n
         self.gamma = rat(gamma)
-        self._slices = {}
-        self._classes = {}  # frozenset(coords.items()) -> classify() result
+        self.spectrum = block_spectrum(n)
         self._weights = {}  # mu -> c_mu(gamma)
 
     def margins(self, m):
@@ -277,8 +244,8 @@ class BlockForm:
         fast = self._single_component(margins, coords1, coords2)
         if fast is not None:
             return fast
-        sl = self.slice_data(*margins)
-        return sl.eval_projected(sl.project(coords1), sl.project(coords2))
+        sl = self.spectrum.slice_data(*margins)
+        return sl.eval_projected(sl.project(coords1), sl.project(coords2), self.weight)
 
     def weight(self, mu: Partition) -> Fraction:
         """c_mu(gamma), computed once per mu."""
@@ -299,6 +266,38 @@ class BlockForm:
                 total += c * c2 * f
         return total
 
+    def _single_component(self, margins, coords1, coords2):
+        """c_mu * Fock pairing when both vectors lie in one component mu,
+        zero when they lie in different C2 eigenspaces, None otherwise.
+
+        This avoids building the spectral decomposition of large slices for
+        vectors like the Delta+ ladders, which live in a single component.
+        A slice of degree 0 or of a size-1 block is one component, mu = (d).
+        """
+        d = sum(margins[0])
+        if d == 0 or self.n == 1:
+            return self.weight(Partition((d,))) * self._fock_pair(coords1, coords2)
+        cls1 = self.spectrum.classify(coords1)
+        if cls1 is None:
+            return None
+        cls2 = self.spectrum.classify(coords2)
+        if cls2 is None:
+            return None
+        if cls2[0] != cls1[0]:
+            return Fraction(0)
+        if cls1[1] is None or cls2[1] != cls1[1]:
+            return None
+        return self.weight(cls1[1]) * self._fock_pair(coords1, coords2)
+
+
+class BlockSpectrum:
+    """Gamma-independent spectral data of the size-n block, memoised."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._slices = {}
+        self._classes = {}  # frozenset(coords.items()) -> classify() result
+
     def classify(self, coords: dict):
         """(C2 eigenvalue, mu) for a C2 eigenvector, None otherwise.
 
@@ -317,39 +316,16 @@ class BlockForm:
             d = sum(sum(row) for row in next(iter(coords)))
             mus = [
                 mu for mu in partitions_bounded(n, d)
-                if mu.size == d and _casimir2_value(mu, n) == lam2
+                if mu.size == d and _casimir_value(mu, n, 2) == lam2
             ]
             if len(mus) > 1:
                 lam3 = _eigen_value(coords, n, 3)
                 mus = [] if lam3 is None else [
-                    mu for mu in mus if _casimir3_value(n, mu) == lam3
+                    mu for mu in mus if _casimir_value(mu, n, 3) == lam3
                 ]
             out = (lam2, mus[0] if len(mus) == 1 else None)
         self._classes[key] = out
         return out
-
-    def _single_component(self, margins, coords1, coords2):
-        """c_mu * Fock pairing when both vectors lie in one component mu,
-        zero when they lie in different C2 eigenspaces, None otherwise.
-
-        This avoids building the spectral decomposition of large slices for
-        vectors like the Delta+ ladders, which live in a single component.
-        A slice of degree 0 or of a size-1 block is one component, mu = (d).
-        """
-        d = sum(margins[0])
-        if d == 0 or self.n == 1:
-            return self.weight(Partition((d,))) * self._fock_pair(coords1, coords2)
-        cls1 = self.classify(coords1)
-        if cls1 is None:
-            return None
-        cls2 = self.classify(coords2)
-        if cls2 is None:
-            return None
-        if cls2[0] != cls1[0]:
-            return Fraction(0)
-        if cls1[1] is None or cls2[1] != cls1[1]:
-            return None
-        return self.weight(cls1[1]) * self._fock_pair(coords1, coords2)
 
     def slice_data(self, rows, cols) -> BlockSlice:
         key = (rows, cols)
@@ -376,7 +352,7 @@ class BlockForm:
             C2 = _casimir_matrix(basis, index, self.n, 2)
             by_c2 = {}
             for mu in cands:
-                by_c2.setdefault(_casimir2_value(mu, self.n), []).append(mu)
+                by_c2.setdefault(_casimir_value(mu, self.n, 2), []).append(mu)
             C3 = None
             for lam2, mus in sorted(by_c2.items()):
                 M = [
@@ -394,7 +370,7 @@ class BlockForm:
                     C3 = _casimir_matrix(basis, index, self.n, 3)
                 assigned = 0
                 for mu in mus:
-                    lam3 = _casimir3_value(self.n, mu)
+                    lam3 = _casimir_value(mu, self.n, 3)
                     rows_eq = _transpose_apply(C3, kern, lam3)
                     sub = _null_space(rows_eq) if rows_eq else [
                         [Fraction(1) if t == s else Fraction(0) for t in range(len(kern))]
@@ -420,7 +396,6 @@ class BlockForm:
 
         comps = []
         for mu, vecs in components:
-            weight = self.weight(mu)
             k = len(vecs)
             S = [
                 [
@@ -431,7 +406,7 @@ class BlockForm:
             ]
             Sinv = _invert(S)
             DB = [[fock[i] * vecs[r][i] for i in range(dim)] for r in range(k)]
-            comps.append((weight, Sinv, DB))
+            comps.append((mu, Sinv, DB))
         sl = BlockSlice(index, comps)
         self._slices[key] = sl
         return sl
@@ -474,7 +449,14 @@ def _invert(S):
     return [row[k:] for row in aug]
 
 
-_BLOCK_FORMS = {}
+_SPECTRA = {}  # n -> BlockSpectrum
+_BLOCK_FORMS = {}  # (n, gamma) -> BlockForm
+
+
+def block_spectrum(n: int) -> BlockSpectrum:
+    if n not in _SPECTRA:
+        _SPECTRA[n] = BlockSpectrum(n)
+    return _SPECTRA[n]
 
 
 def block_form(n: int, gamma: Fraction) -> BlockForm:
@@ -485,10 +467,10 @@ def block_form(n: int, gamma: Fraction) -> BlockForm:
 
 
 def clear_caches() -> None:
-    """Drop every shared block form (slices, classifications, weights) and
-    the cubic-Casimir eigenvalue table; later calls recompute them."""
+    """Drop every shared block spectrum (slices, classifications) and block
+    form (weights); later calls recompute them."""
+    _SPECTRA.clear()
     _BLOCK_FORMS.clear()
-    _casimir3_value.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,29 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-PERMS = {n: [(p, _perm_sign(p)) for p in permutations(range(n))] for n in range(1, 5)}
+# Largest n for which PERMS enumerates the n! permutations.  It bounds every
+# determinant the oscillator expands: the deformed-block size, the Capelli
+# colour count P and the size of a minor.
+MAX_BLOCK = 8
+
+
+class _PermTable(dict):
+    """n -> [(perm, sign)] over the permutations of range(n), built on first use.
+
+    Lookups after the first are plain dict hits; sizes outside 1..MAX_BLOCK
+    raise ValueError instead of enumerating n! permutations.
+    """
+
+    def __missing__(self, n):
+        if not 1 <= n <= MAX_BLOCK:
+            raise ValueError(
+                f"permutations of {n} are outside the supported sizes 1..{MAX_BLOCK}"
+            )
+        table = self[n] = [(p, _perm_sign(p)) for p in permutations(range(n))]
+        return table
+
+
+PERMS = _PermTable()
 
 
 class State(NamedTuple):

@@ -17,7 +17,7 @@ from ..labels import RepLabel, grading_pmq, label_from_weight
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, generator_action
 from .inner import _null_space
-from .module import RowSpace, build_u0, u0_k_basis
+from .module import RowSpace, build_u0, k_lowering_generators, u0_k_basis
 from .states import State, add_into
 
 
@@ -61,16 +61,6 @@ def product_vector(v1, v2, spec1, spec2, spec, col_map1, col_map2):
     return out
 
 
-def k_raising_generators(spec: OscillatorSpec):
-    gens = []
-    blocks = [(0, spec.p), (spec.p, spec.p + spec.m), (spec.p + spec.m, spec.n)]
-    for lo, hi in blocks:
-        for i in range(lo, hi):
-            for j in range(i + 1, hi):
-                gens.append((i, j))
-    return gens
-
-
 def k_hws_in_span(spec: OscillatorSpec, vectors):
     """All K-highest vectors in span(vectors), grouped and solved per weight."""
     by_weight = {}
@@ -79,7 +69,7 @@ def k_hws_in_span(spec: OscillatorSpec, vectors):
         assert len(w) == 1, "vector mixes Cartan weights"
         by_weight.setdefault(w.pop(), []).append(v)
 
-    gens = k_raising_generators(spec)
+    gens = [(j, i) for i, j in k_lowering_generators(spec)]  # the K raising generators
     found = []
     for weight, vecs in sorted(by_weight.items()):
         rows = []

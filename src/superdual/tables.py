@@ -52,20 +52,6 @@ _T1_ROWS = [
 ]
 
 
-def _weight_str(vals, sym=None, slot=None, base=None):
-    out = []
-    for i, v in enumerate(vals):
-        if sym is not None and i == slot:
-            off = v - base
-            if off == 0:
-                out.append(sym)
-            else:
-                out.append(f"{sym}{'+' if off > 0 else '-'}{abs(off)}" if base else f"-({sym}+{abs(off)})")
-        else:
-            out.append(rat_str(v))
-    return "[" + ",".join(out[:2]) + ";" + ",".join(out[2:6]) + ";" + ",".join(out[6:]) + "]"
-
-
 def table1_lines():
     lines = ["# Table 1: su(2,|4|2) unitary supermultiplets with one colour (P=1)"]
     lines.append("# HWS | fundamental weight [E_11..E_88] | [mu_L,tau,mu_R;beta_L,beta_R] | BPS")

@@ -106,6 +106,47 @@ def test_usage_error_exit2(capsys):
     assert main(["classify", "--label", "{not json"]) == 2
 
 
+def test_verify_deformed_block_of_size_5(capsys):
+    lab = json.dumps({"p": 5, "q": 5, "m": 0, "mu_L": [], "tau": [], "mu_R": [],
+                      "beta_L": "0", "beta_R": "11/2"})
+    code, out, err = run(capsys, "verify", "--label", lab, "--cutoff", "1")
+    assert code == 0 and "positive_definite=True" in out and not err
+
+
+@pytest.mark.parametrize("label", [
+    {"p": 2, "q": 2, "m": 4, "mu_L": [], "tau": [], "mu_R": [], "beta_L": 1.5, "beta_R": "0"},
+    {"q": 2, "m": 4},
+    [2, 2, 4],
+])
+def test_malformed_label_exit2(capsys, label):
+    code, out, err = run(capsys, "classify", "--label", json.dumps(label))
+    assert code == 2 and not out
+    assert err.startswith("error: malformed label JSON")
+
+
+def test_unreadable_label_file_exit2(capsys, tmp_path):
+    code, out, err = run(capsys, "classify", "--label", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: cannot read JSON file")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (KeyError("k"), "internal error: KeyError"),
+    (IndexError("i"), "internal error: IndexError"),
+    (TypeError("t"), "internal error: TypeError"),
+    (AssertionError("a"), "internal inconsistency: a"),
+])
+def test_internal_errors_exit4(capsys, monkeypatch, exc, message):
+    import superdual.cli as cli
+
+    def broken(label):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify_supqm", broken)
+    code, out, err = run(capsys, "classify", "--label", YM)
+    assert code == 4 and err.startswith(message)
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "superdual.cli", "classify", "--label", YM],

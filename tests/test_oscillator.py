@@ -264,3 +264,18 @@ def test_generator_matrix_api():
     x2 = State(((0,), (1,)), (), 0, 0, 0)
     x1 = State(((1,), (0,)), (), 0, 0, 0)
     assert cols[idx[x2]] == {x1: F(1)}
+
+
+def test_perm_table_is_lazy_and_bounded():
+    from superdual.oscillator.states import MAX_BLOCK, PERMS
+
+    table = PERMS[5]
+    assert PERMS[5] is table
+    assert sorted(p for p, _ in table) == list(itertools.permutations(range(5)))
+    for perm, sign in table:
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(5), 2))
+        assert sign == (-1) ** inversions
+    for n in (0, MAX_BLOCK + 1):
+        with pytest.raises(ValueError, match="outside the supported"):
+            PERMS[n]
+        assert n not in PERMS
