@@ -25,7 +25,7 @@ from .labels import (
     weight_from_label,
 )
 from .lattice import build_weight_lattice, plaquette_check, weight_in_grading
-from .rationals import rat, rat_str
+from .rationals import rat, rat_str, wire_int
 from .shortening import bps_type_22_4, dolan_osborn, shortening_profile_of
 from .weights import FundamentalWeight
 
@@ -67,7 +67,9 @@ def _weight_from_json(d) -> FundamentalWeight:
     if g is None:
         from .gradings import Grading
 
-        g = Grading.from_blocks([(b["size"], b["p"], b["c"]) for b in d["grading"]["blocks"]])
+        g = Grading.from_blocks(
+            [tuple(wire_int(b[k]) for k in ("size", "p", "c")) for b in d["grading"]["blocks"]]
+        )
     return FundamentalWeight(g, tuple(rat(v) for v in d["values"]))
 
 

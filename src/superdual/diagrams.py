@@ -26,7 +26,7 @@ from fractions import Fraction
 from .gradings import Grading
 from .labels import RepLabel, classify_supqm, weight_pmq_from_realization
 from .partitions import Partition
-from .rationals import is_int, rat, rat_str
+from .rationals import is_int, rat, rat_str, wire_int
 from .weights import FundamentalWeight
 
 
@@ -105,7 +105,7 @@ class Realization:
 
     @classmethod
     def from_json(cls, d):
-        return cls(rat(d["gamma_L"]), rat(d["gamma_R"]), int(d["fdelta"]), int(d["P"]))
+        return cls(rat(d["gamma_L"]), rat(d["gamma_R"]), wire_int(d["fdelta"]), wire_int(d["P"]))
 
 
 @dataclass(frozen=True)

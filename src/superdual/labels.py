@@ -21,7 +21,7 @@ from fractions import Fraction
 from .gradings import Grading
 from .lattice import build_weight_lattice, weight_in_grading
 from .partitions import Partition
-from .rationals import is_int, rat, rat_str
+from .rationals import is_int, rat, rat_str, wire_int
 from .weights import FundamentalWeight
 
 NON_UNITARY = "NonUnitary"
@@ -126,12 +126,12 @@ class RepLabel:
     @classmethod
     def from_json(cls, d: dict) -> "RepLabel":
         return cls(
-            int(d["p"]),
-            int(d["q"]),
-            int(d["m"]),
-            Partition(d.get("mu_L", ())),
-            Partition(d.get("tau", ())),
-            Partition(d.get("mu_R", ())),
+            wire_int(d["p"]),
+            wire_int(d["q"]),
+            wire_int(d["m"]),
+            Partition(map(wire_int, d.get("mu_L", ()))),
+            Partition(map(wire_int, d.get("tau", ()))),
+            Partition(map(wire_int, d.get("mu_R", ()))),
             rat(d.get("beta_L", 0)),
             rat(d.get("beta_R", 0)),
         )

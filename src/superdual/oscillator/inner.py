@@ -10,24 +10,35 @@ rescaled by
 
 n being the block size; the weights follow from the Capelli norm ladder
 |v t^{k+1}|^2 = prod_i (mu_i + n - i + gamma + k + 1) |v t^k|^2 together with
-F_gamma ~ F_{gamma+1}.  Components are split per bi-charge slice with exact
-spectral projectors of the quadratic (and, on collisions, cubic) gl Casimir,
-whose eigenvalues on V_mu are closed-form integers (`_casimir_value`).
+F_gamma ~ F_{gamma+1}, and are the Faraut-Koranyi weights of the holomorphic
+discrete series.  The L_ij are Fock-adjoint (L_ij^+ = L_ji), so the component
+projectors P_mu are Fock-orthogonal and <u, v>_gamma = <D u, v>_Fock with
+D = sum_mu c_mu P_mu: the polynomial in one Casimir C that takes the value
+c_mu at its eigenvalue lambda_mu on V_mu.  In Newton form
 
-None of this spectral data depends on gamma, so each block size n has one
-shared `BlockSpectrum`.  It memoises the component bases of every slice it has
-met and, per distinct block vector, which single component (if any) holds it,
-so a vector entering many Gram entries, at any gamma, is tested against the
-Casimirs once.  Each (n, gamma) has one `BlockForm` on top of it, which adds
-only the weights c_mu(gamma).  A size-1 block needs no test: every vector of
-degree d lies in the one component mu = (d).  `clear_caches()` drops both
-tables.
+    <u, v>_gamma = sum_j a_j(gamma) <N_j u, v>_Fock,
+    N_0 = u,   N_{j+1} = (C - lambda_j) N_j,
+
+where a_j is the divided difference of c_mu(gamma) at lambda_0..lambda_j.
+The nodes of a bi-charge slice are the mu |- d of height <= n dominating both
+sorted margins (Kostka positivity), and C = C2 + t C3 with the least integer
+t >= 0 that makes their closed-form eigenvalues (`_casimir_value`) distinct.
+A one-node slice, such as every slice of degree 0 or of a size-1 block, is
+c_(d)(gamma) times the Fock pairing and applies no Casimir.
+
+The images N_j do not depend on gamma, so each block size n has one shared
+`BlockSpectrum`.  It memoises the nodes of every slice and the images of every
+vector by content, so a vector entering many Gram entries, at any gamma, meets
+the Casimir once per node.  Each (n, gamma) has one `BlockForm` on top of it,
+which keeps only the weights c_mu(gamma) and each slice's divided
+differences.  `clear_caches()` drops both tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
 
 from ..partitions import Partition, partitions_bounded
 from ..rationals import rat
@@ -58,101 +69,7 @@ def _casimir_value(mu: Partition, n: int, order: int) -> int:
     ) - (size * size - sum(x * x for x in lam)) // 2
 
 
-# -- linear algebra over Q ---------------------------------------------------
-
-def _null_space(M):
-    """Basis of the kernel of M (rows = equations) as a list of vectors."""
-    if not M:
-        return []
-    rows = [list(r) for r in M]
-    ncols = len(rows[0])
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            v[c] = -rows[pr][fc]
-        basis.append(v)
-    return basis
-
-
-# -- per-slice machinery ------------------------------------------------------
-
-def _slice_monomials(rows, cols):
-    """All nonneg integer matrices with the given row and column sums."""
-    n_r, n_c = len(rows), len(cols)
-
-    def rec(r, remaining_cols):
-        if r == n_r:
-            if all(x == 0 for x in remaining_cols):
-                yield ()
-            return
-        for row in _rows_with_sum(rows[r], remaining_cols):
-            yield from (
-                (row,) + rest
-                for rest in rec(r + 1, tuple(a - b for a, b in zip(remaining_cols, row)))
-            )
-
-    def _rows_with_sum(total, caps):
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in _rows_with_sum(total - first, caps[1:]):
-                yield (first,) + rest
-
-    return list(rec(0, tuple(cols)))
-
-
-def _casimir_apply(lc: dict, n: int, order: int) -> dict:
-    """Quadratic or cubic gl(n) invariant applied to a monomial dict."""
-    out = {}
-    if order == 2:
-        for i in range(n):
-            for j in range(n):
-                for m, c in _L_apply(_L_apply(lc, j, i, n), i, j, n).items():
-                    out[m] = out.get(m, Fraction(0)) + c
-    else:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    img = _L_apply(_L_apply(_L_apply(lc, k, i, n), j, k, n), i, j, n)
-                    for m, c in img.items():
-                        out[m] = out.get(m, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _eigen_value(coords: dict, n: int, order: int):
-    """Exact eigenvalue of the Casimir on coords, or None if not an eigenvector."""
-    img = _casimir_apply(coords, n, order)
-    ref_m, ref_c = next(iter(coords.items()))
-    lam = img.get(ref_m, Fraction(0)) / ref_c
-    want = {m: lam * c for m, c in coords.items() if lam * c}
-    return lam if img == want else None
-
+# -- the Casimir and the Fock form on monomial dicts ------------------------
 
 def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
     """L_ij = sum_A x_iA d/dx_jA on a dict of monomial matrices."""
@@ -166,68 +83,140 @@ def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
             new[j][A] -= 1
             new[i][A] += 1
             tgt = tuple(tuple(r) for r in new)
-            out[tgt] = out.get(tgt, Fraction(0)) + coef * e
+            out[tgt] = out.get(tgt, 0) + coef * e
     return {k: v for k, v in out.items() if v}
 
 
-def _casimir_matrix(basis, index, n, order):
-    """Matrix of the quadratic/cubic gl(n) invariant on the margin slice."""
-    total = [[Fraction(0)] * len(basis) for _ in basis]
-    for k, mat in enumerate(basis):
-        for tgt, coef in _casimir_apply({mat: Fraction(1)}, n, order).items():
-            total[index[tgt]][k] += coef
+def _casimir_apply(lc: dict, n: int, t: int, shift: int = 0) -> dict:
+    """(C2 + t C3 - shift) lc with C2 = sum L_ik L_ki and C3 = sum L_ij L_jk L_ki,
+    the gl(n) invariants whose eigenvalues `_casimir_value` gives.
+
+    Both share Y_ji = sum_k L_jk L_ki lc: C2 lc = sum_i Y_ii and
+    C3 lc = sum_ij L_ij Y_ji, so C2 alone needs only the diagonal."""
+    out = {}
+
+    def add(img, f):
+        for m, c in img.items():
+            out[m] = out.get(m, 0) + f * c
+
+    add(lc, -shift)
+    for i in range(n):
+        lowered = [_L_apply(lc, k, i, n) for k in range(n)]  # L_ki lc
+        for j in range(n) if t else (i,):
+            y = {}
+            for k in range(n):
+                for m, c in _L_apply(lowered[k], j, k, n).items():
+                    y[m] = y.get(m, 0) + c
+            if j == i:
+                add(y, 1)
+            if t:
+                add(_L_apply(y, i, j, n), t)
+    return {m: c for m, c in out.items() if c}
+
+
+def _fock_norm(mat) -> int:
+    """Fock norm of the monomial with exponent matrix mat: prod of e!."""
+    out = 1
+    for row in mat:
+        for e in row:
+            out *= factorial(e)
+    return out
+
+
+def _fock_pair(coords1: dict, coords2: dict) -> Fraction:
+    """Fock pairing: distinct monomials are orthogonal."""
+    if len(coords2) < len(coords1):
+        coords1, coords2 = coords2, coords1
+    total = Fraction(0)
+    for m, c in coords1.items():
+        c2 = coords2.get(m)
+        if c2:
+            total += c * c2 * _fock_norm(m)
     return total
 
 
-class BlockSlice:
-    """One bi-charge slice of the deformed-block form.
+def _dominates(mu: tuple, lam: tuple) -> bool:
+    """Dominance order on equal-length tuples: every partial sum of mu is
+    at least that of lam."""
+    return all(a >= b for a, b in zip(accumulate(mu), accumulate(lam)))
 
-    Stores, per GL x GL component mu: mu, the inverse Fock-Gram of a
-    component basis, and the Fock-weighted component rows DB, so that
-    <u, v> = sum_mu c_mu (DB u)^T S^-1 (DB v) costs O(k^2) per vector pair
-    after an O(dim * k) projection.  Nothing here depends on gamma; the
-    weights c_mu come in through `eval_projected`.
-    """
 
-    def __init__(self, index, comps):
-        self.index = index
-        self.comps = comps  # list of (mu, Sinv, DB)
+class BlockSpectrum:
+    """Gamma-independent data of the size-n block, memoised: the Newton
+    nodes of every slice met and the Newton images of every vector met."""
 
-    def project(self, coords: dict):
-        """coords: submatrix -> coeff.  Returns per-component k-vectors."""
-        out = []
-        for _mu, _sinv, db in self.comps:
-            out.append(
-                [
-                    sum(c * row[self.index[m]] for m, c in coords.items())
-                    for row in db
-                ]
+    def __init__(self, n: int):
+        self.n = n
+        self._nodes = {}  # (rows, cols) -> (t, mus, lambdas)
+        self._images = {}  # frozenset(coords.items()) -> [N_1, N_2, ...]
+
+    def nodes(self, margins):
+        """(t, mus, lambdas) of a slice: its components mu, in ascending
+        lexicographic order, and their eigenvalues lambda_mu of C = C2 + t C3.
+
+        The order refines dominance, so a vector of the least component, such
+        as a highest vector of V_mu (x) V_mu on its own slice (mu, mu), costs
+        one Casimir application."""
+        got = self._nodes.get(margins)
+        if got is None:
+            n = self.n
+            rows, cols = (tuple(sorted(m, reverse=True)) for m in margins)
+            d = sum(rows)
+            mus = sorted(
+                (
+                    mu for mu in partitions_bounded(n, d)
+                    if mu.size == d
+                    and _dominates(mu.padded(n), rows)
+                    and _dominates(mu.padded(n), cols)
+                ),
+                key=lambda mu: mu.parts,
             )
-        return out
+            pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
+            if len(set(pairs)) < len(pairs):
+                raise AssertionError("two components share their C2 and C3 eigenvalues")
+            t = 0
+            while len({c2 + t * c3 for c2, c3 in pairs}) < len(pairs):
+                t += 1
+            got = (t, tuple(mus), tuple(c2 + t * c3 for c2, c3 in pairs))
+            self._nodes[margins] = got
+        return got
 
-    def eval_projected(self, u, v, weight) -> Fraction:
-        """The pairing of two projected vectors; weight(mu) gives c_mu."""
-        total = Fraction(0)
-        for (mu, sinv, _db), uc, vc in zip(self.comps, u, v):
-            if all(x == 0 for x in uc) or all(x == 0 for x in vc):
-                continue
-            total += weight(mu) * sum(
-                uc[r] * sinv[r][c] * vc[c]
-                for r in range(len(uc))
-                for c in range(len(vc))
-            )
-        return total
+    def images(self, margins, coords: dict) -> list:
+        """[N_0 = coords, N_1, ...], stopping before the first zero image.
+
+        N_k vanishes for k nodes, so a one-node slice applies no Casimir and
+        stores nothing.  Memoised by content, so equal vectors meet the
+        Casimir once."""
+        t, _mus, lams = self.nodes(margins)
+        if len(lams) == 1:
+            return [coords]
+        key = frozenset(coords.items())
+        tail = self._images.get(key)
+        if tail is None:
+            # C has integer entries: iterate on the integer vector denom * coords
+            denom = lcm(*(c.denominator for c in coords.values()))
+            img = {m: int(c * denom) for m, c in coords.items()}
+            tail = []
+            for lam in lams[:-1]:
+                img = _casimir_apply(img, self.n, t, lam)
+                if not img:
+                    break
+                tail.append({m: Fraction(c, denom) for m, c in img.items()})
+            self._images[key] = tail
+        return [coords] + tail
 
 
 class BlockForm:
     """Deformed-block pairings for one (size, gamma): the shared spectrum of
-    its size plus the weights c_mu(gamma)."""
+    its size plus the weights c_mu(gamma) and each slice's divided
+    differences."""
 
     def __init__(self, n: int, gamma: Fraction):
         self.n = n
         self.gamma = rat(gamma)
         self.spectrum = block_spectrum(n)
         self._weights = {}  # mu -> c_mu(gamma)
+        self._newton = {}  # (rows, cols) -> divided differences a_0, a_1, ...
 
     def margins(self, m):
         rows = tuple(sum(r) for r in m)
@@ -241,11 +230,12 @@ class BlockForm:
         return self.eval_coords(k1, {m1: Fraction(1)}, {m2: Fraction(1)})
 
     def eval_coords(self, margins, coords1, coords2) -> Fraction:
-        fast = self._single_component(margins, coords1, coords2)
-        if fast is not None:
-            return fast
-        sl = self.spectrum.slice_data(*margins)
-        return sl.eval_projected(sl.project(coords1), sl.project(coords2), self.weight)
+        """sum_j a_j <N_j coords1, coords2>_Fock on one slice."""
+        images = self.spectrum.images(margins, coords1)
+        return sum(
+            (a * _fock_pair(img, coords2) for a, img in zip(self.newton(margins), images)),
+            Fraction(0),
+        )
 
     def weight(self, mu: Partition) -> Fraction:
         """c_mu(gamma), computed once per mu."""
@@ -254,199 +244,22 @@ class BlockForm:
             w = self._weights[mu] = c_mu(mu, self.gamma, self.n)
         return w
 
-    def _fock_pair(self, coords1, coords2) -> Fraction:
-        total = Fraction(0)
-        for m, c in coords1.items():
-            c2 = coords2.get(m)
-            if c2:
-                f = 1
-                for row in m:
-                    for e in row:
-                        f *= factorial(e)
-                total += c * c2 * f
-        return total
-
-    def _single_component(self, margins, coords1, coords2):
-        """c_mu * Fock pairing when both vectors lie in one component mu,
-        zero when they lie in different C2 eigenspaces, None otherwise.
-
-        This avoids building the spectral decomposition of large slices for
-        vectors like the Delta+ ladders, which live in a single component.
-        A slice of degree 0 or of a size-1 block is one component, mu = (d).
-        """
-        d = sum(margins[0])
-        if d == 0 or self.n == 1:
-            return self.weight(Partition((d,))) * self._fock_pair(coords1, coords2)
-        cls1 = self.spectrum.classify(coords1)
-        if cls1 is None:
-            return None
-        cls2 = self.spectrum.classify(coords2)
-        if cls2 is None:
-            return None
-        if cls2[0] != cls1[0]:
-            return Fraction(0)
-        if cls1[1] is None or cls2[1] != cls1[1]:
-            return None
-        return self.weight(cls1[1]) * self._fock_pair(coords1, coords2)
-
-
-class BlockSpectrum:
-    """Gamma-independent spectral data of the size-n block, memoised."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._slices = {}
-        self._classes = {}  # frozenset(coords.items()) -> classify() result
-
-    def classify(self, coords: dict):
-        """(C2 eigenvalue, mu) for a C2 eigenvector, None otherwise.
-
-        mu is the one component holding the vector, told apart by the cubic
-        invariant when C2 eigenvalues collide, or None when no single
-        component is identified.  Memoised by content, so equal vectors are
-        tested once.
-        """
-        key = frozenset(coords.items())
-        if key in self._classes:
-            return self._classes[key]
-        n = self.n
-        lam2 = _eigen_value(coords, n, 2)
-        out = None
-        if lam2 is not None:
-            d = sum(sum(row) for row in next(iter(coords)))
-            mus = [
-                mu for mu in partitions_bounded(n, d)
-                if mu.size == d and _casimir_value(mu, n, 2) == lam2
-            ]
-            if len(mus) > 1:
-                lam3 = _eigen_value(coords, n, 3)
-                mus = [] if lam3 is None else [
-                    mu for mu in mus if _casimir_value(mu, n, 3) == lam3
+    def newton(self, margins) -> list:
+        """Divided differences c[lambda_0..lambda_j] of c_mu(gamma) at the
+        slice's nodes, j = 0, 1, ..."""
+        coefs = self._newton.get(margins)
+        if coefs is None:
+            _t, mus, lams = self.spectrum.nodes(margins)
+            table = [self.weight(mu) for mu in mus]
+            coefs = [table[0]]
+            for j in range(1, len(lams)):
+                table = [
+                    (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
+                    for i in range(len(table) - 1)
                 ]
-            out = (lam2, mus[0] if len(mus) == 1 else None)
-        self._classes[key] = out
-        return out
-
-    def slice_data(self, rows, cols) -> BlockSlice:
-        key = (rows, cols)
-        if key in self._slices:
-            return self._slices[key]
-        basis = _slice_monomials(rows, cols)
-        index = {m: i for i, m in enumerate(basis)}
-        dim = len(basis)
-        d = sum(rows)
-
-        fock = []
-        for mat in basis:
-            f = 1
-            for row in mat:
-                for e in row:
-                    f *= factorial(e)
-            fock.append(Fraction(f))
-
-        components = []  # (mu, [vectors])
-        if d == 0:
-            components.append((Partition(), [[Fraction(1)]]))
-        else:
-            cands = [mu for mu in partitions_bounded(self.n, d) if mu.size == d]
-            C2 = _casimir_matrix(basis, index, self.n, 2)
-            by_c2 = {}
-            for mu in cands:
-                by_c2.setdefault(_casimir_value(mu, self.n, 2), []).append(mu)
-            C3 = None
-            for lam2, mus in sorted(by_c2.items()):
-                M = [
-                    [C2[r][c] - (lam2 if r == c else 0) for c in range(dim)]
-                    for r in range(dim)
-                ]
-                kern = _null_space(M)
-                if not kern:
-                    continue
-                if len(mus) == 1:
-                    components.append((mus[0], kern))
-                    continue
-                # refine by the cubic invariant inside the C2 eigenspace
-                if C3 is None:
-                    C3 = _casimir_matrix(basis, index, self.n, 3)
-                assigned = 0
-                for mu in mus:
-                    lam3 = _casimir_value(mu, self.n, 3)
-                    rows_eq = _transpose_apply(C3, kern, lam3)
-                    sub = _null_space(rows_eq) if rows_eq else [
-                        [Fraction(1) if t == s else Fraction(0) for t in range(len(kern))]
-                        for s in range(len(kern))
-                    ]
-                    vecs = [
-                        [
-                            sum(coef[t] * kern[t][i] for t in range(len(kern)))
-                            for i in range(dim)
-                        ]
-                        for coef in sub
-                    ]
-                    if vecs:
-                        components.append((mu, vecs))
-                        assigned += len(vecs)
-                if assigned != len(kern):
-                    raise AssertionError(
-                        "cubic invariant failed to split a Casimir collision"
-                    )
-        total_dim = sum(len(v) for _, v in components)
-        if total_dim != dim:
-            raise AssertionError("Casimir spectral decomposition incomplete")
-
-        comps = []
-        for mu, vecs in components:
-            k = len(vecs)
-            S = [
-                [
-                    sum(vecs[r][i] * fock[i] * vecs[c][i] for i in range(dim))
-                    for c in range(k)
-                ]
-                for r in range(k)
-            ]
-            Sinv = _invert(S)
-            DB = [[fock[i] * vecs[r][i] for i in range(dim)] for r in range(k)]
-            comps.append((mu, Sinv, DB))
-        sl = BlockSlice(index, comps)
-        self._slices[key] = sl
-        return sl
-
-
-def _transpose_apply(C, kern, lam):
-    """Rows expressing (C - lam) applied to span(kern) in kern coordinates.
-
-    Returns equations over the kern-coefficient space whose null space are
-    the lam-eigenvectors of C inside span(kern).
-    """
-    dim = len(C)
-    out = []
-    images = []
-    for v in kern:
-        w = [
-            sum(C[r][c] * v[c] for c in range(dim)) - lam * v[r] for r in range(dim)
-        ]
-        images.append(w)
-    # each ambient coordinate gives one linear equation on the coefficients
-    for r in range(dim):
-        row = [images[t][r] for t in range(len(kern))]
-        if any(x != 0 for x in row):
-            out.append(row)
-    return out
-
-
-def _invert(S):
-    k = len(S)
-    aug = [list(S[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(k)] for i in range(k)]
-    for c in range(k):
-        pr = next(r for r in range(c, k) if aug[r][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(k):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[k:] for row in aug]
+                coefs.append(table[0])
+            self._newton[margins] = coefs
+        return coefs
 
 
 _SPECTRA = {}  # n -> BlockSpectrum
@@ -467,8 +280,8 @@ def block_form(n: int, gamma: Fraction) -> BlockForm:
 
 
 def clear_caches() -> None:
-    """Drop every shared block spectrum (slices, classifications) and block
-    form (weights); later calls recompute them."""
+    """Drop every shared block spectrum (nodes, images) and block form
+    (weights, divided differences); later calls recompute them."""
     _SPECTRA.clear()
     _BLOCK_FORMS.clear()
 
@@ -494,16 +307,6 @@ def _split_state(spec, s):
     a_sub = block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
     b_sub = block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
     return (s.f, plain_a, plain_b), a_sub, b_sub
-
-
-def _plain_factor(rest):
-    _f, plain_a, plain_b = rest
-    val = 1
-    for mat in (plain_a, plain_b):
-        for row in mat:
-            for e in row:
-                val *= factorial(e)
-    return Fraction(val)
 
 
 def _group(spec, lc):
@@ -537,7 +340,7 @@ def inner_product(spec, u, v) -> Fraction:
         terms2 = g2.get(rest)
         if not terms2:
             continue
-        fact = _plain_factor(rest)
+        fact = _fock_norm(rest[1]) * _fock_norm(rest[2])
         if form_a is None and form_b is None:
             c1 = terms1.get((None, None), Fraction(0))
             c2 = terms2.get((None, None), Fraction(0))

@@ -246,6 +246,8 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
 class SliceReport:
     weight: tuple
     dim: int
+    # exact on a slice with no negative direction; a lower bound otherwise,
+    # since `analyze_gram` stops at the first negative direction
     kernel_dim: int
     negative: bool
     witness: tuple | None  # (tags, coefficients) of a nonpositive vector
@@ -255,7 +257,7 @@ class SliceReport:
 class GramReport:
     positive_definite: bool
     has_negative: bool
-    kernel_total: int
+    kernel_total: int  # sum of the slices' kernel_dim: a lower bound when has_negative
     slices: list
     negative_witness: tuple | None
 
@@ -268,7 +270,9 @@ def analyze_gram(G):
 
     Returns (kernel_dim, negative_coeffs | None): negative_coeffs is a
     coefficient vector over the original family of a vector with negative
-    norm, if one exists.
+    norm, if one exists.  The elimination returns at the first negative
+    direction, so kernel_dim then counts only the null directions met
+    before it: a lower bound.
     """
     n = len(G)
     pivots = []  # (coeff vector, G @ coeff, norm)

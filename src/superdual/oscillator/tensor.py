@@ -16,7 +16,6 @@ from ..diagrams import NonCompactYoungDiagram
 from ..labels import RepLabel, grading_pmq, label_from_weight
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, generator_action
-from .inner import _null_space
 from .module import RowSpace, build_u0, k_lowering_generators, u0_k_basis
 from .states import State, add_into
 
@@ -61,6 +60,42 @@ def product_vector(v1, v2, spec1, spec2, spec, col_map1, col_map2):
     return out
 
 
+def _null_space(M, ncols: int):
+    """Basis of the kernel of M (rows = equations over ncols unknowns) as a
+    list of vectors; the unit basis when there are no equations."""
+    rows = [list(r) for r in M]
+    pivots = {}
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for rr in range(r, len(rows)):
+            if rows[rr][c] != 0:
+                pr = rr
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c] != 0:
+                f = rows[rr][c]
+                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
+        pivots[c] = r
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for c, pr in pivots.items():
+            v[c] = -rows[pr][fc]
+        basis.append(v)
+    return basis
+
+
 def k_hws_in_span(spec: OscillatorSpec, vectors):
     """All K-highest vectors in span(vectors), grouped and solved per weight."""
     by_weight = {}
@@ -78,14 +113,7 @@ def k_hws_in_span(spec: OscillatorSpec, vectors):
             img_states = sorted({s for im in images for s in im})
             for st in img_states:
                 rows.append([im.get(st, Fraction(0)) for im in images])
-        if rows:
-            kern = _null_space(rows)
-        else:
-            kern = [
-                [Fraction(1) if t == k else Fraction(0) for t in range(len(vecs))]
-                for k in range(len(vecs))
-            ]
-        for coeffs in kern:
+        for coeffs in _null_space(rows, len(vecs)):
             vec = {}
             for c, v in zip(coeffs, vecs):
                 if c:

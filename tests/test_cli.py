@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -122,6 +123,77 @@ def test_malformed_label_exit2(capsys, label):
     code, out, err = run(capsys, "classify", "--label", json.dumps(label))
     assert code == 2 and not out
     assert err.startswith("error: malformed label JSON")
+
+
+def _label(**fields):
+    out = {"p": 2, "q": 2, "m": 4, "mu_L": [0, 0], "tau": [1, 1, 0, 0], "mu_R": [0, 0],
+           "beta_L": "0", "beta_R": "0"}
+    out.update(fields)
+    return out
+
+
+# integers must be JSON integers and rationals "a" or a reduced "a/b"
+@pytest.mark.parametrize("label", [
+    _label(p=2.7),
+    _label(q=True),
+    _label(beta_L="2/4", beta_R="1e0"),
+    _label(mu_L=[0.5, 0], beta_R=True),
+    _label(beta_R="1e0"),
+    _label(beta_R="3/2 "),
+    _label(beta_L="0/3"),
+    _label(tau=[1, 1.0, 0, 0]),
+])
+def test_off_wire_format_label_exit2(capsys, label):
+    code, out, err = run(capsys, "classify", "--label", json.dumps(label))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("realization", [
+    {"gamma_L": "0", "gamma_R": "0", "fdelta": 0, "P": 1.0},
+    {"gamma_L": "0", "gamma_R": "0", "fdelta": False, "P": 1},
+    {"gamma_L": "0", "gamma_R": "0.0", "fdelta": 0, "P": 1},
+])
+def test_off_wire_format_realization_exit2(capsys, realization):
+    code, out, err = run(capsys, "diagram", "--label", json.dumps(_label(**realization)))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("weight", [
+    {"grading": "su(2,|4|2)", "values": ["-1", "-1", "1", "1", "0", "0", "0", "2/4"]},
+    {"grading": "su(2,|4|2)", "values": [-1, -1, 1, 1, 0, 0, 0, 0.0]},
+    {"grading": {"blocks": [{"size": 2.0, "p": 0, "c": 0}]}, "values": ["0", "0"]},
+])
+def test_off_wire_format_weight_exit2(capsys, weight):
+    code, out, err = run(capsys, "lattice", "--weight", json.dumps(weight))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_json_outputs_match_schemas(capsys):
+    from jsonschema import Draft7Validator, ValidationError
+    from referencing import Registry, Resource
+
+    schemas = {
+        path.name: json.loads(path.read_text())
+        for path in (pathlib.Path(__file__).parent.parent / "schemas").glob("*.schema.json")
+    }
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values()
+    )
+
+    def validate(name, data):
+        Draft7Validator(schemas[name], registry=registry).validate(data)
+
+    code, out, _ = run(capsys, "weight", "--label", YM, "--grading", "su(2,|4|2)",
+                       "--format", "json")
+    assert code == 0
+    validate("weight.schema.json", json.loads(out))
+    code, out, _ = run(capsys, "diagram", "--label", YM, "--format", "json")
+    assert code == 0
+    validate("diagram.schema.json", json.loads(out))
+    validate("label.schema.json", json.loads(YM))
+    # the validator does reject off-format data
+    with pytest.raises(ValidationError):
+        validate("weight.schema.json", {"grading": "su(2)", "values": [0.5]})
 
 
 def test_unreadable_label_file_exit2(capsys, tmp_path):

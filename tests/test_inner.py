@@ -1,5 +1,6 @@
-"""The deformed-block form: closed-form Casimir spectrum, memoised fast path
-against the spectral path, and the spectral data shared across gamma."""
+"""The deformed-block form: closed-form Casimir spectrum, the Newton form
+against an independent per-component reference, and the spectral data shared
+across gamma."""
 
 import itertools
 from fractions import Fraction as F
@@ -15,11 +16,10 @@ from superdual.oscillator import inner
 from superdual.oscillator.inner import (
     BlockForm,
     BlockSpectrum,
+    _casimir_apply,
     _casimir_value,
-    _eigen_value,
-    _slice_monomials,
+    _L_apply,
     block_form,
-    block_spectrum,
     c_mu,
     clear_caches,
 )
@@ -48,85 +48,133 @@ SLICES = (
     + [(3, (1, 1, 1), (1, 1, 1)), (3, (2, 1, 0), (1, 1, 1)), (3, (1, 0, 0), (0, 1, 0))]
 )
 
-rationals = st.builds(
-    F,
-    st.integers(-3, 3).filter(bool),
-    st.integers(1, 3),
-)
+# Slices of three to six nodes, drawn as often as all of SLICES together, so
+# that divided differences of order >= 2 carry weight.  The last two (n = 3,
+# d = 6) hold both (3, 3) and (4, 1, 1), which share their C2 eigenvalue, so
+# that C = C2 + t C3 with t > 0.
+MANY_NODES = [
+    (2, (2, 2), (2, 2)),
+    (2, (2, 3), (3, 2)),
+    (2, (3, 3), (3, 3)),
+    (2, (4, 2), (3, 3)),
+    (3, (1, 1, 1), (1, 1, 1)),
+    (3, (2, 1, 1), (1, 2, 1)),
+    (3, (2, 2, 1), (1, 2, 2)),
+    (3, (3, 2, 1), (2, 2, 2)),
+    (3, (1, 2, 3), (2, 1, 3)),
+]
+
+# r_mu, s_mu: zero one time in seven, so components drop in and out
+coefficients = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 
-def _fock(mat):
-    out = 1
-    for row in mat:
-        for e in row:
-            out *= factorial(e)
-    return out
+def _fock_pair(u, v):
+    total = F(0)
+    for mat, c in u.items():
+        if mat in v:
+            f = 1
+            for row in mat:
+                for e in row:
+                    f *= factorial(e)
+            total += c * v[mat] * f
+    return total
+
+
+def _transpose(lc):
+    return {tuple(zip(*mat)): c for mat, c in lc.items()}
+
+
+def _dominates(mu, margin):
+    """Partial sums of mu (padded) bound those of the margin, sorted."""
+    lam = sorted(margin, reverse=True)
+    mu = mu.padded(len(lam))
+    return all(sum(mu[:k]) >= sum(lam[:k]) for k in range(1, len(lam) + 1))
+
+
+def _lowering_word(draw, start, target):
+    """Random moves (i, j), j < i, of one unit from entry j to entry i that
+    take the composition `start` to `target`, which it dominates."""
+    cur, word, n = list(start), [], len(start)
+    while cur != list(target):
+        excess = [sum(cur[: s + 1]) - sum(target[: s + 1]) for s in range(n)]
+        j = draw(st.sampled_from([j for j in range(n) if cur[j] and excess[j]]))
+        stop = next(s for s in range(j, n) if not excess[s])
+        i = draw(st.sampled_from(range(j + 1, stop + 1)))
+        cur[j] -= 1
+        cur[i] += 1
+        word.append((i, j))
+    return word
 
 
 @st.composite
-def block_vectors(draw):
-    """(n, gamma, margins, coords1, coords2) on one slice.
+def component_vectors(draw):
+    """(n, gamma, margins, u, v, parts): u and v on one slice, and per
+    component mu of the slice (u_mu, v_mu, r_mu, s_mu) with
+    u = sum r_mu u_mu, v = sum s_mu v_mu and u_mu, v_mu in V_mu (x) V_mu.
 
-    Each vector is either random coordinates on the slice monomials or a
-    random combination inside one GL x GL component, so both the spectral
-    path and the single-component path are exercised.
-    """
-    n, rows, cols = draw(st.sampled_from(SLICES))
+    Each u_mu is the highest vector of V_mu (x) V_mu lowered to the slice by
+    a random word of row lowerings L_ij (i > j) and one of column lowerings
+    (the same on the transpose)."""
+    n, rows, cols = draw(st.sampled_from(SLICES) | st.sampled_from(MANY_NODES))
     gamma = draw(st.sampled_from(GAMMAS))
-    basis = _slice_monomials(rows, cols)
-    sl = block_spectrum(n).slice_data(rows, cols)
+    d = sum(rows)
+    mus = [
+        mu for mu in partitions_bounded(n, d)
+        if mu.size == d and _dominates(mu, rows) and _dominates(mu, cols)
+    ]
 
-    def vector():
-        if draw(st.booleans()):
-            _mu, _sinv, db = draw(st.sampled_from(sl.comps))
-            coefs = draw(st.lists(rationals, min_size=len(db), max_size=len(db)))
-            coords = {
-                m: sum(c * row[sl.index[m]] for c, row in zip(coefs, db)) / _fock(m)
-                for m in basis
-            }
-        else:
-            picked = draw(st.lists(st.sampled_from(basis), min_size=1, unique=True))
-            coords = {m: draw(rationals) for m in picked}
-        coords = {m: c for m, c in coords.items() if c}
-        return coords or {basis[0]: F(1)}
+    def lowered(mu):
+        vec = _highest_vector(mu, n)
+        for i, j in _lowering_word(draw, mu.padded(n), rows):
+            vec = _L_apply(vec, i, j, n)
+        vec = _transpose(vec)
+        for i, j in _lowering_word(draw, mu.padded(n), cols):
+            vec = _L_apply(vec, i, j, n)
+        return _transpose(vec)
 
-    c1 = vector()
-    c2 = dict(c1) if draw(st.booleans()) else vector()
-    return n, gamma, (rows, cols), c1, c2
+    parts = []
+    u, v = {}, {}
+    for mu in mus:
+        u_mu, v_mu = lowered(mu), lowered(mu)
+        r, s = draw(coefficients), draw(coefficients)
+        parts.append((mu, u_mu, v_mu, r, s))
+        for out, vec, coef in ((u, u_mu, r), (v, v_mu, s)):
+            for mat, c in vec.items():
+                out[mat] = out.get(mat, F(0)) + coef * c
+    u = {m: c for m, c in u.items() if c}
+    v = {m: c for m, c in v.items() if c}
+    return n, gamma, (rows, cols), u, v, parts
 
 
 @settings(max_examples=150, deadline=None)
-@given(block_vectors())
-def test_block_form_fast_path_matches_spectral_path(case):
-    n, gamma, margins, c1, c2 = case
+@given(component_vectors())
+def test_block_form_matches_per_component_reference(case):
+    n, gamma, margins, u, v, parts = case
     # cold: a private spectrum; the shared one holds every earlier example
     fresh = BlockForm(n, gamma)
     fresh.spectrum = BlockSpectrum(n)
-    got = fresh.eval_coords(margins, c1, c2)
+    got = fresh.eval_coords(margins, u, v)
 
-    sl = fresh.spectrum.slice_data(*margins)
-    assert got == sl.eval_projected(sl.project(c1), sl.project(c2), fresh.weight)
+    want = sum(
+        (c_mu(mu, gamma, n) * r * s * _fock_pair(u_mu, v_mu) for mu, u_mu, v_mu, r, s in parts),
+        F(0),
+    )
+    assert got == want
 
     warmed = block_form(n, gamma)
     for _ in range(2):
-        warmed.eval_coords(margins, c2, c1)
-        assert warmed.eval_coords(margins, dict(c1), dict(c2)) == got
+        warmed.eval_coords(margins, v, u)
+        assert warmed.eval_coords(margins, dict(u), dict(v)) == got
 
     if n == 1:
-        # the pre-memo eigen-test path: C2 eigenvalue, its one partition, c_mu
-        ((mono, a),) = c1.items()
-        ((_, b),) = c2.items()
-        d = mono[0][0]
-        lam = _eigen_value(c1, 1, 2)
-        (mu,) = [
-            m for m in partitions_bounded(1, d)
-            if m.size == d and _casimir_value(m, 1, 2) == lam
-        ]
-        assert got == c_mu(mu, gamma, 1) * a * b * factorial(d)
+        # one component, mu = (d): (gamma + 1)_d times the Fock pairing
+        ((mu, u_mu, v_mu, r, s),) = parts
+        d = mu.size
         rising = F(1)
         for j in range(1, d + 1):
             rising *= gamma + j
-        assert got == a * b * rising
+        assert u_mu == v_mu == {((d,),): F(1)}
+        assert got == r * s * rising
 
 
 def test_clear_caches_gives_identical_results():
@@ -137,7 +185,7 @@ def test_clear_caches_gives_identical_results():
 
     clear_caches()
     cold = run()
-    assert inner._BLOCK_FORMS and any(s._classes for s in inner._SPECTRA.values())
+    assert inner._BLOCK_FORMS and any(s._images for s in inner._SPECTRA.values())
     warm = run()
     clear_caches()
     assert not inner._BLOCK_FORMS
@@ -164,9 +212,9 @@ def test_spectrum_shared_across_gamma_gives_identical_results():
     clear_caches()
     run(F(5, 2), F(1, 2))
     spectra = dict(inner._SPECTRA)
-    # Gram slices of the size-2 block, classified vectors of both blocks
+    # Newton nodes of the size-2 block's slices, images in both blocks
     assert sorted(spectra) == [2, 3]
-    assert spectra[2]._slices and spectra[2]._classes and spectra[3]._classes
+    assert spectra[2]._nodes and spectra[2]._images and spectra[3]._images
     warm = run(F(5, 3), F(-1, 3))
     assert warm == cold
     assert all(inner._SPECTRA[n] is spectra[n] for n in (2, 3))
@@ -195,6 +243,15 @@ def _highest_vector(mu, n):
     return poly
 
 
+def _eigen_value(coords, n, t):
+    """Exact eigenvalue of C2 + t C3 on coords, or None if not an eigenvector."""
+    img = _casimir_apply(coords, n, t)
+    ref_m, ref_c = next(iter(coords.items()))
+    lam = img.get(ref_m, F(0)) / ref_c
+    want = {m: lam * c for m, c in coords.items() if lam * c}
+    return lam if img == want else None
+
+
 def test_casimir_closed_form_matches_highest_vector_eigenvalues():
     cases = 0
     # every block size PERMS accepts, up to MAX_BLOCK = 8
@@ -203,7 +260,8 @@ def test_casimir_closed_form_matches_highest_vector_eigenvalues():
             if mu.size > top:
                 continue
             hv = _highest_vector(mu, n)
-            for order in (2, 3):
-                assert _casimir_value(mu, n, order) == _eigen_value(hv, n, order), (n, mu, order)
+            c2, c2_plus_c3 = _eigen_value(hv, n, 0), _eigen_value(hv, n, 1)
+            assert _casimir_value(mu, n, 2) == c2, (n, mu)
+            assert _casimir_value(mu, n, 3) == c2_plus_c3 - c2, (n, mu)
             cases += 1
     assert cases == 7 + 16 + 23 + 12 + 7 + 7 + 4 + 4
