@@ -58,8 +58,35 @@ def _from_json(what: str, build, data):
         raise ValueError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc
 
 
+# the fields of schemas/label.schema.json, and those diagram.schema.json adds
+_LABEL_KEYS = frozenset(("p", "q", "m", "mu_L", "tau", "mu_R", "beta_L", "beta_R"))
+_REALIZATION_KEYS = frozenset(("gamma_L", "gamma_R", "fdelta", "P"))
+
+
+def _label_json(text: str):
+    """(label, realization or None) from a label or diagram JSON argument.
+
+    The object must carry exactly the label fields, or exactly the label
+    and realization fields: a missing or unknown field is a usage error.
+    """
+    data = _load_json_arg(text)
+    if not isinstance(data, dict):
+        raise ValueError("malformed label JSON (not a JSON object)")
+    keys = set(data)
+    want = _LABEL_KEYS | _REALIZATION_KEYS if keys & _REALIZATION_KEYS else _LABEL_KEYS
+    if keys != want:
+        raise ValueError(
+            f"malformed label JSON (missing fields {sorted(want - keys)}, "
+            f"unknown fields {sorted(keys - want)})"
+        )
+    label = _from_json("label", RepLabel.from_json, data)
+    if want == _LABEL_KEYS:
+        return label, None
+    return label, _from_json("realization", Realization.from_json, data)
+
+
 def _label_arg(text: str) -> RepLabel:
-    return _from_json("label", RepLabel.from_json, _load_json_arg(text))
+    return _label_json(text)[0]
 
 
 def _weight_from_json(d) -> FundamentalWeight:
@@ -87,20 +114,12 @@ def weight_to_json(w: FundamentalWeight) -> dict:
     return out
 
 
-def _diagram_arg(args) -> NonCompactYoungDiagram:
-    label = _label_arg(args.label)
-    data = _load_json_arg(args.label)
-    if all(k in data for k in ("gamma_L", "gamma_R", "fdelta", "P")):
-        return realize(label, strategy=_from_json("realization", Realization.from_json, data))
-    if getattr(args, "P", None):
-        # pick the realization with the requested colour count via iso moves
-        d = realize(label)
-        from .diagrams import iso_move_lower
-
-        while d.realization.P < args.P:
-            d = iso_move_lower(d)
-        return d
-    return realize(label)
+def _diagram_arg(text: str) -> NonCompactYoungDiagram:
+    """The diagram of a diagram JSON, or the MinimalP realization of a label JSON."""
+    label, realization = _label_json(text)
+    if realization is None:
+        return realize(label)
+    return realize(label, strategy=realization)
 
 
 def cmd_classify(args):
@@ -164,7 +183,7 @@ def cmd_lattice(args):
 
 
 def cmd_diagram(args):
-    d = _diagram_arg(args)
+    d = _diagram_arg(args.label)
     if args.format == "json":
         print(json.dumps(d.to_json()))
     elif args.format == "svg":
@@ -175,7 +194,7 @@ def cmd_diagram(args):
 
 
 def cmd_shorten(args):
-    d = _diagram_arg(args)
+    d = _diagram_arg(args.label)
     prof = shortening_profile_of(d)
     print("right:", " ".join("inf" if r is None else str(r) for r in prof.right))
     print("left: ", " ".join("inf" if r is None else str(r) for r in prof.left))
@@ -188,7 +207,7 @@ def cmd_shorten(args):
 
 
 def cmd_do_label(args):
-    d = _diagram_arg(args)
+    d = _diagram_arg(args.label)
     print(str(dolan_osborn(d)))
     return EXIT_OK
 
@@ -232,8 +251,8 @@ def cmd_tables(args):
 
 
 def cmd_tensor(args):
-    left = realize(_label_arg(args.left))
-    right = realize(_label_arg(args.right))
+    left = _diagram_arg(args.left)
+    right = _diagram_arg(args.right)
     from .oscillator.tensor import tensor_decompose
 
     for lab in tensor_decompose(left, right):
@@ -320,18 +339,14 @@ def build_parser():
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = add("diagram", cmd_diagram, help="non-compact Young diagram of a label")
-    sp.add_argument("--label", required=True)
-    sp.add_argument("--grading")
-    sp.add_argument("--P", type=int, help="request a larger colour count via iso moves")
+    sp.add_argument("--label", required=True, help="label or diagram JSON (file or literal)")
     sp.add_argument("--format", choices=["ascii", "svg", "json"], default="ascii")
 
     sp = add("shorten", cmd_shorten, help="monomial shortening profile")
-    sp.add_argument("--label", required=True)
-    sp.add_argument("--P", type=int)
+    sp.add_argument("--label", required=True, help="label or diagram JSON (file or literal)")
 
     sp = add("do-label", cmd_do_label, help="Dolan-Osborn label (su(2,2|4))")
-    sp.add_argument("--label", required=True)
-    sp.add_argument("--P", type=int)
+    sp.add_argument("--label", required=True, help="label or diagram JSON (file or literal)")
 
     sp = add("verify", cmd_verify, help="oscillator-module Gram verification")
     sp.add_argument("--label", required=True)
@@ -344,8 +359,8 @@ def build_parser():
     sp.add_argument("--check", action="store_true", help="diff against the shipped golden")
 
     sp = add("tensor", cmd_tensor, help="decompose a K-module tensor product")
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
+    sp.add_argument("--left", required=True, help="label or diagram JSON (file or literal)")
+    sp.add_argument("--right", required=True, help="label or diagram JSON (file or literal)")
 
     add("selfcheck", cmd_selfcheck, help="run the bounded equivalence suites")
     return ap

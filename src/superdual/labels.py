@@ -125,15 +125,16 @@ class RepLabel:
 
     @classmethod
     def from_json(cls, d: dict) -> "RepLabel":
+        """The label of a `label.schema.json` object; every field is required."""
         return cls(
             wire_int(d["p"]),
             wire_int(d["q"]),
             wire_int(d["m"]),
-            Partition(map(wire_int, d.get("mu_L", ()))),
-            Partition(map(wire_int, d.get("tau", ()))),
-            Partition(map(wire_int, d.get("mu_R", ()))),
-            rat(d.get("beta_L", 0)),
-            rat(d.get("beta_R", 0)),
+            Partition(map(wire_int, d["mu_L"])),
+            Partition(map(wire_int, d["tau"])),
+            Partition(map(wire_int, d["mu_R"])),
+            rat(d["beta_L"]),
+            rat(d["beta_R"]),
         )
 
 

@@ -21,7 +21,7 @@ from ..diagrams import NonCompactYoungDiagram, Realization, realize
 from ..labels import RepLabel, grading_pmq, weight_pmq_from_realization
 from ..rationals import rat
 from ..weights import FundamentalWeight
-from .states import PERMS, State, _bump, add_into, combine, reduce_state, scale, zero_state
+from .states import PERMS, State, _bump, add_into, reduce_state, zero_state
 
 
 @dataclass(frozen=True)
@@ -270,31 +270,21 @@ def _block_of(spec, i):
     return ("a", i - spec.p - spec.m)
 
 
+# E_ij = sign * LEFT[block i](RIGHT[block j]), summed over the colours (see
+# the generator table in the module docstring)
+_LEFT = {"b": ann_b, "f": mul_f, "a": mul_a}
+_RIGHT = {"b": (mul_b, -1), "f": (ann_f, 1), "a": (ann_a, 1)}
+
+
 def generator_action(spec: OscillatorSpec, i: int, j: int, v) -> dict:
     """E_ij acting on a state or LinComb (0-based su(p,|m|q) indices)."""
     lc = v if isinstance(v, dict) else {v: Fraction(1)}
     (bi, fi), (bj, fj) = _block_of(spec, i), _block_of(spec, j)
+    left, (right, sign) = _LEFT[bi], _RIGHT[bj]
     out = {}
     for A in range(spec.P):
-        if bi == "b" and bj == "b":
-            term = scale(ann_b(spec, fi, A, mul_b(spec, fj, A, lc)), Fraction(-1))
-        elif bi == "b" and bj == "f":
-            term = ann_b(spec, fi, A, ann_f(spec, fj, A, lc))
-        elif bi == "b" and bj == "a":
-            term = ann_b(spec, fi, A, ann_a(spec, fj, A, lc))
-        elif bi == "f" and bj == "b":
-            term = scale(mul_f(spec, fi, A, mul_b(spec, fj, A, lc)), Fraction(-1))
-        elif bi == "f" and bj == "f":
-            term = mul_f(spec, fi, A, ann_f(spec, fj, A, lc))
-        elif bi == "f" and bj == "a":
-            term = mul_f(spec, fi, A, ann_a(spec, fj, A, lc))
-        elif bi == "a" and bj == "b":
-            term = scale(mul_a(spec, fi, A, mul_b(spec, fj, A, lc)), Fraction(-1))
-        elif bi == "a" and bj == "f":
-            term = mul_a(spec, fi, A, ann_f(spec, fj, A, lc))
-        else:
-            term = mul_a(spec, fi, A, ann_a(spec, fj, A, lc))
-        out = combine(out, term)
+        for s, c in left(spec, fi, A, right(spec, fj, A, lc)).items():
+            add_into(out, s, sign * c)
     return out
 
 

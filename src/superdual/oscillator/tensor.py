@@ -3,9 +3,11 @@
 The factors are oscillator-realised modules on disjoint colour sets.  The
 product of their U_0 spaces is a finite-dimensional K = su(p) + su(m) + su(q)
 (+ u(1)s) module which is still annihilated by E^(+) (each raising term acts
-within one colour factor); decomposing it into K-irreducibles by exact
-linear algebra therefore lists the induced su(p,q|m) labels -- the content
-of the multiplet tables.
+within one colour factor); decomposing it into K-irreducibles therefore
+lists the induced su(p,q|m) labels -- the content of the multiplet tables.
+Each K-irreducible contributes one K-highest vector, and `k_hws_in_span`
+finds them all with the same incremental `RowSpace` that spans the K-orbit
+of U_0: no other eliminator is involved.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..diagrams import NonCompactYoungDiagram
-from ..labels import RepLabel, grading_pmq, label_from_weight
+from ..labels import grading_pmq, label_from_weight
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, generator_action
 from .module import RowSpace, build_u0, k_lowering_generators, u0_k_basis
@@ -60,68 +62,33 @@ def product_vector(v1, v2, spec1, spec2, spec, col_map1, col_map2):
     return out
 
 
-def _null_space(M, ncols: int):
-    """Basis of the kernel of M (rows = equations over ncols unknowns) as a
-    list of vectors; the unit basis when there are no equations."""
-    rows = [list(r) for r in M]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            v[c] = -rows[pr][fc]
-        basis.append(v)
-    return basis
-
-
 def k_hws_in_span(spec: OscillatorSpec, vectors):
-    """All K-highest vectors in span(vectors), grouped and solved per weight."""
-    by_weight = {}
-    for v in vectors:
-        w = {spec.state_weight(s) for s in v}
-        assert len(w) == 1, "vector mixes Cartan weights"
-        by_weight.setdefault(w.pop(), []).append(v)
+    """All K-highest vectors in span(vectors), as [(weight, vec)] by weight.
 
-    gens = [(j, i) for i, j in k_lowering_generators(spec)]  # the K raising generators
-    found = []
-    for weight, vecs in sorted(by_weight.items()):
-        rows = []
-        for (i, j) in gens:
-            images = [generator_action(spec, i, j, v) for v in vecs]
-            img_states = sorted({s for im in images for s in im})
-            for st in img_states:
-                rows.append([im.get(st, Fraction(0)) for im in images])
-        for coeffs in _null_space(rows, len(vecs)):
-            vec = {}
-            for c, v in zip(coeffs, vecs):
-                if c:
-                    for s, cc in v.items():
-                        add_into(vec, s, c * cc)
-            if vec:
-                found.append((weight, vec))
-    return found
+    Each vector enters one `RowSpace` as a row holding its own coordinates
+    under keys (0, state) and its image under each K raising generator g
+    under keys (1, g, state).  The store pivots on the largest key, so the
+    images are eliminated first: a stored row whose pivot is an own key has
+    no image left, and these rows' own parts are a basis of the K-highest
+    vectors of the span.  A vector that reduces to nothing was dependent.
+    Rows of different weights share no key, so no row mixes weights.
+    """
+    gens = [(j, i) for i, j in k_lowering_generators(spec)]
+    space = RowSpace()
+    for v in vectors:
+        if len({spec.state_weight(s) for s in v}) > 1:
+            raise AssertionError("vector mixes Cartan weights")
+        row = {(0, s): c for s, c in v.items()}
+        for g in gens:
+            for s, c in generator_action(spec, *g, v).items():
+                row[(1, g, s)] = c
+        space.insert(row)
+    found = [
+        (spec.state_weight(piv[1]), {key[1]: c for key, c in row.items()})
+        for piv, row in space.pivots.items()
+        if piv[0] == 0
+    ]
+    return sorted(found, key=lambda wv: wv[0])
 
 
 def tensor_decompose(d1: NonCompactYoungDiagram, d2: NonCompactYoungDiagram):
@@ -148,13 +115,11 @@ def tensor_decompose(d1: NonCompactYoungDiagram, d2: NonCompactYoungDiagram):
 
     basis1 = u0_k_basis(spec1, u1)
     basis2 = u0_k_basis(spec2, u2)
-    space = RowSpace()
-    products = []
-    for x in basis1:
-        for y in basis2:
-            w = product_vector(x, y, spec1, spec2, spec, col_map1, col_map2)
-            if w and space.insert(w) is not None:
-                products.append(w)
+    products = [
+        product_vector(x, y, spec1, spec2, spec, col_map1, col_map2)
+        for x in basis1
+        for y in basis2
+    ]
 
     labels = []
     for weight, vec in k_hws_in_span(spec, products):

@@ -38,7 +38,15 @@ from superdual.oscillator.capelli import (
     capelli_norm_factor,
     delta_ladder_norms,
 )
-from superdual.oscillator.module import build_u0, gram_positivity, verify_hws
+from superdual.oscillator.inner import inner_product
+from superdual.oscillator.module import (
+    build_u0,
+    gram_positivity,
+    pbw_family,
+    u0_k_basis,
+    verify_hws,
+)
+from superdual.oscillator.states import add_into
 from superdual.oscillator.tensor import tensor_decompose
 from superdual.partitions import Partition, partitions_bounded
 from superdual.shortening import bps_type_22_4, can_recombine, dolan_osborn
@@ -193,6 +201,25 @@ def test_criterion_3_oracle_concordance():
         ok and dt < 600,
         f"{len(cases)} labels, {dt:.1f}s" + (f" failing: {details}" if details else ""),
     )
+
+
+def test_negative_witnesses_have_negative_norm():
+    """Each negative witness, rebuilt from its (tags, coefficients) through
+    `pbw_family`, has a strictly negative norm: the evidence `analyze_gram`
+    returns checks out independently of the elimination."""
+    cases = [(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), 3)]  # test_gram_su22_negative_witness
+    cases += [(lab, cut) for lab, cut in _oracle_cases() if not classify_supqm(lab).unitary]
+    assert len(cases) >= 4
+    for lab, cutoff in cases:
+        d = realize(lab, allow_nonunitary=True)
+        weight, (tags, coeffs) = gram_positivity(d, cutoff=cutoff).negative_witness
+        spec, u0 = build_u0(d)
+        family = dict(pbw_family(spec, u0_k_basis(spec, u0), cutoff)[weight])
+        witness = {}
+        for tag, coeff in zip(tags, coeffs):
+            for s, c in family[tag].items():
+                add_into(witness, s, coeff * c)
+        assert inner_product(spec, witness, witness) < 0, str(lab)
 
 
 def test_criterion_4_capelli_suite():

@@ -102,6 +102,15 @@ def test_tensor_command(capsys):
     assert "[0,0,1100,0,0;1,0]" in out and "[0,0,2000,0,0;0,0]" in out
 
 
+def test_tensor_command_takes_diagram_json(capsys):
+    f = json.dumps({"p": 2, "q": 2, "m": 4, "mu_L": [0, 0], "tau": [1, 0, 0, 0], "mu_R": [0, 0],
+                    "beta_L": "0", "beta_R": "0", "gamma_L": "0", "gamma_R": "0",
+                    "fdelta": 0, "P": 1})
+    code, out, _ = run(capsys, "tensor", "--left", f, "--right", f)
+    assert code == 0
+    assert out.split() == ["[0,0,1100,0,0;1,0]", "[0,0,2000,0,0;0,0]"]
+
+
 def test_usage_error_exit2(capsys):
     assert main(["classify"]) == 2
     assert main(["classify", "--label", "{not json"]) == 2
@@ -114,15 +123,32 @@ def test_verify_deformed_block_of_size_5(capsys):
     assert code == 0 and "positive_definite=True" in out and not err
 
 
+# the fields are exactly those of label.schema.json or of diagram.schema.json
 @pytest.mark.parametrize("label", [
     {"p": 2, "q": 2, "m": 4, "mu_L": [], "tau": [], "mu_R": [], "beta_L": 1.5, "beta_R": "0"},
     {"q": 2, "m": 4},
     [2, 2, 4],
+    # a misspelt beta_R was read as beta_R = 0: UnitaryLong, exit 0
+    {"p": 2, "q": 2, "m": 0, "mu_L": [], "tau": [], "mu_R": [], "beta_L": "0", "betaR": "1/2"},
+    {"p": 2, "q": 2, "m": 4, "mu_L": [0, 0], "mu_R": [0, 0], "beta_L": "0", "beta_R": "0"},
+    json.loads(YM) | {"P": 1},
 ])
 def test_malformed_label_exit2(capsys, label):
     code, out, err = run(capsys, "classify", "--label", json.dumps(label))
     assert code == 2 and not out
     assert err.startswith("error: malformed label JSON")
+
+
+# options that were parsed but had no effect, or could only fail
+@pytest.mark.parametrize("argv", [
+    ["diagram", "--label", YM, "--grading", "not a grading"],
+    ["diagram", "--label", YM, "--P", "1"],
+    ["shorten", "--label", YM, "--P", "0"],
+    ["do-label", "--label", YM, "--P", "2"],
+])
+def test_removed_options_exit2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and not out
 
 
 def _label(**fields):

@@ -1,9 +1,18 @@
+from collections import Counter
 from fractions import Fraction as F
+from functools import cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdual.labels import RepLabel
-from superdual.oscillator.tensor import tensor_decompose
+from superdual.oscillator import tensor
+from superdual.oscillator.algebra import generator_action
+from superdual.oscillator.module import k_lowering_generators
+from superdual.oscillator.states import add_into, combine
+from superdual.oscillator.tensor import k_hws_in_span, tensor_decompose
 from superdual.tables import doubleton, label_2244
 
 
@@ -68,3 +77,58 @@ def test_deformed_factor_rejected():
     cont = realize(RepLabel(2, 2, 4, (), (), (), 2 + gam, 2 + gam))
     with pytest.raises(ValueError):
         tensor_decompose(cont, doubleton("vac"))
+
+
+@cache
+def _table23_products():
+    """(spec, product vectors) that `tensor_decompose` hands to `k_hws_in_span`,
+    one entry per row of tables 2 and 3."""
+    captured = []
+    real = tensor.k_hws_in_span
+
+    def spy(spec, vectors):
+        captured.append((spec, list(vectors)))
+        return real(spec, vectors)
+
+    with mock.patch.object(tensor, "k_hws_in_span", spy):
+        for kind2 in ("vac", "f"):
+            for kind1, n in (("vac", 0), ("f", 0), ("ff", 0), ("fff", 0), ("am", 2), ("bn", 2)):
+                tensor_decompose(doubleton(kind2), doubleton(kind1, n))
+    return captured
+
+
+def _weight(spec, vec):
+    return {spec.state_weight(s) for s in vec}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_k_hws_in_span_ignores_order_duplicates_and_recombinations(data):
+    spec, products = data.draw(st.sampled_from(_table23_products()))
+    plain = Counter(w for w, _ in k_hws_in_span(spec, products))
+    vectors = products + data.draw(st.lists(st.sampled_from(products), max_size=4))
+    by_weight = {}
+    for v in products:
+        by_weight.setdefault(_weight(spec, v).pop(), []).append(v)
+    groups = sorted(by_weight.values(), key=len)
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    for group in data.draw(st.lists(st.sampled_from(groups), max_size=4)):
+        mix, n = {}, len(group)
+        for v, c in zip(group, data.draw(st.lists(coeff, min_size=n, max_size=n))):
+            for s, x in v.items():
+                add_into(mix, s, c * x)
+        vectors.append(mix)  # may cancel to the zero vector
+    got = k_hws_in_span(spec, data.draw(st.permutations(vectors)))
+    for weight, vec in got:
+        assert vec and _weight(spec, vec) == {weight}
+        for i, j in k_lowering_generators(spec):
+            assert not generator_action(spec, j, i, vec)
+    assert Counter(w for w, _ in got) == plain
+
+
+def test_k_hws_in_span_rejects_mixed_weights():
+    spec, products = _table23_products()[1]  # vac x f
+    mixed = combine(products[0], products[-1])
+    assert len(_weight(spec, mixed)) == 2
+    with pytest.raises(AssertionError):
+        k_hws_in_span(spec, [mixed])
