@@ -120,13 +120,18 @@ def _fsign(mask: int, bit: int) -> int:
     return -1 if bin(mask & ((1 << bit) - 1)).count("1") % 2 else 1
 
 
+def _add_reduced(spec: OscillatorSpec, out: dict, state: State, coeff) -> None:
+    """Add coeff times the normal form of state into out."""
+    for rs, rc in spec.reduce(state).items():
+        add_into(out, rs, coeff if rc == 1 else coeff * rc)
+
+
 def mul_a(spec: OscillatorSpec, fl: int, col: int, lc: dict) -> dict:
     out = {}
     for s, c in lc.items():
         ns = s._replace(a=_bump(s.a, fl, col, +1))
         if s.sR and col in spec.a_block_cols():
-            for rs, rc in spec.reduce(ns).items():
-                add_into(out, rs, c * rc)
+            _add_reduced(spec, out, ns, c)
         else:
             add_into(out, ns, c)
     return out
@@ -137,8 +142,7 @@ def mul_b(spec: OscillatorSpec, fl: int, col: int, lc: dict) -> dict:
     for s, c in lc.items():
         ns = s._replace(b=_bump(s.b, fl, col, +1))
         if s.sL and col in spec.b_block_cols():
-            for rs, rc in spec.reduce(ns).items():
-                add_into(out, rs, c * rc)
+            _add_reduced(spec, out, ns, c)
         else:
             add_into(out, ns, c)
     return out
@@ -159,7 +163,8 @@ def _ann_boson(spec, which, fl, col, lc):
             ns = s._replace(**{which: ns_mat})
             add_into(out, ns, c * mat[fl][col])
         # determinant tail: (d det/dx_{fl,col}) (gamma - s) s^{+1}
-        if deformed and col in cols:
+        if deformed and col in cols and gamma != spow:
+            tail = c * (gamma - spow)
             pos = cols.index(col)
             n = len(cols)
             for perm, sign in PERMS[n]:
@@ -169,11 +174,11 @@ def _ann_boson(spec, which, fl, col, lc):
                 for j in range(n):
                     if j != fl:
                         ns_mat = _bump(ns_mat, j, cols[perm[j]], +1)
-                coeff = c * sign * (gamma - spow)
-                ns = s._replace(**{which: ns_mat})
-                ns = ns._replace(sR=s.sR + 1) if which == "a" else ns._replace(sL=s.sL + 1)
-                for rs, rc in spec.reduce(ns).items():
-                    add_into(out, rs, coeff * rc)
+                if which == "a":
+                    ns = s._replace(a=ns_mat, sR=spow + 1)
+                else:
+                    ns = s._replace(b=ns_mat, sL=spow + 1)
+                _add_reduced(spec, out, ns, tail if sign == 1 else -tail)
     return out
 
 
@@ -246,16 +251,43 @@ def delta_dagger(spec: OscillatorSpec, which: str, lc: dict) -> dict:
 def delta_lower(spec: OscillatorSpec, which: str, lc: dict) -> dict:
     """The annihilator determinant Delta = det(a_i(A)) on the block."""
     cols = spec.A_delta if which == "a" else spec.B_delta
-    n = len(cols)
-    out = {}
     fn = ann_a if which == "a" else ann_b
-    for perm, sign in PERMS[n]:
-        term = lc
-        for i in range(n):
-            term = fn(spec, perm[i], cols[i], term)
-        for s, c in term.items():
-            add_into(out, s, c * sign)
-    return out
+    n = len(cols)
+    return column_det(n, lambda row, k, term: fn(spec, row, cols[k], term), lc, range(n))
+
+
+def column_det(n: int, op, lc: dict, order) -> dict:
+    """sum_sigma sgn(sigma) op(sigma(k_last), k_last) ... op(sigma(k_0), k_0) lc.
+
+    op(row, k, lc) is a linear map; `order` lists the columns k_0, ..., k_last
+    in the order they act, ascending (range(n)) or descending.  The partial
+    sums are kept per set of rows used so far, so the 2^n sets replace the n!
+    permutations (n 2^(n-1) applications of op) and cancelling terms merge
+    early.  A new row adds one inversion per used row on its inverting side:
+    above it when the columns ascend, below it when they descend.
+    """
+    order = tuple(order)
+    if order == tuple(range(n)):
+        def inversions(used, row):
+            return bin(used >> (row + 1)).count("1")
+    elif order == tuple(range(n - 1, -1, -1)):
+        def inversions(used, row):
+            return bin(used & ((1 << row) - 1)).count("1")
+    else:
+        raise ValueError(f"columns {order} are not monotone in range({n})")
+    partial = {0: lc}  # bitmask of the rows used -> partial sum
+    for k in order:
+        nxt = {}
+        for used, term in partial.items():
+            for row in range(n):
+                if used >> row & 1:
+                    continue
+                acc = nxt.setdefault(used | 1 << row, {})
+                odd = inversions(used, row) % 2
+                for s, c in op(row, k, term).items():
+                    add_into(acc, s, -c if odd else c)
+        partial = {used: term for used, term in nxt.items() if term}
+    return partial.get((1 << n) - 1, {})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ On F_gamma with P colours the column-ordered determinant identity
 
 holds exactly; evaluating it on the mu-sector of the t^n subspace gives the
 norm recursion |v_{mu,n+1}|^2 = prod_i (mu_i + P - i + gamma + n + 1) |v_{mu,n}|^2.
+
+`capelli_identity_check` tests the identity by brute force on every basis
+state of a truncation; it assumes no K-equivariance.  Both determinants are
+`algebra.column_det`, a recursion over the subsets of rows used so far:
+P 2^(P-1) operator applications instead of P P! (12 instead of 18 at P = 3),
+with the terms that cancel merged after each column.
 """
 
 from __future__ import annotations
@@ -14,8 +20,15 @@ from fractions import Fraction
 
 from ..partitions import Partition
 from ..rationals import rat
-from .algebra import OscillatorSpec, basis_states, delta_dagger, delta_lower, generator_action
-from .states import PERMS, combine, scale
+from .algebra import (
+    OscillatorSpec,
+    basis_states,
+    column_det,
+    delta_dagger,
+    delta_lower,
+    generator_action,
+)
+from .states import combine, scale
 
 
 def capelli_norm_factor(mu: Partition, gamma, n: int, P: int) -> Fraction:
@@ -53,24 +66,16 @@ def capelli_identity_check(P: int, gamma, cutoff: int = 4, max_s: int = 1) -> bo
 
 
 def _column_det_action(spec: OscillatorSpec, lc):
-    """colDet(E_ij + (P - i) delta_ij) acting on lc (1-based i in the formula)."""
+    """colDet(E_ij + (P - i) delta_ij) acting on lc (1-based i in the formula),
+    the columns applied right to left."""
     P = spec.q
-    total = {}
     base = spec.p + spec.m  # a-block offset in generator indices
-    for perm, sign in PERMS[P]:
-        # eps_{i_1..i_P} M[i_1][1] ... M[i_P][P], columns applied right to left
-        term = lc
-        for col in range(P - 1, -1, -1):
-            row = perm[col]
-            term = combine(
-                generator_action(spec, base + row, base + col, term),
-                scale(term, Fraction(P - (row + 1))) if row == col else {},
-            )
-            if not term:
-                break
-        if term:
-            total = combine(total, scale(term, Fraction(sign)))
-    return total
+
+    def entry(row, col, term):
+        image = generator_action(spec, base + row, base + col, term)
+        return combine(image, scale(term, Fraction(P - (row + 1)))) if row == col else image
+
+    return column_det(P, entry, lc, range(P - 1, -1, -1))
 
 
 def delta_ladder_norms(P: int, gamma, mu: Partition, nmax: int):

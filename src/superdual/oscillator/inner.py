@@ -31,7 +31,8 @@ The images N_j do not depend on gamma, so each block size n has one shared
 vector by content, so a vector entering many Gram entries, at any gamma, meets
 the Casimir once per node.  Each (n, gamma) has one `BlockForm` on top of it,
 which keeps only the weights c_mu(gamma) and each slice's divided
-differences.  `clear_caches()` drops both tables.
+differences.  `clear_caches()` drops both tables, and the normal forms
+modulo det X - t that `states` memoises.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import factorial, lcm
 
 from ..partitions import Partition, partitions_bounded
 from ..rationals import rat
-from .states import block_matrix
+from .states import _NORMAL_FORMS, block_matrix
 
 
 def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
@@ -280,10 +281,12 @@ def block_form(n: int, gamma: Fraction) -> BlockForm:
 
 
 def clear_caches() -> None:
-    """Drop every shared block spectrum (nodes, images) and block form
-    (weights, divided differences); later calls recompute them."""
+    """Drop every shared block spectrum (nodes, images), block form
+    (weights, divided differences) and normal form modulo det X - t; later
+    calls recompute them."""
     _SPECTRA.clear()
     _BLOCK_FORMS.clear()
+    _NORMAL_FORMS.clear()
 
 
 # ---------------------------------------------------------------------------

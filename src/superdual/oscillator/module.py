@@ -17,9 +17,9 @@ from fractions import Fraction
 from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
-from .algebra import OscillatorSpec, generator_action, mul_a, mul_b, mul_f
+from .algebra import OscillatorSpec, column_det, generator_action, mul_a, mul_b, mul_f
 from .inner import inner_product
-from .states import PERMS, add_into, combine, scale
+from .states import add_into, scale
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +65,10 @@ def build_u0(d: NonCompactYoungDiagram):
 
 
 def _apply_minor(spec, v, rows, cols, mul):
-    out = {}
-    for perm, sign in PERMS[len(rows)]:
-        term = v
-        for i, r in enumerate(rows):
-            term = mul(spec, r, cols[perm[i]], term)
-        out = combine(out, scale(term, Fraction(sign)))
-    return out
+    """det[mul(rows[i], cols[j])] v, the factors applied row by row."""
+    return column_det(
+        len(rows), lambda j, i, term: mul(spec, rows[i], cols[j], term), v, range(len(rows))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ polynomials and the canonical form forbids a full block diagonal alongside a
 positive s power, via
 
     x^diag s^k  =  x^0 s^(k-1) - sum_{sigma != id} sgn(sigma) x^(e_sigma) s^k.
+
+det X - t is the only relation, so this rewriting is a Groebner normal form:
+exact, with integer coefficients, and the same for every gamma.  The normal
+form of each block (matrix, s power, colours) is computed once per process
+and kept in `_NORMAL_FORMS`; `reduce_state` returns integer coefficients
+that the callers multiply into their Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -119,42 +125,46 @@ def _bump(mat, row, col, delta):
     return tuple(out)
 
 
+# (mat, s, cols) -> `_reduce_block(mat, s, cols)` for every block with a full
+# diagonal and s > 0; shared by every gamma, emptied by `inner.clear_caches()`.
+_NORMAL_FORMS = {}
+
+
 def _reduce_block(mat, s, cols):
-    """Canonicalise one deformed block: returns list of (mat', s', coeff)."""
+    """Normal form of one deformed block modulo det X - t, as a tuple of
+    (mat', s', integer coefficient)."""
     n = len(cols)
-    if s == 0 or n == 0:
-        return [(mat, s, Fraction(1))]
-    if any(mat[i][cols[i]] == 0 for i in range(n)):
-        return [(mat, s, Fraction(1))]
-    # strip one diagonal
+    if s == 0 or n == 0 or any(mat[i][cols[i]] == 0 for i in range(n)):
+        return ((mat, s, 1),)
+    key = (mat, s, cols)
+    form = _NORMAL_FORMS.get(key)
+    if form is not None:
+        return form
+    # strip one diagonal by the relation in the module docstring
     stripped = mat
     for i in range(n):
         stripped = _bump(stripped, i, cols[i], -1)
-    out = []
-    for tail in _reduce_block(stripped, s - 1, cols):
-        out.append(tail)
-    for perm, sign in PERMS[n]:
-        if list(perm) == list(range(n)):
-            continue
+    merged = {}
+    for mat2, s2, c2 in _reduce_block(stripped, s - 1, cols):
+        merged[mat2, s2] = c2
+    for perm, sign in PERMS[n][1:]:  # the identity comes first
         withperm = stripped
         for i in range(n):
             withperm = _bump(withperm, i, cols[perm[i]], +1)
         for mat2, s2, c2 in _reduce_block(withperm, s, cols):
-            out.append((mat2, s2, -sign * c2))
-    merged = {}
-    for mat2, s2, c2 in out:
-        key = (mat2, s2)
-        merged[key] = merged.get(key, Fraction(0)) + c2
-    return [(mm, ss, cc) for (mm, ss), cc in merged.items() if cc != 0]
+            merged[mat2, s2] = merged.get((mat2, s2), 0) - sign * c2
+    form = _NORMAL_FORMS[key] = tuple((mm, ss, cc) for (mm, ss), cc in merged.items() if cc)
+    return form
 
 
 def reduce_state(state: State, a_cols, b_cols) -> dict:
-    """Canonical form of a monomial given the deformed-block colour tuples."""
-    out = {}
-    for amat, sR, ca in _reduce_block(state.a, state.sR, a_cols):
-        for bmat, sL, cb in _reduce_block(state.b, state.sL, b_cols):
-            add_into(out, State(amat, bmat, state.f, sL, sR), ca * cb)
-    return out
+    """Normal form of a monomial given the deformed-block colour tuples:
+    {State: int}, which callers fold into their Fraction coefficients."""
+    return {
+        State(amat, bmat, state.f, sL, sR): ca * cb
+        for amat, sR, ca in _reduce_block(state.a, state.sR, a_cols)
+        for bmat, sL, cb in _reduce_block(state.b, state.sL, b_cols)
+    }
 
 
 def block_matrix(mat, rows, cols):

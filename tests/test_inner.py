@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
-from superdual.oscillator import inner
+from superdual.oscillator import inner, states
+from superdual.oscillator.capelli import capelli_identity_check
 from superdual.oscillator.inner import (
     BlockForm,
     BlockSpectrum,
@@ -181,18 +182,24 @@ def test_clear_caches_gives_identical_results():
     d = realize(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), allow_nonunitary=True)
 
     def run():
-        return gram_positivity(d, cutoff=3), delta_ladder_norms(3, F(-1, 3), Partition((1,)), 2)
+        return (
+            gram_positivity(d, cutoff=3),
+            delta_ladder_norms(3, F(-1, 3), Partition((1,)), 2),
+            capelli_identity_check(3, F(-1, 3), cutoff=1),
+        )
 
     clear_caches()
     cold = run()
     assert inner._BLOCK_FORMS and any(s._images for s in inner._SPECTRA.values())
+    assert states._NORMAL_FORMS
     warm = run()
     clear_caches()
     assert not inner._BLOCK_FORMS
     assert not inner._SPECTRA
+    assert not states._NORMAL_FORMS
     again = run()
     assert cold == warm == again
-    assert cold[0].has_negative
+    assert cold[0].has_negative and cold[2] is True
 
 
 def test_spectrum_shared_across_gamma_gives_identical_results():

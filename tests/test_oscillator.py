@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdual.diagrams import Realization, realize
 from superdual.labels import RepLabel, classify_supqm, grading_pmq, weight_from_label
@@ -14,10 +16,13 @@ from superdual.oscillator import (
     inner_product,
     verify_hws,
 )
-from superdual.oscillator.algebra import delta_dagger, delta_lower
+from superdual.oscillator import inner
+from superdual.oscillator.algebra import column_det, delta_dagger, delta_lower
 from superdual.oscillator.capelli import block_spec
-from superdual.oscillator.module import build_u0
-from superdual.oscillator.states import State, combine, scale
+from superdual.oscillator.module import analyze_gram, build_u0
+from superdual.oscillator.states import PERMS, State, _bump, _reduce_block, add_into, combine, scale
+
+GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
 
 
 def apply_comm(spec, a, b, lc):
@@ -279,3 +284,157 @@ def test_perm_table_is_lazy_and_bounded():
         with pytest.raises(ValueError, match="outside the supported"):
             PERMS[n]
         assert n not in PERMS
+
+
+# ---------------------------------------------------------------------------
+# column determinant and normal form against their permutation-sum references
+# ---------------------------------------------------------------------------
+
+def _naive_column_det(n, op, lc, order):
+    """sum over PERMS[n] of sgn(sigma) times the whole op chain, columns in order."""
+    total = {}
+    for perm, sign in PERMS[n]:
+        term = lc
+        for k in order:
+            term = op(perm[k], k, term)
+        total = combine(total, scale(term, F(sign)))
+    return total
+
+
+@st.composite
+def block_vectors(draw, n):
+    """A LinComb of one or two canonical states of block_spec(n, gamma)'s
+    block, each of degree <= 3 in x and of s power <= 1."""
+    spec = draw(st.sampled_from(GAMMAS).map(lambda g: block_spec(n, g)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    lc = {}
+    for _ in range(draw(st.integers(1, 2))):
+        mat = tuple((0,) * n for _ in range(n))
+        for r, c in draw(st.lists(cell, max_size=3)):
+            mat = _bump(mat, r, c, +1)
+        state = State(mat, (), 0, 0, draw(st.integers(0, 1)))
+        coeff = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        for s, c in spec.reduce(state).items():
+            add_into(lc, s, coeff * c)
+    return spec, lc
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_column_det_matches_permutation_sum(data):
+    """column_det equals the n!-term sum for non-commuting generator entries
+    (plus a diagonal shift), in both column orders."""
+    n = data.draw(st.integers(1, 4))
+    spec, lc = data.draw(block_vectors(n))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+
+    def op(row, k, term):
+        image = generator_action(spec, row, k, term)
+        return combine(image, scale(term, F(shift[row]))) if row == k else image
+
+    for order in (range(n), range(n - 1, -1, -1)):
+        assert column_det(n, op, lc, order) == _naive_column_det(n, op, lc, order)
+    with pytest.raises(ValueError, match="monotone"):
+        column_det(3, op, lc, (0, 2, 1))
+
+
+def _fraction_reduce_block(mat, s, cols):
+    """The normal form modulo det X - t by direct recursion over Fractions."""
+    n = len(cols)
+    if s == 0 or n == 0 or any(mat[i][cols[i]] == 0 for i in range(n)):
+        return [(mat, s, F(1))]
+    stripped = mat
+    for i in range(n):
+        stripped = _bump(stripped, i, cols[i], -1)
+    out = list(_fraction_reduce_block(stripped, s - 1, cols))
+    for perm, sign in PERMS[n]:
+        if list(perm) == list(range(n)):
+            continue
+        withperm = stripped
+        for i in range(n):
+            withperm = _bump(withperm, i, cols[perm[i]], +1)
+        for mat2, s2, c2 in _fraction_reduce_block(withperm, s, cols):
+            out.append((mat2, s2, -sign * c2))
+    merged = {}
+    for mat2, s2, c2 in out:
+        merged[mat2, s2] = merged.get((mat2, s2), F(0)) + c2
+    return [(mm, ss, cc) for (mm, ss), cc in merged.items() if cc != 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_memoised_normal_form_matches_fraction_recursion(data):
+    """_reduce_block (memoised, integer) equals the Fraction recursion, on a
+    cold memo and again when every key is warm."""
+    n = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(0, 2))
+    rows = data.draw(st.integers(n, n + 1))  # a flavour outside the block
+    width = data.draw(st.integers(n, n + 1))  # a colour outside the block
+    cols = tuple(sorted(data.draw(st.permutations(range(width)))[:n]))
+    top = 1 if n == 4 else 2
+    cells = data.draw(st.lists(st.integers(0, top), min_size=rows * width, max_size=rows * width))
+    for i in range(n):  # a full diagonal, so the relation applies
+        cells[i * width + cols[i]] = max(cells[i * width + cols[i]], 1)
+    mat = tuple(tuple(cells[r * width:(r + 1) * width]) for r in range(rows))
+    want = {(m, k): c for m, k, c in _fraction_reduce_block(mat, s, cols)}
+
+    inner.clear_caches()
+    cold = _reduce_block(mat, s, cols)
+    warm = _reduce_block(mat, s, cols)
+    for form in (cold, warm):
+        assert isinstance(form, tuple)
+        assert all(type(c) is int for _m, _k, c in form)
+        assert {(m, k): c for m, k, c in form} == want
+    if s:
+        assert warm is cold  # a memo hit
+
+
+# ---------------------------------------------------------------------------
+# analyze_gram: witnesses, including the isotropic branch
+# ---------------------------------------------------------------------------
+
+def _norm(G, w):
+    return sum(w[i] * G[i][j] * w[j] for i in range(len(G)) for j in range(len(G)))
+
+
+def _rank(G):
+    rows = [list(r) for r in G]
+    rank = 0
+    for col in range(len(G)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("h", [F(0), F(3), F(-5, 2)])
+def test_analyze_gram_isotropic_witness(h):
+    # e_0 is null but pairs with e_1: the witness comes from the isotropic branch
+    G = [[F(0), F(1)], [F(1), h]]
+    kernel, witness = analyze_gram(G)
+    assert kernel == 0 and witness is not None
+    assert _norm(G, witness) < 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_analyze_gram_witness_negative_or_kernel_exact(data):
+    """A returned witness has negative norm; without one, the kernel count is
+    exactly N - rank G."""
+    n = data.draw(st.integers(1, 4))
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+    G = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = data.draw(entry)
+    kernel, witness = analyze_gram(G)
+    if witness is not None:
+        assert _norm(G, witness) < 0
+    else:
+        assert kernel == n - _rank(G)
