@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ..diagrams import NonCompactYoungDiagram, Realization, realize
 from ..labels import RepLabel, grading_pmq, weight_pmq_from_realization
@@ -94,22 +95,30 @@ class OscillatorSpec:
         return reduce_state(state, self.a_block_cols(), self.b_block_cols())
 
     # -- weights ------------------------------------------------------------
+    def state_charge(self, s: State) -> tuple:
+        """The integer part of `state_weight`: sL - sum b_r, the fermion
+        count and sum a_alpha - sR (sL, sR only on a deformed block)."""
+        sL = s.sL if self.b_deformed else 0
+        sR = s.sR if self.a_deformed else 0
+        mask = (1 << self.P) - 1
+        return (
+            tuple(sL - sum(row) for row in s.b)
+            + tuple((s.f >> (a * self.P) & mask).bit_count() for a in range(self.m))
+            + tuple(sum(row) - sR for row in s.a)
+        )
+
+    @cached_property
+    def _weight_offsets(self) -> tuple:  # state_weight - state_charge
+        return ((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
+                + (rat(self.gamma_R),) * self.q)
+
+    def charge_weight(self, charge) -> tuple:
+        """The E_ii eigenvalues of every state of the given charge."""
+        return tuple(o + c for o, c in zip(self._weight_offsets, charge))
+
     def state_weight(self, s: State) -> tuple:
         """E_ii eigenvalues of a monomial state, in su(p,|m|q) index order."""
-        out = []
-        for r in range(self.p):
-            val = -(sum(s.b[r]) + self.P)
-            if self.b_deformed:
-                val -= self.gamma_L - s.sL
-            out.append(rat(val))
-        for a in range(self.m):
-            out.append(rat(sum(1 for A in range(self.P) if s.f >> (a * self.P + A) & 1)))
-        for al in range(self.q):
-            val = sum(s.a[al])
-            if self.a_deformed:
-                val += self.gamma_R - s.sR
-            out.append(rat(val))
-        return tuple(out)
+        return self.charge_weight(self.state_charge(s))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,18 @@ t >= 0 that makes their closed-form eigenvalues (`_casimir_value`) distinct.
 A one-node slice, such as every slice of degree 0 or of a size-1 block, is
 c_(d)(gamma) times the Fock pairing and applies no Casimir.
 
-The images N_j do not depend on gamma, so each block size n has one shared
+Vectors are paired on integers.  `prepare` splits a vector once into plain
+rest keys and deformed blocks grouped by slice, holding its coordinates as
+integers over one denominator, the lcm of its coefficients' denominators;
+a Gram slice prepares each family vector once.  The images N_j are integer
+and do not depend on gamma, so each block size n has one shared
 `BlockSpectrum`.  It memoises the nodes of every slice and the images of every
-vector by content, so a vector entering many Gram entries, at any gamma, meets
-the Casimir once per node.  Each (n, gamma) has one `BlockForm` on top of it,
-which keeps only the weights c_mu(gamma) and each slice's divided
-differences.  `clear_caches()` drops both tables, and the normal forms
-modulo det X - t that `states` memoises.
+vector by integer content, so a vector entering many Gram entries, at any
+gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
+on top of it, which keeps only the weights c_mu(gamma) and each slice's
+divided differences.  `clear_caches()` drops both tables, and the normal
+forms modulo det X - t that `states` memoises.  A prepared vector is a
+per-call value, never memoised.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, lcm
+from typing import NamedTuple
 
 from ..partitions import Partition, partitions_bounded
 from ..rationals import rat
@@ -73,17 +79,26 @@ def _casimir_value(mu: Partition, n: int, order: int) -> int:
 # -- the Casimir and the Fock form on monomial dicts ------------------------
 
 def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
-    """L_ij = sum_A x_iA d/dx_jA on a dict of monomial matrices."""
+    """L_ij = sum_A x_iA d/dx_jA on a dict of monomial matrices.
+
+    L_ii scales each monomial by its row-i degree; otherwise each target
+    rebuilds only rows i and j."""
     out = {}
     for mat, coef in lc.items():
+        if i == j:
+            e = sum(mat[i])
+            if e:
+                out[mat] = out.get(mat, 0) + coef * e
+            continue
+        ri, rj = mat[i], mat[j]
         for A in range(n):
-            e = mat[j][A]
+            e = rj[A]
             if not e:
                 continue
-            new = [list(r) for r in mat]
-            new[j][A] -= 1
-            new[i][A] += 1
-            tgt = tuple(tuple(r) for r in new)
+            new = list(mat)
+            new[j] = rj[:A] + (e - 1,) + rj[A + 1:]
+            new[i] = ri[:A] + (ri[A] + 1,) + ri[A + 1:]
+            tgt = tuple(new)
             out[tgt] = out.get(tgt, 0) + coef * e
     return {k: v for k, v in out.items() if v}
 
@@ -124,11 +139,11 @@ def _fock_norm(mat) -> int:
     return out
 
 
-def _fock_pair(coords1: dict, coords2: dict) -> Fraction:
-    """Fock pairing: distinct monomials are orthogonal."""
+def _fock_pair(coords1: dict, coords2: dict) -> int:
+    """Fock pairing of integer coordinates: distinct monomials are orthogonal."""
     if len(coords2) < len(coords1):
         coords1, coords2 = coords2, coords1
-    total = Fraction(0)
+    total = 0
     for m, c in coords1.items():
         c2 = coords2.get(m)
         if c2:
@@ -149,7 +164,7 @@ class BlockSpectrum:
     def __init__(self, n: int):
         self.n = n
         self._nodes = {}  # (rows, cols) -> (t, mus, lambdas)
-        self._images = {}  # frozenset(coords.items()) -> [N_1, N_2, ...]
+        self._images = {}  # frozenset(integer coords.items()) -> [N_1, N_2, ...]
 
     def nodes(self, margins):
         """(t, mus, lambdas) of a slice: its components mu, in ascending
@@ -183,26 +198,25 @@ class BlockSpectrum:
         return got
 
     def images(self, margins, coords: dict) -> list:
-        """[N_0 = coords, N_1, ...], stopping before the first zero image.
+        """[N_0 = coords, N_1, ...] of integer coordinates, stopping before
+        the first zero image.
 
-        N_k vanishes for k nodes, so a one-node slice applies no Casimir and
-        stores nothing.  Memoised by content, so equal vectors meet the
-        Casimir once."""
+        C has integer entries, so the images are integer too.  N_k vanishes
+        for k nodes, so a one-node slice applies no Casimir and stores
+        nothing.  Memoised by content, so equal vectors meet the Casimir
+        once."""
         t, _mus, lams = self.nodes(margins)
         if len(lams) == 1:
             return [coords]
         key = frozenset(coords.items())
         tail = self._images.get(key)
         if tail is None:
-            # C has integer entries: iterate on the integer vector denom * coords
-            denom = lcm(*(c.denominator for c in coords.values()))
-            img = {m: int(c * denom) for m, c in coords.items()}
-            tail = []
+            tail, img = [], coords
             for lam in lams[:-1]:
                 img = _casimir_apply(img, self.n, t, lam)
                 if not img:
                     break
-                tail.append({m: Fraction(c, denom) for m, c in img.items()})
+                tail.append(img)
             self._images[key] = tail
         return [coords] + tail
 
@@ -219,19 +233,15 @@ class BlockForm:
         self._weights = {}  # mu -> c_mu(gamma)
         self._newton = {}  # (rows, cols) -> divided differences a_0, a_1, ...
 
-    def margins(self, m):
-        rows = tuple(sum(r) for r in m)
-        cols = tuple(sum(m[i][j] for i in range(self.n)) for j in range(self.n))
-        return rows, cols
-
     def pair(self, m1, m2) -> Fraction:
-        k1, k2 = self.margins(m1), self.margins(m2)
+        k1, k2 = _margins(m1), _margins(m2)
         if k1 != k2:
             return Fraction(0)
-        return self.eval_coords(k1, {m1: Fraction(1)}, {m2: Fraction(1)})
+        return self.eval_coords(k1, {m1: 1}, {m2: 1})
 
     def eval_coords(self, margins, coords1, coords2) -> Fraction:
-        """sum_j a_j <N_j coords1, coords2>_Fock on one slice."""
+        """sum_j a_j <N_j coords1, coords2>_Fock on one slice of integer
+        coordinates."""
         images = self.spectrum.images(margins, coords1)
         return sum(
             (a * _fock_pair(img, coords2) for a, img in zip(self.newton(margins), images)),
@@ -293,6 +303,11 @@ def clear_caches() -> None:
 # full inner product
 # ---------------------------------------------------------------------------
 
+def _margins(m):
+    """(row sums, column sums) of a square block matrix: its bi-charge slice."""
+    return tuple(map(sum, m)), tuple(map(sum, zip(*m)))
+
+
 def _split_state(spec, s):
     """(rest key, a_sub, b_sub): deformed submatrices split off the plain rest."""
     if s.sL or s.sR:
@@ -312,80 +327,80 @@ def _split_state(spec, s):
     return (s.f, plain_a, plain_b), a_sub, b_sub
 
 
-def _group(spec, lc):
-    groups = {}
+class Prepared(NamedTuple):
+    """A vector split once for `inner_product`, never mutated: denom times
+    its coordinates, as integers.  rests maps each plain rest key to (its Fock
+    factor, the deformed coordinates): {None: int} with no deformed block,
+    margins -> {sub: int} with one, (a-margins, b-margins) -> b_sub ->
+    {a_sub: int} with two."""
+
+    denom: int
+    rests: dict
+
+
+def prepare(spec, u) -> Prepared:
+    """A LinComb or state as a `Prepared` vector; a Prepared is returned as is."""
+    if isinstance(u, Prepared):
+        return u
+    lc = u if isinstance(u, dict) else {u: Fraction(1)}
+    denom = lcm(*(c.denominator for c in lc.values()))
+    rests = {}
     for s, c in lc.items():
         rest, a_sub, b_sub = _split_state(spec, s)
-        groups.setdefault(rest, {})
-        key = (a_sub, b_sub)
-        groups[rest][key] = groups[rest].get(key, Fraction(0)) + c
-    return groups
+        entry = rests.get(rest)
+        if entry is None:
+            entry = rests[rest] = (_fock_norm(rest[1]) * _fock_norm(rest[2]), {})
+        coords = entry[1]
+        sub = b_sub if a_sub is None else a_sub  # paired at vector level
+        if a_sub is not None and b_sub is not None:
+            coords = coords.setdefault((_margins(a_sub), _margins(b_sub)), {})
+            coords = coords.setdefault(b_sub, {})
+        elif sub is not None:
+            coords = coords.setdefault(_margins(sub), {})
+        coords[sub] = c.numerator * (denom // c.denominator)
+    return Prepared(denom, rests)
 
 
 def inner_product(spec, u, v) -> Fraction:
-    """Exact pairing of two LinCombs (or states) in the polynomial sector.
+    """Exact pairing of two LinCombs, states or `Prepared` vectors in the
+    polynomial sector.
 
     Factorises over oscillator families: plain Fock factors pair diagonally
     with factorials, fermions with delta, and each deformed block through its
     c_mu-weighted form, evaluated per bi-charge slice at vector level.
     """
-    lc1 = u if isinstance(u, dict) else {u: Fraction(1)}
-    lc2 = v if isinstance(v, dict) else {v: Fraction(1)}
-    if not lc1 or not lc2:
-        return Fraction(0)
-    g1 = _group(spec, lc1)
-    g2 = _group(spec, lc2)
+    pu = prepare(spec, u)
+    pv = pu if v is u else prepare(spec, v)
     form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
     form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
-
-    total = Fraction(0)
-    for rest, terms1 in g1.items():
-        terms2 = g2.get(rest)
-        if not terms2:
+    total = 0
+    for rest, (fact, data1) in pu.rests.items():
+        got = pv.rests.get(rest)
+        if got is None:
             continue
-        fact = _fock_norm(rest[1]) * _fock_norm(rest[2])
-        if form_a is None and form_b is None:
-            c1 = terms1.get((None, None), Fraction(0))
-            c2 = terms2.get((None, None), Fraction(0))
-            total += fact * c1 * c2
-        elif form_b is None:
-            total += fact * _eval_single(form_a, terms1, terms2, 0)
-        elif form_a is None:
-            total += fact * _eval_single(form_b, terms1, terms2, 1)
+        data2 = got[1]
+        if form_a is not None and form_b is not None:
+            total += fact * _eval_double(form_a, form_b, data1, data2)
+        elif form_a is not None or form_b is not None:
+            total += fact * _eval_single(form_a or form_b, data1, data2)
         else:
-            total += fact * _eval_double(form_a, form_b, terms1, terms2)
-    return total
+            total += fact * data1[None] * data2[None]
+    return Fraction(total, pu.denom * pv.denom)
 
 
-def _eval_single(form, terms1, terms2, pos):
-    by_margin1 = {}
-    for (a_sub, b_sub), c in terms1.items():
-        sub = (a_sub, b_sub)[pos]
-        by_margin1.setdefault(form.margins(sub), {})[sub] = c
-    by_margin2 = {}
-    for (a_sub, b_sub), c in terms2.items():
-        sub = (a_sub, b_sub)[pos]
-        by_margin2.setdefault(form.margins(sub), {})[sub] = c
-    total = Fraction(0)
-    for marg, coords1 in by_margin1.items():
-        coords2 = by_margin2.get(marg)
+def _eval_single(form, data1, data2):
+    total = 0
+    for marg, coords1 in data1.items():
+        coords2 = data2.get(marg)
         if coords2:
             total += form.eval_coords(marg, coords1, coords2)
     return total
 
 
-def _eval_double(form_a, form_b, terms1, terms2):
-    def organise(terms):
-        by_key = {}
-        for (a_sub, b_sub), c in terms.items():
-            key = (form_a.margins(a_sub), form_b.margins(b_sub))
-            by_key.setdefault(key, {}).setdefault(b_sub, {})[a_sub] = c
-        return by_key
-
-    k1, k2 = organise(terms1), organise(terms2)
-    total = Fraction(0)
-    for key, bgroups1 in k1.items():
-        bgroups2 = k2.get(key)
+def _eval_double(form_a, form_b, data1, data2):
+    total = 0
+    for key, bgroups1 in data1.items():
+        bgroups2 = data2.get(key)
         if not bgroups2:
             continue
         a_marg = key[0]

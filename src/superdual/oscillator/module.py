@@ -18,7 +18,7 @@ from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, column_det, generator_action, mul_a, mul_b, mul_f
-from .inner import inner_product
+from .inner import inner_product, prepare
 from .states import add_into, scale
 
 
@@ -85,14 +85,13 @@ class HwsReport:
 def verify_hws(spec: OscillatorSpec, v) -> HwsReport:
     """Check E_ij v = 0 for all i < j and read the Cartan eigenvalues."""
     lc = v if isinstance(v, dict) else {v: Fraction(1)}
-    weights = {spec.state_weight(s) for s in lc}
-    if len(weights) != 1:
+    if len({spec.state_charge(s) for s in lc}) != 1:
         return HwsReport(False, None, None)
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
             if generator_action(spec, i, j, lc):
                 return HwsReport(False, None, (i, j))
-    w = FundamentalWeight(grading_pmq(spec.p, spec.m, spec.q), weights.pop())
+    w = FundamentalWeight(grading_pmq(spec.p, spec.m, spec.q), spec.state_weight(next(iter(lc))))
     return HwsReport(True, w, None)
 
 
@@ -211,20 +210,21 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
 
     extend((), 0)
 
-    base_weights = []
+    base_charges = []
     for base in u0_basis:
-        weights = {spec.state_weight(s) for s in base}
-        assert len(weights) == 1
-        base_weights.append(weights.pop())
+        charges = {spec.state_charge(s) for s in base}
+        assert len(charges) == 1
+        base_charges.append(charges.pop())
 
     slices = {}
     for mono in monomials:
         for bi, base in enumerate(u0_basis):
-            weight = list(base_weights[bi])
+            charge = list(base_charges[bi])
             for gi in mono:
                 i, j, _odd = gens[gi]
-                weight[i] += 1
-                weight[j] -= 1
+                charge[i] += 1
+                charge[j] -= 1
+            charge = tuple(charge)
             vec = base
             for gi in reversed(mono):
                 i, j, _odd = gens[gi]
@@ -232,10 +232,10 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
                 if not vec:
                     break
             if vec:
-                got = {spec.state_weight(s) for s in vec}
-                assert got == {tuple(weight)}, "PBW vector mixes Cartan slices"
+                got = {spec.state_charge(s) for s in vec}
+                assert got == {charge}, "PBW vector mixes Cartan slices"
             tag = (mono, bi)
-            slices.setdefault(tuple(weight), []).append((tag, vec))
+            slices.setdefault(spec.charge_weight(charge), []).append((tag, vec))
     return slices
 
 
@@ -316,10 +316,11 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
     kernel_total = 0
     has_negative = False
     for weight, fam in sorted(slices.items()):
+        vecs = [prepare(spec, vec) for _tag, vec in fam]  # split once per slice
         G = [[Fraction(0)] * len(fam) for _ in fam]
         for r in range(len(fam)):
             for c in range(r, len(fam)):
-                val = inner_product(spec, fam[r][1], fam[c][1])
+                val = inner_product(spec, vecs[r], vecs[c])
                 G[r][c] = val
                 G[c][r] = val
         kern, neg = analyze_gram(G)

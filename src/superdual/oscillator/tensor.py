@@ -76,7 +76,7 @@ def k_hws_in_span(spec: OscillatorSpec, vectors):
     gens = [(j, i) for i, j in k_lowering_generators(spec)]
     space = RowSpace()
     for v in vectors:
-        if len({spec.state_weight(s) for s in v}) > 1:
+        if len({spec.state_charge(s) for s in v}) > 1:
             raise AssertionError("vector mixes Cartan weights")
         row = {(0, s): c for s, c in v.items()}
         for g in gens:

@@ -4,7 +4,7 @@ across gamma."""
 
 import itertools
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,7 @@ from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
 from superdual.oscillator import inner, states
 from superdual.oscillator.capelli import capelli_identity_check
+from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
     BlockForm,
     BlockSpectrum,
@@ -23,8 +24,10 @@ from superdual.oscillator.inner import (
     block_form,
     c_mu,
     clear_caches,
+    inner_product,
+    prepare,
 )
-from superdual.oscillator.states import PERMS
+from superdual.oscillator.states import PERMS, State, block_matrix
 from superdual.partitions import Partition, partitions_bounded
 
 GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
@@ -272,3 +275,209 @@ def test_casimir_closed_form_matches_highest_vector_eigenvalues():
             assert _casimir_value(mu, n, 3) == c2_plus_c3 - c2, (n, mu)
             cases += 1
     assert cases == 7 + 16 + 23 + 12 + 7 + 7 + 4 + 4
+
+
+# -- the Fraction pairing that regrouped both vectors on every call ---------
+# kept as the reference for `prepare` and the integer pairing
+
+
+def _old_margins(m, n):
+    rows = tuple(sum(r) for r in m)
+    cols = tuple(sum(m[i][j] for i in range(n)) for j in range(n))
+    return rows, cols
+
+
+def _old_eval_coords(form, margins, coords1, coords2):
+    t, _mus, lams = form.spectrum.nodes(margins)
+    denom = lcm(*(c.denominator for c in coords1.values()))
+    img = {m: int(c * denom) for m, c in coords1.items()}
+    images = [coords1]
+    for lam in lams[:-1]:
+        img = _casimir_apply(img, form.n, t, lam)
+        if not img:
+            break
+        images.append({m: F(c, denom) for m, c in img.items()})
+    return sum((a * _fock_pair(img, coords2) for a, img in zip(form.newton(margins), images)), F(0))
+
+
+def _old_pair(form, m1, m2):
+    k1, k2 = _old_margins(m1, form.n), _old_margins(m2, form.n)
+    if k1 != k2:
+        return F(0)
+    return _old_eval_coords(form, k1, {m1: F(1)}, {m2: F(1)})
+
+
+def _old_split_state(spec, s):
+    a_cols = spec.A_delta if spec.a_deformed else ()
+    b_cols = spec.B_delta if spec.b_deformed else ()
+    plain_a = tuple(
+        tuple(s.a[fl][A] for A in range(spec.P) if A not in a_cols) for fl in range(spec.q)
+    )
+    plain_b = tuple(
+        tuple(s.b[fl][A] for A in range(spec.P) if A not in b_cols) for fl in range(spec.p)
+    )
+    a_sub = block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
+    b_sub = block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
+    return (s.f, plain_a, plain_b), a_sub, b_sub
+
+
+def _group(spec, lc):
+    groups = {}
+    for s, c in lc.items():
+        rest, a_sub, b_sub = _old_split_state(spec, s)
+        groups.setdefault(rest, {})
+        key = (a_sub, b_sub)
+        groups[rest][key] = groups[rest].get(key, F(0)) + c
+    return groups
+
+
+def _old_eval_single(form, terms1, terms2, pos):
+    by_margin1, by_margin2 = {}, {}
+    for terms, by_margin in ((terms1, by_margin1), (terms2, by_margin2)):
+        for subs, c in terms.items():
+            sub = subs[pos]
+            by_margin.setdefault(_old_margins(sub, form.n), {})[sub] = c
+    total = F(0)
+    for marg, coords1 in by_margin1.items():
+        coords2 = by_margin2.get(marg)
+        if coords2:
+            total += _old_eval_coords(form, marg, coords1, coords2)
+    return total
+
+
+def _old_eval_double(form_a, form_b, terms1, terms2):
+    def organise(terms):
+        by_key = {}
+        for (a_sub, b_sub), c in terms.items():
+            key = (_old_margins(a_sub, form_a.n), _old_margins(b_sub, form_b.n))
+            by_key.setdefault(key, {}).setdefault(b_sub, {})[a_sub] = c
+        return by_key
+
+    k1, k2 = organise(terms1), organise(terms2)
+    total = F(0)
+    for key, bgroups1 in k1.items():
+        bgroups2 = k2.get(key)
+        if not bgroups2:
+            continue
+        for b1, coords_a1 in bgroups1.items():
+            for b2, coords_a2 in bgroups2.items():
+                gb = _old_pair(form_b, b1, b2)
+                if gb:
+                    total += gb * _old_eval_coords(form_a, key[0], coords_a1, coords_a2)
+    return total
+
+
+def _old_inner_product(spec, u, v):
+    lc1 = u if isinstance(u, dict) else {u: F(1)}
+    lc2 = v if isinstance(v, dict) else {v: F(1)}
+    if not lc1 or not lc2:
+        return F(0)
+    g1, g2 = _group(spec, lc1), _group(spec, lc2)
+    form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
+    form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
+    total = F(0)
+    for rest, terms1 in g1.items():
+        terms2 = g2.get(rest)
+        if not terms2:
+            continue
+        fact = 1
+        for mat in (rest[1], rest[2]):
+            for row in mat:
+                for e in row:
+                    fact *= factorial(e)
+        if form_a is None and form_b is None:
+            total += fact * terms1.get((None, None), F(0)) * terms2.get((None, None), F(0))
+        elif form_b is None:
+            total += fact * _old_eval_single(form_a, terms1, terms2, 0)
+        elif form_a is None:
+            total += fact * _old_eval_single(form_b, terms1, terms2, 1)
+        else:
+            total += fact * _old_eval_double(form_a, form_b, terms1, terms2)
+    return total
+
+
+# no deformed block, only a (size 2), only b (size 2), both (sizes 2 and 1)
+PAIRING_SPECS = (
+    OscillatorSpec.plain(p=1, m=1, q=1, P=2),
+    OscillatorSpec(1, 1, 2, 3, F(0), F(1, 2), (), (0, 1), (), ()),
+    OscillatorSpec(2, 0, 1, 3, F(-1, 3), F(0), (0, 1), (), (), ()),
+    OscillatorSpec(2, 1, 1, 3, F(2, 3), F(-1, 2), (0, 1), (2,), (), ()),
+)
+
+
+@st.composite
+def pairing_cases(draw):
+    """(spec, pool, u, v): u, v random LinCombs over one pool of t^0 states.
+
+    Plain exponents and fermion bits come from two patterns, so rest keys
+    repeat; block exponents are 0..2, so slices hold several monomials."""
+    spec = draw(st.sampled_from(PAIRING_SPECS))
+    blocks = set(spec.a_block_cols()) | set(spec.b_block_cols())
+
+    def matrix(rows, pattern):
+        return tuple(
+            tuple(draw(st.integers(0, 2)) if A in blocks else pattern for A in range(spec.P))
+            for _ in range(rows)
+        )
+
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        pattern = draw(st.integers(0, 1))
+        a, b = matrix(spec.q, pattern), matrix(spec.p, pattern)
+        pool.append(State(a, b, pattern * (2 ** (spec.m * spec.P) - 1), 0, 0))
+    coefficient = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 6))
+
+    def lincomb():
+        states = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+        return {s: draw(coefficient) for s in states}
+
+    return spec, pool, lincomb(), lincomb()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairing_cases())
+def test_prepared_inner_product_matches_grouped_fraction_path(case):
+    spec, pool, u, v = case
+    want = _old_inner_product(spec, u, v)
+    pu, pv = prepare(spec, u), prepare(spec, v)
+    assert prepare(spec, pu) is pu
+    for x, y in ((u, v), (pu, v), (u, pv), (pu, pv)):
+        got = inner_product(spec, x, y)
+        assert type(got) is F and got == want
+    assert inner_product(spec, u, u) == _old_inner_product(spec, u, u)
+    assert inner_product(spec, {}, v) == inner_product(spec, pu, {}) == F(0)
+    s = pool[0]
+    assert inner_product(spec, s, v) == inner_product(spec, prepare(spec, s), pv)
+    assert inner_product(spec, s, v) == _old_inner_product(spec, s, v)
+    assert inner_product(spec, pu, s) == _old_inner_product(spec, u, s)
+    assert inner_product(spec, s, s) == _old_inner_product(spec, s, s)
+
+
+def _old_L_apply(lc, i, j, n):
+    """L_ij rebuilding every row of every target."""
+    out = {}
+    for mat, coef in lc.items():
+        for A in range(n):
+            e = mat[j][A]
+            if not e:
+                continue
+            new = [list(r) for r in mat]
+            new[j][A] -= 1
+            new[i][A] += 1
+            tgt = tuple(tuple(r) for r in new)
+            out[tgt] = out.get(tgt, 0) + coef * e
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_L_apply_matches_full_row_rebuild(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(0, 2)
+    mat = st.tuples(*[st.tuples(*[entry] * n)] * n)
+    coef = st.integers(-3, 3) | st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    lc = data.draw(st.dictionaries(mat, coef, max_size=6))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    got = _L_apply(lc, i, j, n)
+    want = _old_L_apply(lc, i, j, n)
+    assert list(got.items()) == list(want.items())

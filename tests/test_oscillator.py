@@ -438,3 +438,62 @@ def test_analyze_gram_witness_negative_or_kernel_exact(data):
         assert _norm(G, witness) < 0
     else:
         assert kernel == n - _rank(G)
+
+
+def _old_state_weight(spec, s):
+    """The Fraction weight formula that `state_charge` replaced."""
+    out = []
+    for r in range(spec.p):
+        val = -(sum(s.b[r]) + spec.P)
+        if spec.b_deformed:
+            val -= spec.gamma_L - s.sL
+        out.append(F(val))
+    for a in range(spec.m):
+        out.append(F(sum(1 for A in range(spec.P) if s.f >> (a * spec.P + A) & 1)))
+    for al in range(spec.q):
+        val = sum(s.a[al])
+        if spec.a_deformed:
+            val += spec.gamma_R - s.sR
+        out.append(F(val))
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_state_charge_is_weight_minus_constant_offsets(data):
+    p, m, q = (data.draw(st.integers(0, 2)) for _ in range(3))
+    P = data.draw(st.integers(1, 3))
+    gammas = st.sampled_from((F(0),) + GAMMAS)
+    gamma_L, gamma_R = data.draw(gammas), data.draw(gammas)
+    spec = OscillatorSpec(p, m, q, P, gamma_L, gamma_R, (), (), (), ())
+
+    def state():
+        def mat(rows):
+            return tuple(tuple(data.draw(st.integers(0, 1)) for _ in range(P)) for _ in range(rows))
+
+        return State(
+            mat(q), mat(p), data.draw(st.integers(0, 2 ** (m * P) - 1)),
+            data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)),
+        )
+
+    s1 = state()
+    if data.draw(st.booleans()):
+        # the same colours permuted: every row sum and fermion count kept
+        perm = data.draw(st.permutations(range(P)))
+
+        def shuffle(mat):
+            return tuple(tuple(row[A] for A in perm) for row in mat)
+
+        f = sum(
+            1 << (a * P + A) for a in range(m) for A in range(P) if s1.f >> (a * P + perm[A]) & 1
+        )
+        s2 = State(shuffle(s1.a), shuffle(s1.b), f, s1.sL, s1.sR)
+    else:
+        s2 = state()
+    for s in (s1, s2):
+        weight, charge = spec.state_weight(s), spec.state_charge(s)
+        assert weight == _old_state_weight(spec, s)
+        assert all(type(w) is F for w in weight) and all(type(c) is int for c in charge)
+        assert spec.charge_weight(charge) == weight
+    same_charge = spec.state_charge(s1) == spec.state_charge(s2)
+    assert same_charge == (spec.state_weight(s1) == spec.state_weight(s2))
