@@ -35,9 +35,11 @@ and do not depend on gamma, so each block size n has one shared
 vector by integer content, so a vector entering many Gram entries, at any
 gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
 on top of it, which keeps only the weights c_mu(gamma) and each slice's
-divided differences.  `clear_caches()` drops both tables, and the normal
-forms modulo det X - t that `states` memoises.  A prepared vector is a
-per-call value, never memoised.
+divided differences as integer numerators over one slice denominator: a
+slice pairing sums sum_j num_j <N_j u, v>_Fock on integers and makes one
+Fraction.  `clear_caches()` drops both tables, and the normal forms modulo
+det X - t that `states` memoises.  A prepared vector is a per-call value,
+never memoised.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ class BlockForm:
         self.gamma = rat(gamma)
         self.spectrum = block_spectrum(n)
         self._weights = {}  # mu -> c_mu(gamma)
-        self._newton = {}  # (rows, cols) -> divided differences a_0, a_1, ...
+        # (rows, cols) -> (numerators, denominator) of a_0, a_1, ...
+        self._newton = {}
 
     def pair(self, m1, m2) -> Fraction:
         k1, k2 = _margins(m1), _margins(m2)
@@ -241,12 +244,10 @@ class BlockForm:
 
     def eval_coords(self, margins, coords1, coords2) -> Fraction:
         """sum_j a_j <N_j coords1, coords2>_Fock on one slice of integer
-        coordinates."""
+        coordinates, summed on the integer numerators of the a_j."""
+        nums, den = self.newton_numerators(margins)
         images = self.spectrum.images(margins, coords1)
-        return sum(
-            (a * _fock_pair(img, coords2) for a, img in zip(self.newton(margins), images)),
-            Fraction(0),
-        )
+        return Fraction(sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images)), den)
 
     def weight(self, mu: Partition) -> Fraction:
         """c_mu(gamma), computed once per mu."""
@@ -258,19 +259,28 @@ class BlockForm:
     def newton(self, margins) -> list:
         """Divided differences c[lambda_0..lambda_j] of c_mu(gamma) at the
         slice's nodes, j = 0, 1, ..."""
-        coefs = self._newton.get(margins)
-        if coefs is None:
-            _t, mus, lams = self.spectrum.nodes(margins)
-            table = [self.weight(mu) for mu in mus]
-            coefs = [table[0]]
-            for j in range(1, len(lams)):
-                table = [
-                    (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
-                    for i in range(len(table) - 1)
-                ]
-                coefs.append(table[0])
-            self._newton[margins] = coefs
+        _t, mus, lams = self.spectrum.nodes(margins)
+        table = [self.weight(mu) for mu in mus]
+        coefs = [table[0]]
+        for j in range(1, len(lams)):
+            table = [
+                (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
+                for i in range(len(table) - 1)
+            ]
+            coefs.append(table[0])
         return coefs
+
+    def newton_numerators(self, margins) -> tuple:
+        """(nums, den): the divided differences of `newton` as integers over
+        one positive denominator, a_j = nums[j] / den; computed once per
+        slice."""
+        got = self._newton.get(margins)
+        if got is None:
+            coefs = self.newton(margins)
+            den = lcm(*(a.denominator for a in coefs))
+            nums = tuple(a.numerator * (den // a.denominator) for a in coefs)
+            got = self._newton[margins] = (nums, den)
+        return got
 
 
 _SPECTRA = {}  # n -> BlockSpectrum
@@ -308,23 +318,28 @@ def _margins(m):
     return tuple(map(sum, m)), tuple(map(sum, zip(*m)))
 
 
-def _split_state(spec, s):
-    """(rest key, a_sub, b_sub): deformed submatrices split off the plain rest."""
+def _columns(spec):
+    """(plain a, plain b, deformed a, deformed b) colours; a deformed entry
+    is None when its block is not deformed."""
+    a_cols, b_cols = spec.a_block_cols(), spec.b_block_cols()
+    return (
+        tuple(A for A in range(spec.P) if A not in a_cols),
+        tuple(A for A in range(spec.P) if A not in b_cols),
+        a_cols if spec.a_deformed else None,
+        b_cols if spec.b_deformed else None,
+    )
+
+
+def _split_state(spec, s, columns):
+    """(rest key, a_sub, b_sub): deformed submatrices split off the plain
+    rest, on the colours `_columns(spec)` lists."""
     if s.sL or s.sR:
         raise ValueError("inner product is implemented on the t^0 sector")
-    a_cols = spec.A_delta if spec.a_deformed else ()
-    b_cols = spec.B_delta if spec.b_deformed else ()
-    plain_a = tuple(
-        tuple(s.a[fl][A] for A in range(spec.P) if A not in a_cols)
-        for fl in range(spec.q)
-    )
-    plain_b = tuple(
-        tuple(s.b[fl][A] for A in range(spec.P) if A not in b_cols)
-        for fl in range(spec.p)
-    )
-    a_sub = block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
-    b_sub = block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
-    return (s.f, plain_a, plain_b), a_sub, b_sub
+    plain_a, plain_b, a_cols, b_cols = columns
+    qs, ps = range(spec.q), range(spec.p)
+    a_sub = None if a_cols is None else block_matrix(s.a, qs, a_cols)
+    b_sub = None if b_cols is None else block_matrix(s.b, ps, b_cols)
+    return (s.f, block_matrix(s.a, qs, plain_a), block_matrix(s.b, ps, plain_b)), a_sub, b_sub
 
 
 class Prepared(NamedTuple):
@@ -344,9 +359,10 @@ def prepare(spec, u) -> Prepared:
         return u
     lc = u if isinstance(u, dict) else {u: Fraction(1)}
     denom = lcm(*(c.denominator for c in lc.values()))
+    columns = _columns(spec)
     rests = {}
     for s, c in lc.items():
-        rest, a_sub, b_sub = _split_state(spec, s)
+        rest, a_sub, b_sub = _split_state(spec, s, columns)
         entry = rests.get(rest)
         if entry is None:
             entry = rests[rest] = (_fock_norm(rest[1]) * _fock_norm(rest[2]), {})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq
@@ -188,55 +189,55 @@ def u0_k_basis(spec: OscillatorSpec, u0, max_iter: int = 60):
 def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
     """PBW monomials in E^(-) applied to the U_0 basis, grouped by weight.
 
-    Returns dict weight -> list of (tag, LinComb); tags identify the monomial
-    for witness reporting.  Monomials whose image vanishes identically are
-    kept (as empty LinCombs at their formal weight): they are exact null
-    directions of the generalized Verma module -- for instance the one-step
-    BPS conditions E u0 = 0 -- and must show up in the Gram kernel.
+    Returns dict weight -> list of (tag, LinComb) in ascending weight order;
+    tags identify the monomial for witness reporting.  Monomials whose image
+    vanishes identically are kept (as empty LinCombs at their formal weight):
+    they are exact null directions of the generalized Verma module -- for
+    instance the one-step BPS conditions E u0 = 0 -- and must show up in the
+    Gram kernel.
+
+    A monomial is a non-decreasing tuple of generator indices in which no odd
+    generator repeats; the tags of a slice follow the lexicographic order of
+    their monomials, then the basis index.  Monomials are built in order of
+    length, each vector as one generator applied to the vector of its
+    monomial's suffix, which is itself a family member.  Slices are keyed by
+    integer charge while they are built; the weight is the charge plus a
+    constant offset, so charge order is weight order.
     """
     gens = eminus_generators(spec)
+    by_length = [
+        mono
+        for k in range(cutoff + 1)
+        for mono in combinations_with_replacement(range(len(gens)), k)
+        if not any(a == b and gens[a][2] for a, b in zip(mono, mono[1:]))
+    ]
 
-    monomials = [()]
-
-    def extend(prefix, start):
-        for gi in range(start, len(gens)):
-            odd = gens[gi][2]
-            if odd and prefix and prefix[-1] == gi:
-                continue
-            new = prefix + (gi,)
-            if len(new) <= cutoff:
-                monomials.append(new)
-                extend(new, gi)
-
-    extend((), 0)
-
-    base_charges = []
-    for base in u0_basis:
-        charges = {spec.state_charge(s) for s in base}
-        assert len(charges) == 1
-        base_charges.append(charges.pop())
-
-    slices = {}
-    for mono in monomials:
+    built = {}  # (mono, bi) -> (charge, E_mono base)
+    for mono in by_length:
         for bi, base in enumerate(u0_basis):
-            charge = list(base_charges[bi])
-            for gi in mono:
-                i, j, _odd = gens[gi]
+            if mono:
+                i, j, _odd = gens[mono[0]]
+                charge, vec = built[mono[1:], bi]
+                charge = list(charge)
                 charge[i] += 1
                 charge[j] -= 1
-            charge = tuple(charge)
-            vec = base
-            for gi in reversed(mono):
-                i, j, _odd = gens[gi]
-                vec = generator_action(spec, i, j, vec)
-                if not vec:
-                    break
-            if vec:
-                got = {spec.state_charge(s) for s in vec}
-                assert got == {charge}, "PBW vector mixes Cartan slices"
-            tag = (mono, bi)
-            slices.setdefault(spec.charge_weight(charge), []).append((tag, vec))
-    return slices
+                charge = tuple(charge)
+                vec = generator_action(spec, i, j, vec) if vec else {}
+                if vec:
+                    got = {spec.state_charge(s) for s in vec}
+                    assert got == {charge}, "PBW vector mixes Cartan slices"
+            else:
+                charges = {spec.state_charge(s) for s in base}
+                assert len(charges) == 1
+                charge, vec = charges.pop(), base
+            built[mono, bi] = charge, vec
+
+    slices = {}
+    for mono in sorted(by_length):
+        for bi in range(len(u0_basis)):
+            charge, vec = built[mono, bi]
+            slices.setdefault(charge, []).append(((mono, bi), vec))
+    return {spec.charge_weight(charge): slices[charge] for charge in sorted(slices)}
 
 
 @dataclass
@@ -315,7 +316,7 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
     witness = None
     kernel_total = 0
     has_negative = False
-    for weight, fam in sorted(slices.items()):
+    for weight, fam in slices.items():
         vecs = [prepare(spec, vec) for _tag, vec in fam]  # split once per slice
         G = [[Fraction(0)] * len(fam) for _ in fam]
         for r in range(len(fam)):

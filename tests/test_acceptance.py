@@ -5,6 +5,7 @@ criterion.  Everything is exact rational arithmetic, so "tolerance" always
 means equality; runtime bounds are asserted where the criteria state them.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -220,6 +221,44 @@ def test_negative_witnesses_have_negative_norm():
             for s, c in family[tag].items():
                 add_into(witness, s, coeff * c)
         assert inner_product(spec, witness, witness) < 0, str(lab)
+
+
+# sha256 of repr(GramReport) for each label of `_oracle_cases()` at its
+# cutoff, in order: verdicts, kernels, slice dimensions and witnesses
+ORACLE_REPORT_DIGESTS = (
+    "b78949e19b271ee391e49d24bf1f5cd288898b3f4ecb413cb0d7c9e1ee246eb7",
+    "7cab7bc3e4e3b93305b154a727d1aea78f0a0cb4750777aa467da90d55e14fb7",
+    "a00c11f9767eae5c4a5016dcd141da835e03d202f05e189acf99bb33a7b7867c",
+    "ec3f2a116e47c79f09d593ca7e61a0fa755dcedd6c1d88447adc2cb00a71036e",
+    "5782a205ee11e4f50095ebca7a9d9a5eb5e2b9558612f1297c7225c3ea1f265d",
+    "c2e2e608db1b1ef52c1f64fd8564227ec6d18f5aeb1da816eb98b9e66d80478b",
+    "4139f31486eb55deae4f56a74c62fc0e46388ccf417e3a9485e0d81028aa9dcc",
+    "2066a9c4cc254300a0b10d9193add0d52b4041e46c7d7f8709ea732c70291a5b",
+    "cc55272d691a1b175d201d1f45e5f5932986c6f5bef8b15368781ba6154841f7",
+    "a287a3a409af86af075f966f3f6fc5ab859ed8206ecae6822f39b2c3e8c11c02",
+    "60f9b5d83f9db2a02f8ef6430c6bbc9ab84321a6633ab4e5b7c9d00dfa5af6be",
+    "a4db19071baf0f8448881ae9529df63fb2fdf1c85fa07367730b831d68835a95",
+    "cbbecf1e0c1dda0fbadf0acc7bdf5c35464c330156b589e46ded8d02474c5957",
+    "53f18500e0ef6446316beca26271a4111029be978673973719a5acbf1e13d61f",
+    "b20d66adf740b6a909332c52a7ab26fda4a854af5da22ad4aaa168102c55c0bc",
+    "124af4056b41ecf2e32ce2c233e5fa234f9f83be8b6dc13174afafc4038723c8",
+    "9b74b29ef4fba1b2641d85e8667529fe99f1f6b99d51296dc249d3fdf789c6a4",
+    "e9e054c39e4ca593f1654a09fdd170a3abe2903d1df3629e492b2d5d0a132bc4",
+    "7ffe263de43d619990bd41adf3343d27f59b77216ccad8e9b4f330fcc20d027f",
+    "87ac336955582326ec8a37af6409d0eaa9d640dda24870608cb947189232ce61",
+    "a28e520699c39b5373b8d92dfd87683cc8a3960ba4ab7b9b403ec438a1697b0d",
+    "74528c0a3cd7c6adb20cd547ee4522c2084fc555c76895782be62bfa3ff56a46",
+)
+
+
+def test_oracle_reports_match_pinned_digests():
+    """Every `_oracle_cases()` report, witnesses included, is byte for byte
+    the one pinned: a faster Gram path may not change a single coefficient."""
+    cases = _oracle_cases()
+    assert len(cases) == len(ORACLE_REPORT_DIGESTS)
+    for (lab, cutoff), want in zip(cases, ORACLE_REPORT_DIGESTS):
+        rep = gram_positivity(realize(lab, allow_nonunitary=True), cutoff=cutoff)
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == want, str(lab)
 
 
 def test_criterion_4_capelli_suite():

@@ -181,6 +181,40 @@ def test_block_form_matches_per_component_reference(case):
         assert got == r * s * rising
 
 
+@st.composite
+def slices(draw):
+    """(n, margins): a random bi-charge slice of a block of size n <= 4."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5 - n // 2))
+    rows = draw(st.sampled_from(_compositions(d, n)))
+    cols = draw(st.sampled_from(_compositions(d, n)))
+    return n, (rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slices(), st.sampled_from(GAMMAS + (F(0), F(5, 4))))
+def test_newton_numerators_are_the_divided_differences(case, gamma):
+    """nums[j] / den is a_j, both as `newton` gives it and as the closed
+    form sum_i c_mu_i / prod_{k != i} (lambda_i - lambda_k), i, k <= j."""
+    n, margins = case
+    form = BlockForm(n, gamma)
+    nums, den = form.newton_numerators(margins)
+    assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
+    _t, mus, lams = form.spectrum.nodes(margins)
+    assert len(nums) == len(mus)
+    assert [F(a, den) for a in nums] == form.newton(margins)
+    for j, a in enumerate(nums):
+        closed = F(0)
+        for i in range(j + 1):
+            term = c_mu(mus[i], gamma, n)
+            for k in range(j + 1):
+                if k != i:
+                    term /= lams[i] - lams[k]
+            closed += term
+        assert F(a, den) == closed
+    assert form.newton_numerators(margins) is form.newton_numerators(margins)
+
+
 def test_clear_caches_gives_identical_results():
     d = realize(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), allow_nonunitary=True)
 

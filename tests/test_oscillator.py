@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction as F
 
@@ -19,7 +20,13 @@ from superdual.oscillator import (
 from superdual.oscillator import inner
 from superdual.oscillator.algebra import column_det, delta_dagger, delta_lower
 from superdual.oscillator.capelli import block_spec
-from superdual.oscillator.module import analyze_gram, build_u0
+from superdual.oscillator.module import (
+    analyze_gram,
+    build_u0,
+    eminus_generators,
+    pbw_family,
+    u0_k_basis,
+)
 from superdual.oscillator.states import PERMS, State, _bump, _reduce_block, add_into, combine, scale
 
 GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
@@ -151,8 +158,6 @@ def test_adjointness_on_module_slices():
     lab = RepLabel(1, 2, 2, (), (1,), (), F(3, 2), 1)
     d = realize(lab)
     spec, u0 = build_u0(d)
-    from superdual.oscillator.module import pbw_family, u0_k_basis
-
     fam = pbw_family(spec, u0_k_basis(spec, u0), 2)
     vecs = [v for sl in fam.values() for (_t, v) in sl][:14]
     g = grading_pmq(spec.p, spec.m, spec.q)
@@ -229,6 +234,92 @@ def test_gram_su22_polynomial_shortening_kernel():
     null = combine(m1, m2)
     assert inner_product(spec, null, null) == 0
     assert all(inner_product(spec, null, v) == 0 for v in (m1, m2))
+
+
+# -- the PBW family rebuilt from each base vector -----------------------------
+# kept as the reference for the suffix build of `pbw_family`
+
+
+def _old_pbw_family(spec, u0_basis, cutoff):
+    """Monomials from a recursive walk; every vector rebuilt from its base
+    vector, generator by generator; slices in order of first appearance."""
+    gens = eminus_generators(spec)
+    monomials = [()]
+
+    def extend(prefix, start):
+        for gi in range(start, len(gens)):
+            if gens[gi][2] and prefix and prefix[-1] == gi:
+                continue
+            new = prefix + (gi,)
+            if len(new) <= cutoff:
+                monomials.append(new)
+                extend(new, gi)
+
+    extend((), 0)
+    slices = {}
+    for mono in monomials:
+        for bi, base in enumerate(u0_basis):
+            charge = list(spec.state_charge(next(iter(base))))
+            for gi in mono:
+                i, j, _odd = gens[gi]
+                charge[i] += 1
+                charge[j] -= 1
+            vec = base
+            for gi in reversed(mono):
+                i, j, _odd = gens[gi]
+                vec = generator_action(spec, i, j, vec)
+                if not vec:
+                    break
+            slices.setdefault(spec.charge_weight(tuple(charge)), []).append(((mono, bi), vec))
+    return slices
+
+
+# (label, largest cutoff): the shapes of the criterion-3 labels and of the
+# benchmark's oracle menu, with deformed, undeformed and fermionic blocks
+PBW_LABELS = (
+    (RepLabel(1, 1, 0, (), (), (), 0, F(3, 2)), 4),
+    (RepLabel(1, 1, 0, (), (), (), 0, 2), 4),
+    (RepLabel(1, 1, 1, (), (), (), F(5, 3), F(2, 3)), 4),
+    (RepLabel(1, 1, 1, (), (), (), 1, F(3, 2)), 4),
+    (RepLabel(2, 1, 2, (), (1, 0), (), 2 + F(-1, 3), 0), 3),
+    (RepLabel(2, 1, 2, (1, 0), (), (), 1, 0), 4),
+    (RepLabel(2, 1, 2, (), (), (), F(5, 2), 1), 3),
+    (RepLabel(2, 2, 0, (), (), (), 0, F(7, 2)), 4),
+    (RepLabel(2, 2, 0, (1, 0), (), (1, 0), 0, 2), 4),
+    (RepLabel(2, 2, 0, (1,), (), (), 0, F(5, 2)), 4),
+    (RepLabel(2, 2, 4, (), (1, 1, 0), (), 0, 0), 2),
+    (RepLabel(2, 2, 4, (), (), (), 2 + F(-1, 2), 2 + F(-1, 2)), 2),
+    (RepLabel(0, 2, 2, (), (), (), 0, 1), 4),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pbw_suffix_build_matches_rebuild_from_base(data):
+    lab, top = data.draw(st.sampled_from(PBW_LABELS))
+    cutoff = data.draw(st.integers(1, top))
+    spec, u0 = build_u0(realize(lab, allow_nonunitary=True))
+    basis = u0_k_basis(spec, u0)
+    got = pbw_family(spec, basis, cutoff)
+    want = _old_pbw_family(spec, basis, cutoff)
+    assert list(got) == sorted(want)  # ascending weight order
+    assert got == want  # the same tags in the same order, equal vectors
+
+
+def test_gram_positivity_leaves_no_cyclic_garbage():
+    """A call builds no reference cycle, so its vectors die with it rather
+    than at the next cyclic collection."""
+    for lab, cutoff in ((RepLabel(2, 1, 2, (), (), (), F(5, 2), 1), 3),
+                        (RepLabel(2, 2, 4, (), (), (), 1, 1), 2)):
+        d = realize(lab, allow_nonunitary=True)
+        gram_positivity(d, cutoff=cutoff)  # warm the shared tables
+        gc.collect()
+        gc.disable()
+        try:
+            gram_positivity(d, cutoff=cutoff)
+            assert gc.collect() == 0, str(lab)
+        finally:
+            gc.enable()
 
 
 def test_helicity_and_masslessness():
