@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import tables as tables_mod
 from .diagrams import NonCompactYoungDiagram, Realization, fat_hook, realize, render
 from .gradings import parse_grading, render_grading
 from .labels import (
@@ -238,7 +237,9 @@ def cmd_verify(args):
 
 
 def cmd_tables(args):
-    text = tables_mod.render_table(args.table, m=args.m, n=args.n)
+    from . import tables
+
+    text = tables.render_table(args.table, m=args.m, n=args.n)
     sys.stdout.write(text)
     if args.check:
         golden = os.path.join(os.path.dirname(__file__), "goldens", f"table{args.table}.txt")

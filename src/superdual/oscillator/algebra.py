@@ -10,19 +10,35 @@ generator table is
 
 with the dot summing the colour index over 0..P-1.  A lowering oscillator on
 a deformed square block acts as d/dx + (d det/dx)(gamma/t + d/dt).
+
+The a and b families obey the same rules, so each boson operator has one
+body that reads the family's `Boson` record (`OscillatorSpec.bosons`): the
+State fields of its matrix and s power, its determinant colours, its
+deformed block and its gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram, Realization, realize
 from ..labels import RepLabel, grading_pmq, weight_pmq_from_realization
 from ..rationals import rat
 from ..weights import FundamentalWeight
-from .states import PERMS, State, _bump, add_into, reduce_state, zero_state
+from .states import PERMS, State, _bump, _perm_bump, add_into, reduce_state, set_field, zero_state
+
+
+class Boson(NamedTuple):
+    """One bosonic family of a spec: all that its operators read."""
+
+    mat: int  # index of the State field holding its exponent matrix
+    spow: int  # index of the State field holding its s power
+    cols: tuple  # determinant colours (the minors, Delta and Delta+)
+    block: tuple  # deformed block colours: cols when gamma != 0, else ()
+    gamma: Fraction
 
 
 @dataclass(frozen=True)
@@ -82,17 +98,22 @@ class OscillatorSpec:
     def b_deformed(self) -> bool:
         return self.gamma_L != 0
 
-    def a_block_cols(self):
-        return self.A_delta if self.a_deformed else ()
-
-    def b_block_cols(self):
-        return self.B_delta if self.b_deformed else ()
+    @cached_property
+    def bosons(self) -> dict:
+        """{"a": Boson, "b": Boson}: the records every boson operator reads."""
+        field = State._fields.index
+        return {
+            "a": Boson(field("a"), field("sR"), self.A_delta,
+                       self.A_delta if self.a_deformed else (), self.gamma_R),
+            "b": Boson(field("b"), field("sL"), self.B_delta,
+                       self.B_delta if self.b_deformed else (), self.gamma_L),
+        }
 
     def vacuum(self) -> State:
         return zero_state(self.p, self.m, self.q, self.P)
 
     def reduce(self, state: State) -> dict:
-        return reduce_state(state, self.a_block_cols(), self.b_block_cols())
+        return reduce_state(state, self.bosons["a"].block, self.bosons["b"].block)
 
     # -- weights ------------------------------------------------------------
     def state_charge(self, s: State) -> tuple:
@@ -135,68 +156,37 @@ def _add_reduced(spec: OscillatorSpec, out: dict, state: State, coeff) -> None:
         add_into(out, rs, coeff if rc == 1 else coeff * rc)
 
 
-def mul_a(spec: OscillatorSpec, fl: int, col: int, lc: dict) -> dict:
+def mul(spec: OscillatorSpec, fam: Boson, fl: int, col: int, lc: dict) -> dict:
+    """Creation oscillator (fl, col) of the family, in normal form."""
     out = {}
     for s, c in lc.items():
-        ns = s._replace(a=_bump(s.a, fl, col, +1))
-        if s.sR and col in spec.a_block_cols():
+        ns = set_field(s, fam.mat, _bump(s[fam.mat], fl, col, +1))
+        if s[fam.spow] and col in fam.block:
             _add_reduced(spec, out, ns, c)
         else:
             add_into(out, ns, c)
     return out
 
 
-def mul_b(spec: OscillatorSpec, fl: int, col: int, lc: dict) -> dict:
+def ann(spec: OscillatorSpec, fam: Boson, fl: int, col: int, lc: dict) -> dict:
+    """Annihilation oscillator (fl, col) of the family, with the deformed tail."""
     out = {}
     for s, c in lc.items():
-        ns = s._replace(b=_bump(s.b, fl, col, +1))
-        if s.sL and col in spec.b_block_cols():
-            _add_reduced(spec, out, ns, c)
-        else:
-            add_into(out, ns, c)
-    return out
-
-
-def _ann_boson(spec, which, fl, col, lc):
-    """Annihilator on the a- or b-family, with the deformed tail."""
-    deformed = spec.a_deformed if which == "a" else spec.b_deformed
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    gamma = spec.gamma_R if which == "a" else spec.gamma_L
-    out = {}
-    for s, c in lc.items():
-        mat = s.a if which == "a" else s.b
-        spow = s.sR if which == "a" else s.sL
+        mat, spow = s[fam.mat], s[fam.spow]
         # plain derivative
         if mat[fl][col]:
-            ns_mat = _bump(mat, fl, col, -1)
-            ns = s._replace(**{which: ns_mat})
-            add_into(out, ns, c * mat[fl][col])
+            add_into(out, set_field(s, fam.mat, _bump(mat, fl, col, -1)), c * mat[fl][col])
         # determinant tail: (d det/dx_{fl,col}) (gamma - s) s^{+1}
-        if deformed and col in cols and gamma != spow:
-            tail = c * (gamma - spow)
-            pos = cols.index(col)
-            n = len(cols)
-            for perm, sign in PERMS[n]:
-                if perm[fl] != pos:
-                    continue
-                ns_mat = mat
-                for j in range(n):
-                    if j != fl:
-                        ns_mat = _bump(ns_mat, j, cols[perm[j]], +1)
-                if which == "a":
-                    ns = s._replace(a=ns_mat, sR=spow + 1)
-                else:
-                    ns = s._replace(b=ns_mat, sL=spow + 1)
-                _add_reduced(spec, out, ns, tail if sign == 1 else -tail)
+        if col in fam.block and fam.gamma != spow:
+            tail = c * (fam.gamma - spow)
+            pos = fam.block.index(col)
+            fields = list(s)
+            fields[fam.spow] = spow + 1
+            for perm, sign in PERMS[len(fam.block)]:
+                if perm[fl] == pos:
+                    fields[fam.mat] = _perm_bump(mat, fam.block, perm, fl)
+                    _add_reduced(spec, out, State._make(fields), tail if sign == 1 else -tail)
     return out
-
-
-def ann_a(spec, fl, col, lc):
-    return _ann_boson(spec, "a", fl, col, lc)
-
-
-def ann_b(spec, fl, col, lc):
-    return _ann_boson(spec, "b", fl, col, lc)
 
 
 def mul_f(spec, fl, col, lc):
@@ -205,7 +195,7 @@ def mul_f(spec, fl, col, lc):
     for s, c in lc.items():
         if s.f >> bit & 1:
             continue
-        add_into(out, s._replace(f=s.f | (1 << bit)), c * _fsign(s.f, bit))
+        add_into(out, State(s.a, s.b, s.f | (1 << bit), s.sL, s.sR), c * _fsign(s.f, bit))
     return out
 
 
@@ -215,22 +205,17 @@ def ann_f(spec, fl, col, lc):
     for s, c in lc.items():
         if not s.f >> bit & 1:
             continue
-        add_into(out, s._replace(f=s.f & ~(1 << bit)), c * _fsign(s.f, bit))
+        add_into(out, State(s.a, s.b, s.f & ~(1 << bit), s.sL, s.sR), c * _fsign(s.f, bit))
     return out
 
 
 def deformed_action(spec: OscillatorSpec, kind: str, direction: str, fl: int, col: int, v):
     """Single-oscillator action; kind in {a, b, f}, direction in {raise, lower}."""
     lc = v if isinstance(v, dict) else {v: Fraction(1)}
-    table = {
-        ("a", "raise"): mul_a,
-        ("a", "lower"): ann_a,
-        ("b", "raise"): mul_b,
-        ("b", "lower"): ann_b,
-        ("f", "raise"): mul_f,
-        ("f", "lower"): ann_f,
-    }
-    return table[(kind, direction)](spec, fl, col, lc)
+    fermion_op, boson_op = {"raise": (mul_f, mul), "lower": (ann_f, ann)}[direction]
+    if kind == "f":
+        return fermion_op(spec, fl, col, lc)
+    return boson_op(spec, spec.bosons[kind], fl, col, lc)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +224,23 @@ def deformed_action(spec: OscillatorSpec, kind: str, direction: str, fl: int, co
 
 def delta_dagger(spec: OscillatorSpec, which: str, lc: dict) -> dict:
     """Multiplication by t (= det of the raising oscillators on the block)."""
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    n = len(cols)
+    fam = spec.bosons[which]
     out = {}
     for s, c in lc.items():
-        spow = s.sR if which == "a" else s.sL
+        spow = s[fam.spow]
         if spow:
-            ns = s._replace(sR=s.sR - 1) if which == "a" else s._replace(sL=s.sL - 1)
-            add_into(out, ns, c)
+            add_into(out, set_field(s, fam.spow, spow - 1), c)
             continue
-        mat = s.a if which == "a" else s.b
-        for perm, sign in PERMS[n]:
-            ns_mat = mat
-            for i in range(n):
-                ns_mat = _bump(ns_mat, i, cols[perm[i]], +1)
-            add_into(out, s._replace(**{which: ns_mat}), c * sign)
+        for perm, sign in PERMS[len(fam.cols)]:
+            add_into(out, set_field(s, fam.mat, _perm_bump(s[fam.mat], fam.cols, perm)), c * sign)
     return out
 
 
 def delta_lower(spec: OscillatorSpec, which: str, lc: dict) -> dict:
     """The annihilator determinant Delta = det(a_i(A)) on the block."""
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    fn = ann_a if which == "a" else ann_b
-    n = len(cols)
-    return column_det(n, lambda row, k, term: fn(spec, row, cols[k], term), lc, range(n))
+    fam = spec.bosons[which]
+    n = len(fam.cols)
+    return column_det(n, lambda row, k, term: ann(spec, fam, row, fam.cols[k], term), lc, range(n))
 
 
 def column_det(n: int, op, lc: dict, order) -> dict:
@@ -284,10 +262,10 @@ def column_det(n: int, op, lc: dict, order) -> dict:
             return bin(used & ((1 << row) - 1)).count("1")
     else:
         raise ValueError(f"columns {order} are not monotone in range({n})")
-    partial = {0: lc}  # bitmask of the rows used -> partial sum
+    sums = {0: lc}  # bitmask of the rows used -> partial sum
     for k in order:
         nxt = {}
-        for used, term in partial.items():
+        for used, term in sums.items():
             for row in range(n):
                 if used >> row & 1:
                     continue
@@ -295,43 +273,42 @@ def column_det(n: int, op, lc: dict, order) -> dict:
                 odd = inversions(used, row) % 2
                 for s, c in op(row, k, term).items():
                     add_into(acc, s, -c if odd else c)
-        partial = {used: term for used, term in nxt.items() if term}
-    return partial.get((1 << n) - 1, {})
+        sums = {used: term for used, term in nxt.items() if term}
+    return sums.get((1 << n) - 1, {})
 
 
 # ---------------------------------------------------------------------------
 # gl generators
 # ---------------------------------------------------------------------------
 
-def _block_of(spec, i):
-    if i < spec.p:
-        return ("b", i)
-    if i < spec.p + spec.m:
-        return ("f", i - spec.p)
-    return ("a", i - spec.p - spec.m)
-
-
-# E_ij = sign * LEFT[block i](RIGHT[block j]), summed over the colours (see
-# the generator table in the module docstring)
-_LEFT = {"b": ann_b, "f": mul_f, "a": mul_a}
-_RIGHT = {"b": (mul_b, -1), "f": (ann_f, 1), "a": (ann_a, 1)}
+def _flavour_ops(spec: OscillatorSpec, i: int):
+    """(creation, annihilation) of index i's flavour, as maps (colour, lc) -> lc."""
+    if spec.p <= i < spec.p + spec.m:
+        return partial(mul_f, spec, i - spec.p), partial(ann_f, spec, i - spec.p)
+    fam, fl = (spec.bosons["b"], i) if i < spec.p else (spec.bosons["a"], i - spec.p - spec.m)
+    return partial(mul, spec, fam, fl), partial(ann, spec, fam, fl)
 
 
 def generator_action(spec: OscillatorSpec, i: int, j: int, v) -> dict:
-    """E_ij acting on a state or LinComb (0-based su(p,|m|q) indices)."""
+    """E_ij acting on a state or LinComb (0-based su(p,|m|q) indices).
+
+    E_ij = sign * LEFT_i(RIGHT_j) summed over the colours, as in the generator
+    table of the module docstring: the dotted b bosons swap creation and
+    annihilation, and a b creation on the right carries the sign -1."""
     lc = v if isinstance(v, dict) else {v: Fraction(1)}
-    (bi, fi), (bj, fj) = _block_of(spec, i), _block_of(spec, j)
-    left, (right, sign) = _LEFT[bi], _RIGHT[bj]
+    create_i, annihilate_i = _flavour_ops(spec, i)
+    create_j, annihilate_j = _flavour_ops(spec, j)
+    left = annihilate_i if i < spec.p else create_i
+    right, sign = (create_j, -1) if j < spec.p else (annihilate_j, 1)
     out = {}
     for A in range(spec.P):
-        for s, c in left(spec, fi, A, right(spec, fj, A, lc)).items():
+        for s, c in left(A, right(A, lc)).items():
             add_into(out, s, sign * c)
     return out
 
 
 def basis_states(spec: OscillatorSpec, cutoff: int, max_s: int = 0):
     """All canonical monomials with oscillator degree <= cutoff, s <= max_s."""
-    from itertools import product
 
     def mats(rows, budget):
         cells = rows * spec.P

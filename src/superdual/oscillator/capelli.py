@@ -28,6 +28,8 @@ from .algebra import (
     delta_lower,
     generator_action,
 )
+from .inner import inner_product
+from .module import _apply_minor
 from .states import combine, scale
 
 
@@ -52,11 +54,8 @@ def block_spec(P: int, gamma) -> OscillatorSpec:
 
 def capelli_identity_check(P: int, gamma, cutoff: int = 4, max_s: int = 1) -> bool:
     """Verify Delta+ Delta = colDet(E + rho) as operators on the truncated basis."""
-    spec = block_spec(P, gamma)
-    if not spec.a_deformed:
-        # gamma = 0: undeformed Fock block; Delta acts by plain derivatives
-        spec = OscillatorSpec(0, 0, P, P, rat(0), rat(0), (), tuple(range(P)), (), ())
-    basis = basis_states(spec, cutoff, max_s=max_s if gamma != 0 else 0)
+    spec = block_spec(P, gamma)  # at gamma = 0 Delta acts by plain derivatives
+    basis = basis_states(spec, cutoff, max_s=max_s)
     for st in basis:
         lhs = delta_dagger(spec, "a", delta_lower(spec, "a", {st: Fraction(1)}))
         rhs = _column_det_action(spec, {st: Fraction(1)})
@@ -80,19 +79,13 @@ def _column_det_action(spec: OscillatorSpec, lc):
 
 def delta_ladder_norms(P: int, gamma, mu: Partition, nmax: int):
     """Norm ratios |v_{mu,n+1}|^2 / |v_{mu,n}|^2 via explicit Delta+ powers."""
-    from .inner import inner_product
-    from .states import State
-
     spec = block_spec(P, gamma)
     mu = Partition(mu)
     # highest vector of V_mu (x) V_mu: top-left minors
     v = {spec.vacuum(): Fraction(1)}
-    from .algebra import mul_a
-    from .module import _apply_minor
-
     for y in range(1, mu.height + 1):
         for _ in range(mu.part(y) - mu.part(y + 1)):
-            v = _apply_minor(spec, v, list(range(y)), tuple(range(y)), mul_a)
+            v = _apply_minor(spec, v, list(range(y)), tuple(range(y)), spec.bosons["a"])
     ratios = []
     prev = inner_product(spec, v, v)
     cur = v

@@ -321,12 +321,10 @@ def _margins(m):
 def _columns(spec):
     """(plain a, plain b, deformed a, deformed b) colours; a deformed entry
     is None when its block is not deformed."""
-    a_cols, b_cols = spec.a_block_cols(), spec.b_block_cols()
+    fams = spec.bosons["a"], spec.bosons["b"]
     return (
-        tuple(A for A in range(spec.P) if A not in a_cols),
-        tuple(A for A in range(spec.P) if A not in b_cols),
-        a_cols if spec.a_deformed else None,
-        b_cols if spec.b_deformed else None,
+        *(tuple(A for A in range(spec.P) if A not in fam.block) for fam in fams),
+        *(fam.block if fam.gamma else None for fam in fams),
     )
 
 

@@ -6,7 +6,8 @@ states.  The induced module is spanned by PBW monomials in the E^(-)
 generators applied to a K-basis of U_0; the Gram matrix of that spanning
 family (per Cartan slice) is positive definite for long unitary labels,
 degenerates exactly at shortenings, and acquires negative directions on the
-non-unitary side.
+non-unitary side.  Its inertia comes from `RowSpace`, the eliminator that
+also spans the K-orbit of U_0 and the tensor tables' K-highest vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations_with_replacement
 from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
-from .algebra import OscillatorSpec, column_det, generator_action, mul_a, mul_b, mul_f
+from .algebra import OscillatorSpec, column_det, generator_action, mul, mul_f
 from .inner import inner_product, prepare
 from .states import add_into, scale
 
@@ -40,7 +41,7 @@ def build_u0(d: NonCompactYoungDiagram):
         rows = list(range(spec.p - y, spec.p))  # bottom y flavours
         cols = spec.B_delta[:y]
         for _ in range(power):
-            v = _apply_minor(spec, v, rows, cols, mul_b)
+            v = _apply_minor(spec, v, rows, cols, spec.bosons["b"])
 
     # fermionic tau columns over F colours
     tau_conj = label.tau.conjugate()
@@ -61,14 +62,14 @@ def build_u0(d: NonCompactYoungDiagram):
         rows = list(range(y))  # top y flavours
         cols = spec.A_delta[:y]
         for _ in range(power):
-            v = _apply_minor(spec, v, rows, cols, mul_a)
+            v = _apply_minor(spec, v, rows, cols, spec.bosons["a"])
     return spec, v
 
 
-def _apply_minor(spec, v, rows, cols, mul):
-    """det[mul(rows[i], cols[j])] v, the factors applied row by row."""
+def _apply_minor(spec, v, rows, cols, fam):
+    """det[the family's creation (rows[i], cols[j])] v, the factors applied row by row."""
     return column_det(
-        len(rows), lambda j, i, term: mul(spec, rows[i], cols[j], term), v, range(len(rows))
+        len(rows), lambda j, i, term: mul(spec, fam, rows[i], cols[j], term), v, range(len(rows))
     )
 
 
@@ -131,10 +132,10 @@ def k_lowering_generators(spec: OscillatorSpec):
 # ---------------------------------------------------------------------------
 
 class RowSpace:
-    """Incremental row-echelon store for LinComb vectors."""
+    """Incremental row-echelon store for sparse vectors, pivoting on the largest key."""
 
     def __init__(self):
-        self.pivots = {}  # state -> reduced vector with coeff 1 there
+        self.pivots = {}  # pivot key -> reduced vector with coeff 1 there
 
     def reduce(self, vec):
         vec = dict(vec)
@@ -158,14 +159,18 @@ class RowSpace:
         return red
 
 
-def u0_k_basis(spec: OscillatorSpec, u0, max_iter: int = 60):
+# rounds of K-lowering after which a U_0 that has not closed is an error
+K_ORBIT_MAX_ROUNDS = 60
+
+
+def u0_k_basis(spec: OscillatorSpec, u0):
     """Basis of the K-module U_0: closure of u0 under K-lowering operators."""
     gens = k_lowering_generators(spec)
     space = RowSpace()
     space.insert(dict(u0))
     frontier = [dict(u0)]
     basis = [dict(u0)]
-    for _ in range(max_iter):
+    for _ in range(K_ORBIT_MAX_ROUNDS):
         new_frontier = []
         for v in frontier:
             for (i, j) in gens:
@@ -264,42 +269,42 @@ class GramReport:
 
 
 def analyze_gram(G):
-    """Symmetric elimination (Gram-Schmidt with isotropic handling).
+    """Inertia of the symmetric matrix G by symmetric reduction on `RowSpace`.
 
     Returns (kernel_dim, negative_coeffs | None): negative_coeffs is a
     coefficient vector over the original family of a vector with negative
     norm, if one exists.  The elimination returns at the first negative
     direction, so kernel_dim then counts only the null directions met
     before it: a lower bound.
+
+    Row i is G's row i, column u under key -u (the least column pivots),
+    plus e_i under key -n - i.  Reduced against the stored rows of positive
+    norm it is (g, c) with g = G c zero on every stored column, so c is e_i
+    made G-orthogonal to them and its norm is g_i.  With g_i = 0 and g != 0,
+    c is isotropic and pairs with e_partner, partner the least column of g.
     """
     n = len(G)
-    pivots = []  # (coeff vector, G @ coeff, norm)
+    space = RowSpace()
     kernel = 0
     for i in range(n):
-        c = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-        for (cj, gj, nj) in pivots:
-            num = sum(c[t] * gj[t] for t in range(n) if c[t])
-            if num:
-                f = num / nj
-                c = [a - f * b for a, b in zip(c, cj)]
-        g = [sum(G[u][t] * c[t] for t in range(n) if c[t]) for u in range(n)]
-        norm = sum(c[t] * g[t] for t in range(n) if c[t])
+        row = {-u: x for u, x in enumerate(G[i]) if x}
+        row[-n - i] = Fraction(1)
+        red, piv = space.reduce(row)
+        if piv <= -n:  # g = 0
+            kernel += 1
+            continue
+        norm = red.get(-i, 0)
         if norm > 0:
-            pivots.append((c, g, norm))
-        elif norm < 0:
+            space.insert(red)
+            continue
+        c = [red.get(-n - t, Fraction(0)) for t in range(n)]
+        if norm < 0:
             return kernel, c
-        else:
-            partner = next((u for u in range(n) if g[u] != 0), None)
-            if partner is None:
-                kernel += 1
-            else:
-                # isotropic direction pairing with e_partner: indefinite
-                s = g[partner]
-                h = G[partner][partner]
-                tau = -(abs(h) + 1) / (2 * s)
-                wit = [tau * x for x in c]
-                wit[partner] += 1
-                return kernel, wit
+        partner = -piv
+        tau = -(abs(G[partner][partner]) + 1) / (2 * red[piv])
+        wit = [tau * x for x in c]
+        wit[partner] += 1
+        return kernel, wit
     return kernel, None
 
 

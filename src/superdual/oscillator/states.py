@@ -73,12 +73,16 @@ class State(NamedTuple):
     sL: int
     sR: int
 
-    def osc_degree(self) -> int:
-        return (
-            sum(map(sum, self.a))
-            + sum(map(sum, self.b))
-            + bin(self.f).count("1")
-        )
+
+_make_state = State._make
+
+
+def set_field(state: State, field: int, value) -> State:
+    """state with its field number `field` set to value (a positional
+    `_replace`, without the keyword lookups)."""
+    fields = list(state)
+    fields[field] = value
+    return _make_state(fields)
 
 
 def zero_state(p: int, m: int, q: int, P: int) -> State:
@@ -125,6 +129,18 @@ def _bump(mat, row, col, delta):
     return tuple(out)
 
 
+def _perm_bump(mat, cols, perm, skip=None):
+    """mat plus one at (i, cols[perm[i]]) for every block row i except skip:
+    one term of a determinant over the block's colours."""
+    out = list(mat)
+    for i, k in enumerate(perm):
+        if i != skip:
+            row = list(out[i])
+            row[cols[k]] += 1
+            out[i] = tuple(row)
+    return tuple(out)
+
+
 # (mat, s, cols) -> `_reduce_block(mat, s, cols)` for every block with a full
 # diagonal and s > 0; shared by every gamma, emptied by `inner.clear_caches()`.
 _NORMAL_FORMS = {}
@@ -148,10 +164,7 @@ def _reduce_block(mat, s, cols):
     for mat2, s2, c2 in _reduce_block(stripped, s - 1, cols):
         merged[mat2, s2] = c2
     for perm, sign in PERMS[n][1:]:  # the identity comes first
-        withperm = stripped
-        for i in range(n):
-            withperm = _bump(withperm, i, cols[perm[i]], +1)
-        for mat2, s2, c2 in _reduce_block(withperm, s, cols):
+        for mat2, s2, c2 in _reduce_block(_perm_bump(stripped, cols, perm), s, cols):
             merged[mat2, s2] = merged.get((mat2, s2), 0) - sign * c2
     form = _NORMAL_FORMS[key] = tuple((mm, ss, cc) for (mm, ss), cc in merged.items() if cc)
     return form

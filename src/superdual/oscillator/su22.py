@@ -12,9 +12,13 @@ def helicity(spec: OscillatorSpec, v) -> Fraction:
     """Eigenvalue of Z = (N_a - N_b)/2 on a weight vector."""
     lc = v if isinstance(v, dict) else {v: Fraction(1)}
     vals = set()
+
+    def number(s, fam):  # oscillator count of a family, gamma - s per flavour on a block
+        mat = s[fam.mat]
+        return sum(map(sum, mat)) + (len(mat) * (fam.gamma - s[fam.spow]) if fam.gamma else 0)
+
     for s in lc:
-        na = sum(map(sum, s.a)) + (spec.q * (spec.gamma_R - s.sR) if spec.a_deformed else 0)
-        nb = sum(map(sum, s.b)) + (spec.p * (spec.gamma_L - s.sL) if spec.b_deformed else 0)
+        na, nb = number(s, spec.bosons["a"]), number(s, spec.bosons["b"])
         vals.add(Fraction(na - nb, 2) if isinstance(na - nb, int) else (na - nb) / 2)
     if len(vals) != 1:
         raise ValueError("not a helicity eigenvector")

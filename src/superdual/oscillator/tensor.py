@@ -103,7 +103,7 @@ def tensor_decompose(d1: NonCompactYoungDiagram, d2: NonCompactYoungDiagram):
         raise ValueError("factors live in different algebras")
     spec1, u1 = build_u0(d1)
     spec2, u2 = build_u0(d2)
-    if spec1.a_deformed or spec1.b_deformed or spec2.a_deformed or spec2.b_deformed:
+    if any(fam.gamma for sp in (spec1, spec2) for fam in sp.bosons.values()):
         raise ValueError("tensor factors with continuous gammas are not supported")
 
     P = spec1.P + spec2.P

@@ -83,15 +83,15 @@ class Partition:
 
 
 def partitions_bounded(max_height: int, max_entry: int):
-    """All partitions with height <= max_height and entries <= max_entry."""
+    """All partitions with height <= max_height and entries <= max_entry,
+    depth first: each prefix, then its extensions by 1, 2, ... up to its
+    last entry.  Callers index into this order."""
     out = []
-
-    def rec(prefix, bound):
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
         out.append(Partition(prefix))
-        if len(prefix) == max_height:
-            return
-        for v in range(1, bound + 1):
-            rec(prefix + [v], v)
-
-    rec([], max_entry)
+        if len(prefix) < max_height:
+            bound = prefix[-1] if prefix else max_entry
+            stack.extend(prefix + (v,) for v in range(bound, 0, -1))
     return out

@@ -88,10 +88,20 @@ def test_verify_command(capsys):
     assert code == 0 and "positive_definite=True" in out
 
 
-def test_tables_golden(capsys):
-    code, out, _ = run(capsys, "tables", "--table", "1", "--check")
+GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "src" / "superdual" / "goldens"
+
+
+@pytest.mark.parametrize("table", range(1, 8))
+def test_tables_golden(capsys, table):
+    code, out, _ = run(capsys, "tables", "--table", str(table), "--check")
     assert code == 0
-    assert "[0,110,0;0,0]" in out
+    assert out == (GOLDENS / f"table{table}.txt").read_text()
+
+
+def test_selfcheck_exit0(capsys):
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 0
+    assert "capelli spot checks: ok" in out and "gram spot checks: ok" in out
 
 
 def test_tensor_command(capsys):
@@ -243,6 +253,17 @@ def test_internal_errors_exit4(capsys, monkeypatch, exc, message):
     monkeypatch.setattr(cli, "classify_supqm", broken)
     code, out, err = run(capsys, "classify", "--label", YM)
     assert code == 4 and err.startswith(message)
+
+
+def test_cli_import_leaves_the_oscillator_unloaded():
+    """classify, lattice and shorten never load the oscillator; the commands
+    that need it import it themselves."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, superdual.cli; print('superdual.oscillator' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_module_invocation_smoke():

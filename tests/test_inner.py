@@ -446,7 +446,7 @@ def pairing_cases(draw):
     Plain exponents and fermion bits come from two patterns, so rest keys
     repeat; block exponents are 0..2, so slices hold several monomials."""
     spec = draw(st.sampled_from(PAIRING_SPECS))
-    blocks = set(spec.a_block_cols()) | set(spec.b_block_cols())
+    blocks = set(spec.bosons["a"].block) | set(spec.bosons["b"].block)
 
     def matrix(rows, pattern):
         return tuple(

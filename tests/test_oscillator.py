@@ -18,7 +18,7 @@ from superdual.oscillator import (
     verify_hws,
 )
 from superdual.oscillator import inner
-from superdual.oscillator.algebra import column_det, delta_dagger, delta_lower
+from superdual.oscillator.algebra import ann, column_det, delta_dagger, delta_lower, mul
 from superdual.oscillator.capelli import block_spec
 from superdual.oscillator.module import (
     analyze_gram,
@@ -27,7 +27,16 @@ from superdual.oscillator.module import (
     pbw_family,
     u0_k_basis,
 )
-from superdual.oscillator.states import PERMS, State, _bump, _reduce_block, add_into, combine, scale
+from superdual.oscillator.states import (
+    PERMS,
+    State,
+    _bump,
+    _reduce_block,
+    add_into,
+    combine,
+    reduce_state,
+    scale,
+)
 
 GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
 
@@ -529,6 +538,183 @@ def test_analyze_gram_witness_negative_or_kernel_exact(data):
         assert _norm(G, witness) < 0
     else:
         assert kernel == n - _rank(G)
+
+
+def _gram_schmidt_reference(G):
+    """The dense Gram-Schmidt elimination that `analyze_gram` replaced."""
+    n = len(G)
+    pivots = []  # (coeff vector, G @ coeff, norm)
+    kernel = 0
+    for i in range(n):
+        c = [F(1) if t == i else F(0) for t in range(n)]
+        for (cj, gj, nj) in pivots:
+            num = sum(c[t] * gj[t] for t in range(n) if c[t])
+            if num:
+                f = num / nj
+                c = [a - f * b for a, b in zip(c, cj)]
+        g = [sum(G[u][t] * c[t] for t in range(n) if c[t]) for u in range(n)]
+        norm = sum(c[t] * g[t] for t in range(n) if c[t])
+        if norm > 0:
+            pivots.append((c, g, norm))
+        elif norm < 0:
+            return kernel, c
+        else:
+            partner = next((u for u in range(n) if g[u] != 0), None)
+            if partner is None:
+                kernel += 1
+            else:
+                s = g[partner]
+                h = G[partner][partner]
+                tau = -(abs(h) + 1) / (2 * s)
+                wit = [tau * x for x in c]
+                wit[partner] += 1
+                return kernel, wit
+    return kernel, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_analyze_gram_matches_gram_schmidt_reference(data):
+    """The RowSpace reduction returns the reference's kernel count and
+    witness, coefficient for coefficient, on random symmetric matrices
+    (isotropic and negative directions) and on Gram matrices of dependent
+    vectors (positive semidefinite, with kernels)."""
+    n = data.draw(st.integers(1, 6))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    if data.draw(st.booleans()):
+        entry = st.one_of(st.just(F(0)), small)
+        G = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = data.draw(entry)
+    else:
+        dim = data.draw(st.integers(1, 4))
+        vecs = [[data.draw(st.integers(-2, 2)) for _ in range(dim)] for _ in range(n)]
+        G = [[F(sum(a * b for a, b in zip(u, v))) for v in vecs] for u in vecs]
+    assert repr(analyze_gram(G)) == repr(_gram_schmidt_reference(G))
+
+
+# the a/b boson operators as written before the `Boson` records, one branch
+# per family: references for `mul`, `ann`, `delta_dagger` and `delta_lower`
+
+def _ref_reduce(spec, state):
+    return reduce_state(
+        state,
+        spec.A_delta if spec.a_deformed else (),
+        spec.B_delta if spec.b_deformed else (),
+    )
+
+
+def _ref_add_reduced(spec, out, state, coeff):
+    for rs, rc in _ref_reduce(spec, state).items():
+        add_into(out, rs, coeff * rc)
+
+
+def _ref_mul(spec, which, fl, col, lc):
+    out = {}
+    for s, c in lc.items():
+        if which == "a":
+            ns = s._replace(a=_bump(s.a, fl, col, +1))
+            block = s.sR and spec.a_deformed and col in spec.A_delta
+        else:
+            ns = s._replace(b=_bump(s.b, fl, col, +1))
+            block = s.sL and spec.b_deformed and col in spec.B_delta
+        if block:
+            _ref_add_reduced(spec, out, ns, c)
+        else:
+            add_into(out, ns, c)
+    return out
+
+
+def _ref_ann(spec, which, fl, col, lc):
+    deformed = spec.a_deformed if which == "a" else spec.b_deformed
+    cols = spec.A_delta if which == "a" else spec.B_delta
+    gamma = spec.gamma_R if which == "a" else spec.gamma_L
+    out = {}
+    for s, c in lc.items():
+        mat = s.a if which == "a" else s.b
+        spow = s.sR if which == "a" else s.sL
+        if mat[fl][col]:
+            add_into(out, s._replace(**{which: _bump(mat, fl, col, -1)}), c * mat[fl][col])
+        if deformed and col in cols and gamma != spow:
+            tail = c * (gamma - spow)
+            pos = cols.index(col)
+            n = len(cols)
+            for perm, sign in PERMS[n]:
+                if perm[fl] != pos:
+                    continue
+                ns_mat = mat
+                for j in range(n):
+                    if j != fl:
+                        ns_mat = _bump(ns_mat, j, cols[perm[j]], +1)
+                if which == "a":
+                    ns = s._replace(a=ns_mat, sR=spow + 1)
+                else:
+                    ns = s._replace(b=ns_mat, sL=spow + 1)
+                _ref_add_reduced(spec, out, ns, tail if sign == 1 else -tail)
+    return out
+
+
+def _ref_delta_dagger(spec, which, lc):
+    cols = spec.A_delta if which == "a" else spec.B_delta
+    n = len(cols)
+    out = {}
+    for s, c in lc.items():
+        spow = s.sR if which == "a" else s.sL
+        if spow:
+            ns = s._replace(sR=s.sR - 1) if which == "a" else s._replace(sL=s.sL - 1)
+            add_into(out, ns, c)
+            continue
+        mat = s.a if which == "a" else s.b
+        for perm, sign in PERMS[n]:
+            ns_mat = mat
+            for i in range(n):
+                ns_mat = _bump(ns_mat, i, cols[perm[i]], +1)
+            add_into(out, s._replace(**{which: ns_mat}), c * sign)
+    return out
+
+
+def _ref_delta_lower(spec, which, lc):
+    cols = spec.A_delta if which == "a" else spec.B_delta
+    return _naive_column_det(
+        len(cols), lambda row, k, term: _ref_ann(spec, which, row, cols[k], term), lc, range(len(cols))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_boson_operators_match_per_family_reference(data):
+    """mul, ann, delta_dagger and delta_lower read one `Boson` record and
+    equal the per-family reference on both families, with and without a
+    deformed block, on random canonical states of s power 0..2."""
+    p, q = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    gammas = st.sampled_from((F(0),) + GAMMAS)
+    gamma_L, gamma_R = data.draw(gammas), data.draw(gammas)
+    P = p + q + data.draw(st.integers(0, 1))  # maybe one plain colour
+    spec = OscillatorSpec(
+        p, 0, q, P, gamma_L, gamma_R, tuple(range(p)), tuple(range(p, p + q)), (), ()
+    )
+
+    def mat(rows):
+        return tuple(tuple(data.draw(st.integers(0, 2)) for _ in range(P)) for _ in range(rows))
+
+    lc = {}
+    for _ in range(data.draw(st.integers(1, 2))):
+        state = State(
+            mat(q), mat(p), 0,
+            data.draw(st.integers(0, 2)) if gamma_L else 0,
+            data.draw(st.integers(0, 2)) if gamma_R else 0,
+        )
+        coeff = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        _ref_add_reduced(spec, lc, state, coeff)
+    for which, flavours in (("a", q), ("b", p)):
+        fam = spec.bosons[which]
+        for fl in range(flavours):
+            for col in range(P):
+                assert mul(spec, fam, fl, col, lc) == _ref_mul(spec, which, fl, col, lc)
+                assert ann(spec, fam, fl, col, lc) == _ref_ann(spec, which, fl, col, lc)
+        assert delta_dagger(spec, which, lc) == _ref_delta_dagger(spec, which, lc)
+        assert delta_lower(spec, which, lc) == _ref_delta_lower(spec, which, lc)
 
 
 def _old_state_weight(spec, s):
