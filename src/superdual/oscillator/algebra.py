@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram, Realization, realize
@@ -90,11 +91,11 @@ class OscillatorSpec:
     def n(self) -> int:
         return self.p + self.m + self.q
 
-    @property
+    @cached_property
     def a_deformed(self) -> bool:
         return self.gamma_R != 0
 
-    @property
+    @cached_property
     def b_deformed(self) -> bool:
         return self.gamma_L != 0
 
@@ -116,16 +117,34 @@ class OscillatorSpec:
         return reduce_state(state, self.bosons["a"].block, self.bosons["b"].block)
 
     # -- weights ------------------------------------------------------------
+    @cached_property
+    def _fermion_masks(self) -> tuple:  # the f bits of each fermion flavour
+        mask = (1 << self.P) - 1
+        return tuple(mask << (a * self.P) for a in range(self.m))
+
     def state_charge(self, s: State) -> tuple:
         """The integer part of `state_weight`: sL - sum b_r, the fermion
         count and sum a_alpha - sR (sL, sR only on a deformed block)."""
         sL = s.sL if self.b_deformed else 0
         sR = s.sR if self.a_deformed else 0
-        mask = (1 << self.P) - 1
+        f = s.f
         return (
             tuple(sL - sum(row) for row in s.b)
-            + tuple((s.f >> (a * self.P) & mask).bit_count() for a in range(self.m))
+            + tuple((f & mask).bit_count() for mask in self._fermion_masks)
             + tuple(sum(row) - sR for row in s.a)
+        )
+
+    @cached_property
+    def column_getters(self) -> tuple:
+        """(plain a, plain b, deformed a, deformed b): maps from a matrix row
+        to its entries on those colours, as a tuple; a deformed entry is None
+        when its block is not deformed.  `inner.prepare` splits states with
+        them."""
+        fams = self.bosons["a"], self.bosons["b"]
+        plain = (tuple(A for A in range(self.P) if A not in fam.block) for fam in fams)
+        return (
+            *map(_row_getter, plain),
+            *(_row_getter(fam.block) if fam.gamma else None for fam in fams),
         )
 
     @cached_property
@@ -142,12 +161,22 @@ class OscillatorSpec:
         return self.charge_weight(self.state_charge(s))
 
 
+def _row_getter(cols: tuple):
+    """row -> tuple(row[c] for c in cols)."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    if cols:
+        (col,) = cols
+        return lambda row: (row[col],)
+    return lambda row: ()
+
+
 # ---------------------------------------------------------------------------
 # primitive oscillator actions (linear maps on LinCombs)
 # ---------------------------------------------------------------------------
 
 def _fsign(mask: int, bit: int) -> int:
-    return -1 if bin(mask & ((1 << bit) - 1)).count("1") % 2 else 1
+    return -1 if (mask & ((1 << bit) - 1)).bit_count() % 2 else 1
 
 
 def _add_reduced(spec: OscillatorSpec, out: dict, state: State, coeff) -> None:
@@ -211,7 +240,7 @@ def ann_f(spec, fl, col, lc):
 
 def deformed_action(spec: OscillatorSpec, kind: str, direction: str, fl: int, col: int, v):
     """Single-oscillator action; kind in {a, b, f}, direction in {raise, lower}."""
-    lc = v if isinstance(v, dict) else {v: Fraction(1)}
+    lc = v if isinstance(v, dict) else {v: 1}
     fermion_op, boson_op = {"raise": (mul_f, mul), "lower": (ann_f, ann)}[direction]
     if kind == "f":
         return fermion_op(spec, fl, col, lc)
@@ -256,10 +285,10 @@ def column_det(n: int, op, lc: dict, order) -> dict:
     order = tuple(order)
     if order == tuple(range(n)):
         def inversions(used, row):
-            return bin(used >> (row + 1)).count("1")
+            return (used >> (row + 1)).bit_count()
     elif order == tuple(range(n - 1, -1, -1)):
         def inversions(used, row):
-            return bin(used & ((1 << row) - 1)).count("1")
+            return (used & ((1 << row) - 1)).bit_count()
     else:
         raise ValueError(f"columns {order} are not monotone in range({n})")
     sums = {0: lc}  # bitmask of the rows used -> partial sum
@@ -295,7 +324,7 @@ def generator_action(spec: OscillatorSpec, i: int, j: int, v) -> dict:
     E_ij = sign * LEFT_i(RIGHT_j) summed over the colours, as in the generator
     table of the module docstring: the dotted b bosons swap creation and
     annihilation, and a b creation on the right carries the sign -1."""
-    lc = v if isinstance(v, dict) else {v: Fraction(1)}
+    lc = v if isinstance(v, dict) else {v: 1}
     create_i, annihilate_i = _flavour_ops(spec, i)
     create_j, annihilate_j = _flavour_ops(spec, j)
     left = annihilate_i if i < spec.p else create_i
@@ -332,7 +361,7 @@ def basis_states(spec: OscillatorSpec, cutoff: int, max_s: int = 0):
                         for sL in range(max_s + 1 if spec.b_deformed else 1):
                             for sR in range(max_s + 1 if spec.a_deformed else 1):
                                 st = State(amat, bmat, fmask, sL, sR)
-                                if spec.reduce(st) != {st: Fraction(1)}:
+                                if spec.reduce(st) != {st: 1}:
                                     continue  # not canonical
                                 out.append(st)
     return out
@@ -353,7 +382,7 @@ def _bounded_tuples(cells, budget):
 
 def _masks(bits, max_pop):
     for mask in range(1 << bits):
-        if bin(mask).count("1") <= max_pop:
+        if mask.bit_count() <= max_pop:
             yield mask
 
 

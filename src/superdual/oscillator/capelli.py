@@ -57,9 +57,9 @@ def capelli_identity_check(P: int, gamma, cutoff: int = 4, max_s: int = 1) -> bo
     spec = block_spec(P, gamma)  # at gamma = 0 Delta acts by plain derivatives
     basis = basis_states(spec, cutoff, max_s=max_s)
     for st in basis:
-        lhs = delta_dagger(spec, "a", delta_lower(spec, "a", {st: Fraction(1)}))
-        rhs = _column_det_action(spec, {st: Fraction(1)})
-        if combine(lhs, scale(rhs, Fraction(-1))):
+        lhs = delta_dagger(spec, "a", delta_lower(spec, "a", {st: 1}))
+        rhs = _column_det_action(spec, {st: 1})
+        if combine(lhs, scale(rhs, -1)):
             return False
     return True
 
@@ -72,7 +72,7 @@ def _column_det_action(spec: OscillatorSpec, lc):
 
     def entry(row, col, term):
         image = generator_action(spec, base + row, base + col, term)
-        return combine(image, scale(term, Fraction(P - (row + 1)))) if row == col else image
+        return combine(image, scale(term, P - (row + 1))) if row == col else image
 
     return column_det(P, entry, lc, range(P - 1, -1, -1))
 
@@ -82,7 +82,7 @@ def delta_ladder_norms(P: int, gamma, mu: Partition, nmax: int):
     spec = block_spec(P, gamma)
     mu = Partition(mu)
     # highest vector of V_mu (x) V_mu: top-left minors
-    v = {spec.vacuum(): Fraction(1)}
+    v = {spec.vacuum(): 1}
     for y in range(1, mu.height + 1):
         for _ in range(mu.part(y) - mu.part(y + 1)):
             v = _apply_minor(spec, v, list(range(y)), tuple(range(y)), spec.bosons["a"])

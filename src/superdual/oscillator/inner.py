@@ -36,10 +36,15 @@ vector by integer content, so a vector entering many Gram entries, at any
 gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
 on top of it, which keeps only the weights c_mu(gamma) and each slice's
 divided differences as integer numerators over one slice denominator: a
-slice pairing sums sum_j num_j <N_j u, v>_Fock on integers and makes one
-Fraction.  `clear_caches()` drops both tables, and the normal forms modulo
-det X - t that `states` memoises.  A prepared vector is a per-call value,
-never memoised.
+slice pairing is the integer sum_j num_j <N_j u, v>_Fock over that
+denominator.  `inner_product` stays on integers until it returns: it adds
+each slice pairing, times the Fock factor of its plain rest, into an integer
+numerator keyed by its denominator (on two deformed blocks the product of
+the a and b pairings, over the product of their denominators), and makes one
+Fraction per pairing from those sums and the two vectors' denominators.
+`clear_caches()` drops both tables, and the normal forms modulo det X - t
+that `states` memoises.  A prepared vector is a per-call value, never
+memoised.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import NamedTuple
 
 from ..partitions import Partition, partitions_bounded
 from ..rationals import rat
-from .states import _NORMAL_FORMS, block_matrix
+from .states import _NORMAL_FORMS
 
 
 def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
@@ -236,18 +241,13 @@ class BlockForm:
         # (rows, cols) -> (numerators, denominator) of a_0, a_1, ...
         self._newton = {}
 
-    def pair(self, m1, m2) -> Fraction:
-        k1, k2 = _margins(m1), _margins(m2)
-        if k1 != k2:
-            return Fraction(0)
-        return self.eval_coords(k1, {m1: 1}, {m2: 1})
-
-    def eval_coords(self, margins, coords1, coords2) -> Fraction:
-        """sum_j a_j <N_j coords1, coords2>_Fock on one slice of integer
-        coordinates, summed on the integer numerators of the a_j."""
+    def eval_coords(self, margins, coords1, coords2) -> tuple:
+        """(num, den): sum_j a_j <N_j coords1, coords2>_Fock on one slice is
+        num / den, num summed on the integer numerators of the a_j and den
+        their denominator from `newton_numerators`."""
         nums, den = self.newton_numerators(margins)
         images = self.spectrum.images(margins, coords1)
-        return Fraction(sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images)), den)
+        return sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images)), den
 
     def weight(self, mu: Partition) -> Fraction:
         """c_mu(gamma), computed once per mu."""
@@ -318,26 +318,18 @@ def _margins(m):
     return tuple(map(sum, m)), tuple(map(sum, zip(*m)))
 
 
-def _columns(spec):
-    """(plain a, plain b, deformed a, deformed b) colours; a deformed entry
-    is None when its block is not deformed."""
-    fams = spec.bosons["a"], spec.bosons["b"]
-    return (
-        *(tuple(A for A in range(spec.P) if A not in fam.block) for fam in fams),
-        *(fam.block if fam.gamma else None for fam in fams),
-    )
-
-
-def _split_state(spec, s, columns):
+def _split_state(spec, s):
     """(rest key, a_sub, b_sub): deformed submatrices split off the plain
-    rest, on the colours `_columns(spec)` lists."""
+    rest, by the row getters of `spec.column_getters`."""
     if s.sL or s.sR:
         raise ValueError("inner product is implemented on the t^0 sector")
-    plain_a, plain_b, a_cols, b_cols = columns
-    qs, ps = range(spec.q), range(spec.p)
-    a_sub = None if a_cols is None else block_matrix(s.a, qs, a_cols)
-    b_sub = None if b_cols is None else block_matrix(s.b, ps, b_cols)
-    return (s.f, block_matrix(s.a, qs, plain_a), block_matrix(s.b, ps, plain_b)), a_sub, b_sub
+    plain_a, plain_b, a_sub, b_sub = spec.column_getters
+    a, b = s.a, s.b
+    return (
+        (s.f, tuple(map(plain_a, a)), tuple(map(plain_b, b))),
+        None if a_sub is None else tuple(map(a_sub, a)),
+        None if b_sub is None else tuple(map(b_sub, b)),
+    )
 
 
 class Prepared(NamedTuple):
@@ -355,12 +347,11 @@ def prepare(spec, u) -> Prepared:
     """A LinComb or state as a `Prepared` vector; a Prepared is returned as is."""
     if isinstance(u, Prepared):
         return u
-    lc = u if isinstance(u, dict) else {u: Fraction(1)}
+    lc = u if isinstance(u, dict) else {u: 1}
     denom = lcm(*(c.denominator for c in lc.values()))
-    columns = _columns(spec)
     rests = {}
     for s, c in lc.items():
-        rest, a_sub, b_sub = _split_state(spec, s, columns)
+        rest, a_sub, b_sub = _split_state(spec, s)
         entry = rests.get(rest)
         if entry is None:
             entry = rests[rest] = (_fock_norm(rest[1]) * _fock_norm(rest[2]), {})
@@ -381,46 +372,57 @@ def inner_product(spec, u, v) -> Fraction:
 
     Factorises over oscillator families: plain Fock factors pair diagonally
     with factorials, fermions with delta, and each deformed block through its
-    c_mu-weighted form, evaluated per bi-charge slice at vector level.
+    c_mu-weighted form, evaluated per bi-charge slice at vector level.  Each
+    slice pairing is an integer numerator over its Newton denominator; they
+    are summed per denominator and make one Fraction.
     """
     pu = prepare(spec, u)
     pv = pu if v is u else prepare(spec, v)
     form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
     form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
-    total = 0
+    acc = {}  # slice denominator -> integer numerator
     for rest, (fact, data1) in pu.rests.items():
         got = pv.rests.get(rest)
         if got is None:
             continue
         data2 = got[1]
         if form_a is not None and form_b is not None:
-            total += fact * _eval_double(form_a, form_b, data1, data2)
+            _eval_double(form_a, form_b, data1, data2, fact, acc)
         elif form_a is not None or form_b is not None:
-            total += fact * _eval_single(form_a or form_b, data1, data2)
+            _eval_single(form_a or form_b, data1, data2, fact, acc)
         else:
-            total += fact * data1[None] * data2[None]
-    return Fraction(total, pu.denom * pv.denom)
+            acc[1] = acc.get(1, 0) + fact * data1[None] * data2[None]
+    den = lcm(*acc)
+    num = sum(x * (den // d) for d, x in acc.items())
+    return Fraction(num, den * pu.denom * pv.denom)
 
 
-def _eval_single(form, data1, data2):
-    total = 0
+def _eval_single(form, data1, data2, fact, acc):
+    """Add fact times each slice pairing of one deformed block into acc."""
     for marg, coords1 in data1.items():
         coords2 = data2.get(marg)
         if coords2:
-            total += form.eval_coords(marg, coords1, coords2)
-    return total
+            num, den = form.eval_coords(marg, coords1, coords2)
+            acc[den] = acc.get(den, 0) + fact * num
 
 
-def _eval_double(form_a, form_b, data1, data2):
-    total = 0
+def _eval_double(form_a, form_b, data1, data2, fact, acc):
+    """Add fact times each (a slice, b slice) pairing into acc: the b
+    monomials b1, b2 of a group share the b margins of its key, so their
+    pairing is sum_j a_j(b) <N_j b1, b2>_Fock on the b-form's numerators."""
     for key, bgroups1 in data1.items():
         bgroups2 = data2.get(key)
         if not bgroups2:
             continue
-        a_marg = key[0]
+        a_marg, b_marg = key
+        nums_b, den_b = form_b.newton_numerators(b_marg)
+        den = den_b * form_a.newton_numerators(a_marg)[1]
+        total = 0
         for b1, coords_a1 in bgroups1.items():
+            images = form_b.spectrum.images(b_marg, {b1: 1})
             for b2, coords_a2 in bgroups2.items():
-                gb = form_b.pair(b1, b2)
+                gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images))
                 if gb:
-                    total += gb * form_a.eval_coords(a_marg, coords_a1, coords_a2)
-    return total
+                    num_a, _den_a = form_a.eval_coords(a_marg, coords_a1, coords_a2)
+                    total += gb * _fock_norm(b2) * num_a
+        acc[den] = acc.get(den, 0) + fact * total

@@ -32,7 +32,7 @@ def build_u0(d: NonCompactYoungDiagram):
     """The K-highest vector of U_0 as a LinComb, plus its OscillatorSpec."""
     spec = OscillatorSpec.from_diagram(d)
     label = d.label
-    v = {spec.vacuum(): Fraction(1)}
+    v = {spec.vacuum(): 1}
 
     # left block: bottom-row minors of b over B_delta colours
     mu_l = label.mu_L
@@ -86,7 +86,7 @@ class HwsReport:
 
 def verify_hws(spec: OscillatorSpec, v) -> HwsReport:
     """Check E_ij v = 0 for all i < j and read the Cartan eigenvalues."""
-    lc = v if isinstance(v, dict) else {v: Fraction(1)}
+    lc = v if isinstance(v, dict) else {v: 1}
     if len({spec.state_charge(s) for s in lc}) != 1:
         return HwsReport(False, None, None)
     for i in range(spec.n):
@@ -309,7 +309,12 @@ def analyze_gram(G):
 
 
 def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
-    """Exact Gram analysis of the induced module up to the given E^(-) depth."""
+    """Exact Gram analysis of the induced module up to the given E^(-) depth.
+
+    A negative cutoff is refused (ValueError): it would analyse no slice and
+    report an empty, positive definite Gram matrix."""
+    if cutoff < 0:
+        raise ValueError(f"the E^(-) depth cutoff must be >= 0, got {cutoff}")
     spec, u0 = build_u0(d)
     norm0 = inner_product(spec, u0, u0)
     if norm0 == 0:

@@ -14,7 +14,7 @@ det X - t is the only relation, so this rewriting is a Groebner normal form:
 exact, with integer coefficients, and the same for every gamma.  The normal
 form of each block (matrix, s power, colours) is computed once per process
 and kept in `_NORMAL_FORMS`; `reduce_state` returns integer coefficients
-that the callers multiply into their Fraction coefficients.
+that the callers multiply into their coefficients.
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ def zero_state(p: int, m: int, q: int, P: int) -> State:
     )
 
 
-# LinComb: dict[State, Fraction]; all helpers below are non-mutating unless
-# named *_into.
+# LinComb: dict[State, int | Fraction]; a coefficient stays an int until a
+# Fraction (a gamma tail, a division) enters it.  All helpers below are
+# non-mutating unless named *_into.
 
-def add_into(acc: dict, state: State, coeff: Fraction):
+def add_into(acc: dict, state: State, coeff: int | Fraction):
     cur = acc.get(state)
     new = coeff if cur is None else cur + coeff
     if new == 0:
@@ -115,7 +116,7 @@ def combine(*terms) -> dict:
     return acc
 
 
-def scale(lc: dict, factor: Fraction) -> dict:
+def scale(lc: dict, factor: int | Fraction) -> dict:
     if factor == 0:
         return {}
     return {s: c * factor for s, c in lc.items()}
@@ -172,14 +173,9 @@ def _reduce_block(mat, s, cols):
 
 def reduce_state(state: State, a_cols, b_cols) -> dict:
     """Normal form of a monomial given the deformed-block colour tuples:
-    {State: int}, which callers fold into their Fraction coefficients."""
+    {State: int}, which callers fold into their coefficients."""
     return {
         State(amat, bmat, state.f, sL, sR): ca * cb
         for amat, sR, ca in _reduce_block(state.a, state.sR, a_cols)
         for bmat, sL, cb in _reduce_block(state.b, state.sL, b_cols)
     }
-
-
-def block_matrix(mat, rows, cols):
-    """Extract the sub-matrix over the given flavour rows and colours."""
-    return tuple(tuple(mat[r][c] for c in cols) for r in rows)

@@ -88,6 +88,16 @@ def test_verify_command(capsys):
     assert code == 0 and "positive_definite=True" in out
 
 
+def test_verify_negative_cutoff_exit2(capsys):
+    """A negative cutoff is a usage error, not an empty positive definite
+    Gram matrix that disagrees with the theorem (exit 4, MISMATCH)."""
+    lab = json.dumps({"p": 2, "q": 2, "m": 0, "mu_L": [], "tau": [], "mu_R": [],
+                      "beta_L": "0", "beta_R": "1/2"})
+    code, out, err = run(capsys, "verify", "--cutoff", "-1", "--label", lab)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "cutoff" in err
+
+
 GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "src" / "superdual" / "goldens"
 
 

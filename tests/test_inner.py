@@ -2,6 +2,7 @@
 against an independent per-component reference, and the spectral data shared
 across gamma."""
 
+import hashlib
 import itertools
 from fractions import Fraction as F
 from math import factorial, lcm
@@ -13,7 +14,7 @@ from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
 from superdual.oscillator import inner, states
-from superdual.oscillator.capelli import capelli_identity_check
+from superdual.oscillator.capelli import capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
     BlockForm,
@@ -27,7 +28,7 @@ from superdual.oscillator.inner import (
     inner_product,
     prepare,
 )
-from superdual.oscillator.states import PERMS, State, block_matrix
+from superdual.oscillator.states import PERMS, State
 from superdual.partitions import Partition, partitions_bounded
 
 GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
@@ -157,7 +158,9 @@ def test_block_form_matches_per_component_reference(case):
     # cold: a private spectrum; the shared one holds every earlier example
     fresh = BlockForm(n, gamma)
     fresh.spectrum = BlockSpectrum(n)
-    got = fresh.eval_coords(margins, u, v)
+    num, den = fresh.eval_coords(margins, u, v)
+    assert den == fresh.newton_numerators(margins)[1]
+    got = F(num, den)
 
     want = sum(
         (c_mu(mu, gamma, n) * r * s * _fock_pair(u_mu, v_mu) for mu, u_mu, v_mu, r, s in parts),
@@ -168,7 +171,7 @@ def test_block_form_matches_per_component_reference(case):
     warmed = block_form(n, gamma)
     for _ in range(2):
         warmed.eval_coords(margins, v, u)
-        assert warmed.eval_coords(margins, dict(u), dict(v)) == got
+        assert F(*warmed.eval_coords(margins, dict(u), dict(v))) == got
 
     if n == 1:
         # one component, mu = (d): (gamma + 1)_d times the Fock pairing
@@ -341,6 +344,10 @@ def _old_pair(form, m1, m2):
     return _old_eval_coords(form, k1, {m1: F(1)}, {m2: F(1)})
 
 
+def _block_matrix(mat, rows, cols):
+    return tuple(tuple(mat[r][c] for c in cols) for r in rows)
+
+
 def _old_split_state(spec, s):
     a_cols = spec.A_delta if spec.a_deformed else ()
     b_cols = spec.B_delta if spec.b_deformed else ()
@@ -350,8 +357,8 @@ def _old_split_state(spec, s):
     plain_b = tuple(
         tuple(s.b[fl][A] for A in range(spec.P) if A not in b_cols) for fl in range(spec.p)
     )
-    a_sub = block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
-    b_sub = block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
+    a_sub = _block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
+    b_sub = _block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
     return (s.f, plain_a, plain_b), a_sub, b_sub
 
 
@@ -459,7 +466,9 @@ def pairing_cases(draw):
         pattern = draw(st.integers(0, 1))
         a, b = matrix(spec.q, pattern), matrix(spec.p, pattern)
         pool.append(State(a, b, pattern * (2 ** (spec.m * spec.P) - 1), 0, 0))
-    coefficient = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 6))
+    # int and Fraction coefficients mixed, as in LinCombs seeded with int 1
+    nonzero = st.integers(-4, 4).filter(bool)
+    coefficient = nonzero | st.builds(F, nonzero, st.integers(1, 6))
 
     def lincomb():
         states = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
@@ -485,6 +494,108 @@ def test_prepared_inner_product_matches_grouped_fraction_path(case):
     assert inner_product(spec, s, v) == _old_inner_product(spec, s, v)
     assert inner_product(spec, pu, s) == _old_inner_product(spec, u, s)
     assert inner_product(spec, s, s) == _old_inner_product(spec, s, s)
+
+
+# -- the prepared pairing that summed a Fraction per slice pairing ----------
+# kept as the reference for the integer numerators summed per denominator
+
+
+def _fraction_eval_coords(form, margins, coords1, coords2):
+    nums, den = form.newton_numerators(margins)
+    images = form.spectrum.images(margins, coords1)
+    return F(sum(a * inner._fock_pair(img, coords2) for a, img in zip(nums, images)), den)
+
+
+def _fraction_pair(form, m1, m2):
+    k1, k2 = inner._margins(m1), inner._margins(m2)
+    if k1 != k2:
+        return F(0)
+    return _fraction_eval_coords(form, k1, {m1: 1}, {m2: 1})
+
+
+def _fraction_inner_product(spec, u, v):
+    pu, pv = prepare(spec, u), prepare(spec, v)
+    form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
+    form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
+    total = 0
+    for rest, (fact, data1) in pu.rests.items():
+        got = pv.rests.get(rest)
+        if got is None:
+            continue
+        data2 = got[1]
+        if form_a is not None and form_b is not None:
+            for key, bgroups1 in data1.items():
+                for b1, coords_a1 in bgroups1.items():
+                    for b2, coords_a2 in data2.get(key, {}).items():
+                        gb = _fraction_pair(form_b, b1, b2)
+                        if gb:
+                            total += fact * gb * _fraction_eval_coords(
+                                form_a, key[0], coords_a1, coords_a2
+                            )
+        elif form_a is not None or form_b is not None:
+            for marg, coords1 in data1.items():
+                if data2.get(marg):
+                    total += fact * _fraction_eval_coords(
+                        form_a or form_b, marg, coords1, data2[marg]
+                    )
+        else:
+            total += fact * data1[None] * data2[None]
+    return F(total, pu.denom * pv.denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_cases())
+def test_integer_inner_product_matches_fraction_summing_path(case):
+    """Specs with no deformed block, a only, b only and both; coefficients
+    int and Fraction mixed."""
+    spec, pool, u, v = case
+    for x, y in ((u, v), (v, u), (u, u), (pool[0], v), (u, pool[-1])):
+        got = inner_product(spec, x, y)
+        assert type(got) is F and got == _fraction_inner_product(spec, x, y)
+
+
+# delta_ladder_norms and capelli_identity_check at P = 2, 3 over the five
+# gammas of the capelli-ladder benchmark (every mu of size <= 3 and height
+# <= P, nmax 3; identity cutoffs 3 and 1): the sha256 of the repr of the
+# values the Fraction-summing pairing gave, so a changed value or type fails.
+CAPELLI_GAMMAS = (F(1, 2), F(-1, 3), F(2, 3), F(-1, 2), F(1, 3))
+CAPELLI_DIGEST = "fb567f1f51eed843ad702be649da233b61dbaf2fb666e4e7fe3323f6e9522602"
+
+
+def test_capelli_values_unchanged_on_benchmark_gammas():
+    values = []
+    for P in (2, 3):
+        for gamma in CAPELLI_GAMMAS:
+            for mu in partitions_bounded(P, 3):
+                if mu.size > 3:
+                    continue
+                ratios = delta_ladder_norms(P, gamma, mu, 3)
+                assert ratios == [capelli_norm_factor(mu, gamma, n, P) for n in range(3)]
+                values.append((P, gamma, mu.parts, ratios))
+            values.append((P, gamma, capelli_identity_check(P, gamma, cutoff={2: 3, 3: 1}[P])))
+    assert len(values) == 75 and all(v[-1] is True for v in values if len(v) == 3)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == CAPELLI_DIGEST
+
+
+def test_results_stay_fractions_on_int_seeded_inputs():
+    """Exact results are Fractions even where every coefficient is an int."""
+    for spec in PAIRING_SPECS:
+        s = spec.vacuum()
+        assert type(inner_product(spec, s, s)) is F
+        assert type(inner_product(spec, {s: 2}, {s: -3})) is F
+        assert type(inner_product(spec, {}, {s: 1})) is F
+
+    d = realize(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), allow_nonunitary=True)
+    rep = gram_positivity(d, cutoff=3)
+    assert rep.has_negative
+    assert all(type(w) is F for sl in rep.slices for w in sl.weight)
+    weight, (tags, coeffs) = rep.negative_witness
+    assert all(type(w) is F for w in weight)
+    assert len(coeffs) == len(tags) and all(type(c) is F for c in coeffs)
+
+    assert all(type(r) is F for r in delta_ladder_norms(2, F(1, 2), Partition((1,)), 2))
+    assert all(type(r) is F for r in delta_ladder_norms(2, 1, Partition(()), 2))
+    assert type(capelli_norm_factor(Partition(()), 0, 0, 2)) is F
 
 
 def _old_L_apply(lc, i, j, n):
