@@ -23,7 +23,7 @@ from .labels import (
     psu_central_charge,
     weight_from_label,
 )
-from .lattice import build_weight_lattice, plaquette_check, weight_in_grading
+from .lattice import build_weight_lattice, plaquette_check
 from .rationals import rat, rat_str, wire_int
 from .shortening import bps_type_22_4, dolan_osborn, shortening_profile_of
 from .weights import FundamentalWeight
@@ -154,9 +154,6 @@ def cmd_lattice(args):
     else:
         label = _label_arg(args.label)
         w = weight_from_label(label, allow_nonunitary=True)
-    if args.grading:
-        lat = build_weight_lattice(w)
-        w = weight_in_grading(lat, parse_grading(args.grading))
     lat = build_weight_lattice(w)
     rep = plaquette_check(lat)
     if args.format == "json":
@@ -336,7 +333,6 @@ def build_parser():
     sp = add("lattice", cmd_lattice, help="plaquette sign matrix of a weight")
     sp.add_argument("--weight", help="weight JSON (file or literal)")
     sp.add_argument("--label", help="alternatively a label JSON")
-    sp.add_argument("--grading", help="re-read the lattice along this grading first")
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = add("diagram", cmd_diagram, help="non-compact Young diagram of a label")

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .gradings import Grading
 from .labels import RepLabel, classify_supqm, weight_pmq_from_realization
+from .lattice import build_weight_lattice, weight_in_grading
 from .partitions import Partition
 from .rationals import is_int, rat, rat_str, wire_int
 from .weights import FundamentalWeight
@@ -87,13 +88,6 @@ class Realization:
             raise ValueError("beta_L inconsistent with realization")
         if label.beta_R != self.gamma_R + self.fdelta:
             raise ValueError("beta_R inconsistent with realization")
-
-    def is_admissible(self, label: RepLabel) -> bool:
-        try:
-            self.check(label)
-            return True
-        except ValueError:
-            return False
 
     def to_json(self):
         return {
@@ -204,58 +198,16 @@ def _realize_m0(label: RepLabel) -> Realization:
 # ---------------------------------------------------------------------------
 
 def read_weight(d: NonCompactYoungDiagram, g: Grading) -> FundamentalWeight:
-    """Walk the Kac-Dynkin path of g across the diagram and read the weight.
+    """The diagram's weight in grading g.
 
-    Local transport over the diagram's boundary data: each cell crossing
-    applies the duality rule, freezing on shortening cells.  Independent of
-    (and cross-checked against) duality.build_weight_lattice.
+    The su(p,|m|q) weight of the realization, carried to g along the weight
+    lattice (`lattice.weight_in_grading`); returned as is when g is its own
+    grading.
     """
-    from .lattice import lattice_shape
-
-    label = d.label
-    shape = lattice_shape(g)
-    if (shape.p, shape.q, shape.m) != (label.p, label.q, label.m):
-        raise ValueError("grading dimensions do not match the diagram")
-
-    w0 = weight_pmq_from_realization(label, d.realization)
-    lam = {(label.p, c): w0.values[label.p + c - 1] for c in range(1, label.m + 1)}
-    nu = {(r, 0): w0.values[r - 1] for r in range(1, label.p + 1)}
-    for a in range(1, label.q + 1):
-        nu[(label.p + a, label.m)] = w0.values[label.p + label.m + a - 1]
-
-    def get_lam(level, col):
-        # horizontal edge at (level, col): seeds live at level p
-        if (level, col) not in lam:
-            if level > label.p:
-                # top edge of cell (level, col), from its bottom and right edges
-                bottom = get_lam(level - 1, col)
-                right = get_nu(level, col)
-                lam[(level, col)] = bottom if bottom + right == 0 else bottom - 1
-            else:
-                # bottom edge of cell (level + 1, col), from its top and left
-                top = get_lam(level + 1, col)
-                left = get_nu(level + 1, col - 1)
-                lam[(level, col)] = top if top + left == 0 else top + 1
-        return lam[(level, col)]
-
-    def get_nu(row, col):
-        # vertical edge at (row, col): lower rows seeded at col 0 (propagate
-        # east), upper rows seeded at col m (propagate west)
-        if (row, col) not in nu:
-            if row <= label.p:
-                # right edge of cell (row, col)
-                top = get_lam(row, col)
-                left = get_nu(row, col - 1)
-                nu[(row, col)] = left if top + left == 0 else left - 1
-            else:
-                # left edge of cell (row, col + 1)
-                bottom = get_lam(row - 1, col + 1)
-                right = get_nu(row, col + 1)
-                nu[(row, col)] = right if bottom + right == 0 else right + 1
-        return nu[(row, col)]
-
-    vals = [get_nu(a, b) if kind == "v" else get_lam(a, b) for kind, a, b in shape.steps]
-    return FundamentalWeight(g, vals)
+    w0 = weight_pmq_from_realization(d.label, d.realization)
+    if g == w0.grading:
+        return w0
+    return weight_in_grading(build_weight_lattice(w0), g)
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,6 @@ class Grading:
             for i in range(len(self.entries) - 1)
         )
 
-    def n_even(self) -> int:
-        return sum(1 for p, _ in self.entries if p == 0)
-
-    def n_odd(self) -> int:
-        return sum(1 for p, _ in self.entries if p == 1)
-
 
 _GRADING_RE = re.compile(r"^su\(([0-9,|]+)\)$")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gradings import Grading
-from .lattice import build_weight_lattice, weight_in_grading
+from .lattice import lattice_shape
 from .partitions import Partition
 from .rationals import is_int, rat, rat_str, wire_int
 from .weights import FundamentalWeight
@@ -254,8 +254,6 @@ def psu_central_charge(label: RepLabel) -> Fraction:
 
 def label_from_weight(w: FundamentalWeight) -> RepLabel:
     """Extract the invariant tuple from a weight in the su(p,|m|q) grading."""
-    from .lattice import lattice_shape
-
     shape = lattice_shape(w.grading)
     p, q, m = shape.p, shape.q, shape.m
     # the path must run: p verticals, then m horizontals, then q verticals
@@ -292,21 +290,20 @@ def weight_from_label(
     """Realise the label minimally and read its weight in `target`.
 
     The weight is built in the su(p,|m|q) grading from the realization data
-    (gamma_L, gamma_R, |F_Delta|, P) and transported along the weight lattice.
+    (gamma_L, gamma_R, |F_Delta|, P) and, given a target, transported along
+    the weight lattice by `diagrams.read_weight`.
     Pass allow_nonunitary=True to build weights for non-unitary labels
     (the lattice machinery is well-defined there and is how violations are
     exhibited).
     """
-    from .diagrams import realize  # local import to avoid a cycle
+    from .diagrams import read_weight, realize  # local import to avoid a cycle
 
     if not allow_nonunitary and not classify_supqm(label).unitary:
         raise ValueError(f"label {label} is not unitary (pass allow_nonunitary)")
     d = realize(label, allow_nonunitary=allow_nonunitary)
-    w0 = weight_pmq_from_realization(label, d.realization)
-    if target is None or target == w0.grading:
-        return w0
-    lat = build_weight_lattice(w0)
-    return weight_in_grading(lat, target)
+    if target is None:
+        return weight_pmq_from_realization(label, d.realization)
+    return read_weight(d, target)
 
 
 def weight_pmq_from_realization(label: RepLabel, realization) -> FundamentalWeight:

@@ -126,14 +126,6 @@ class WeightLattice:
         """S = lambda_top + nu_left (= lambda_bottom + nu_right)."""
         return self.h_edges[(row, col)] + self.v_edges[(row, col - 1)]
 
-    def zero_cells(self):
-        return sorted(
-            (r, c)
-            for r in range(1, self.p + self.q + 1)
-            for c in range(1, self.m + 1)
-            if self.cell_sum(r, c) == 0
-        )
-
 
 def build_weight_lattice(w: FundamentalWeight) -> WeightLattice:
     """Propagate the duality rules from w's path to every edge.

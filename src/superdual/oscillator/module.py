@@ -264,9 +264,6 @@ class GramReport:
     slices: list
     negative_witness: tuple | None
 
-    def kernel_dims(self):
-        return {tuple(s.weight): s.kernel_dim for s in self.slices if s.kernel_dim}
-
 
 def analyze_gram(G):
     """Inertia of the symmetric matrix G by symmetric reduction on `RowSpace`.

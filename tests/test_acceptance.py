@@ -21,7 +21,6 @@ from superdual.diagrams import (
     realize,
     to_thook,
 )
-from superdual.gradings import Grading
 from superdual.labels import (
     RepLabel,
     classify_covariant,
@@ -53,6 +52,7 @@ from superdual.partitions import Partition, partitions_bounded
 from superdual.shortening import bps_type_22_4, can_recombine, dolan_osborn
 from superdual.tables import doubleton, label_2244
 from superdual.weights import FundamentalWeight
+from test_lattice import random_paths
 
 
 def report(name, cond, detail=""):
@@ -461,19 +461,7 @@ def test_criterion_9_roundtrips():
         p, q, m = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3)
         if p + q == 0:
             q = 1
-        gradings = []
-        for _g in range(2):
-            steps = ["v"] * (p + q) + ["h"] * m
-            rng.shuffle(steps)
-            entries = []
-            row = 0
-            for s in steps:
-                if s == "v":
-                    row += 1
-                    entries.append((0, 0 if row <= p else 1))
-                else:
-                    entries.append((1, 1))
-            gradings.append(Grading(entries))
+        gradings = random_paths(p, q, m, rng, 2)
         vals = tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(p + q + m))
         lat0 = build_weight_lattice(FundamentalWeight(gradings[0], vals))
         w1 = weight_in_grading(lat0, gradings[1])
@@ -485,17 +473,7 @@ def test_criterion_9_roundtrips():
         lab = _random_unitary_label(rng)
         w = weight_from_label(lab)
         lat = build_weight_lattice(w)
-        steps = ["v"] * (lab.p + lab.q) + ["h"] * lab.m
-        rng.shuffle(steps)
-        entries = []
-        row = 0
-        for s in steps:
-            if s == "v":
-                row += 1
-                entries.append((0, 0 if row <= lab.p else 1))
-            else:
-                entries.append((1, 1))
-        g = Grading(entries)
+        (g,) = random_paths(lab.p, lab.q, lab.m, rng, 1)
         w2 = weight_in_grading(lat, g)
         lat2 = build_weight_lattice(w2)
         back = label_from_weight(weight_in_grading(lat2, grading_pmq(lab.p, lab.m, lab.q)))

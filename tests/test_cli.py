@@ -165,6 +165,7 @@ def test_malformed_label_exit2(capsys, label):
     ["diagram", "--label", YM, "--P", "1"],
     ["shorten", "--label", YM, "--P", "0"],
     ["do-label", "--label", YM, "--P", "2"],
+    ["lattice", "--label", YM, "--grading", "su(2,2|4)"],
 ])
 def test_removed_options_exit2(capsys, argv):
     code, out, _ = run(capsys, *argv)

@@ -19,16 +19,16 @@ from superdual.diagrams import (
     render,
     to_thook,
 )
-from superdual.gradings import Grading
 from superdual.labels import (
     RepLabel,
     classify_supqm,
-    grading_distinguished,
     grading_pmq,
     label_from_weight,
+    weight_from_label,
 )
-from superdual.lattice import build_weight_lattice, weight_in_grading
+from superdual.lattice import duality_step
 from superdual.partitions import Partition
+from test_lattice import random_paths
 
 
 def test_realize_examples():
@@ -60,26 +60,53 @@ def test_realize_invariants_on_grid():
         assert F(-1) < d.realization.gamma_R <= 0
 
 
-def test_read_weight_matches_transport():
+def _duality_chain(w, target):
+    """w carried to the target staircase by adjacent v/h swaps: one
+    `duality_step` per swap, each letter moved left to its target place."""
+    kinds = [p for p, _c in w.grading.entries]
+    for i, (p, _c) in enumerate(target.entries):
+        for node in range(kinds.index(p, i), i, -1):
+            w = duality_step(w, node)
+            kinds[node - 1], kinds[node] = kinds[node], kinds[node - 1]
+    assert w.grading == target
+    return w
+
+
+def _random_block(rng, n):
+    """A proper partition for a block of n indices, entries 0..3."""
+    return Partition(sorted((rng.randint(0, 3) for _ in range(n - 1)), reverse=True))
+
+
+def _random_beta(rng):
+    """A beta in [-3, 12] over denominator 1 (half the draws), 2 or 3."""
+    return F(rng.randint(-3, 12), rng.choice([1, 1, 2, 3]))
+
+
+def test_read_weight_matches_duality_chain():
+    """read_weight and weight_from_label in a random staircase grading equal
+    the chain of duality steps from the su(p,|m|q) weight, on unitary and
+    non-unitary labels."""
     rng = random.Random(9)
-    lab = RepLabel(2, 2, 4, (2, 0), (3, 1, 0), (1, 0), 3, F(5, 2))
-    d = realize(lab)
-    w0 = read_weight(d, grading_pmq(2, 4, 2))
-    lat = build_weight_lattice(w0)
-    # all staircase gradings of the (2,2|4) family
-    for _ in range(20):
-        steps = ["v"] * 4 + ["h"] * 4
-        rng.shuffle(steps)
-        entries = []
-        row = 0
-        for s in steps:
-            if s == "v":
-                row += 1
-                entries.append((0, 0 if row <= 2 else 1))
-            else:
-                entries.append((1, 1))
-        g = Grading(entries)
-        assert read_weight(d, g).values == weight_in_grading(lat, g).values
+    unitary = nonunitary = 0
+    for _ in range(300):
+        p, q, m = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3)
+        if p + q == 0:
+            q = 1
+        lab = RepLabel(
+            p, q, m, _random_block(rng, p), _random_block(rng, m), _random_block(rng, q),
+            _random_beta(rng) if p else 0, _random_beta(rng) if q else 0,
+        )
+        d = realize(lab, allow_nonunitary=True)
+        w0 = read_weight(d, grading_pmq(p, m, q))
+        for g in random_paths(p, q, m, rng, 2):
+            want = _duality_chain(w0, g)
+            assert read_weight(d, g) == want
+            assert weight_from_label(lab, target=g, allow_nonunitary=True) == want
+        if classify_supqm(lab).unitary:
+            unitary += 2
+        else:
+            nonunitary += 2
+    assert unitary >= 200 and nonunitary >= 200 and unitary + nonunitary == 600
 
 
 def test_read_weight_table1():

@@ -5,7 +5,7 @@ across gamma."""
 import hashlib
 import itertools
 from fractions import Fraction as F
-from math import factorial, lcm
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -314,126 +314,52 @@ def test_casimir_closed_form_matches_highest_vector_eigenvalues():
     assert cases == 7 + 16 + 23 + 12 + 7 + 7 + 4 + 4
 
 
-# -- the Fraction pairing that regrouped both vectors on every call ---------
-# kept as the reference for `prepare` and the integer pairing
+# -- the pairing from its definition, one state pair at a time -------------
 
 
-def _old_margins(m, n):
-    rows = tuple(sum(r) for r in m)
-    cols = tuple(sum(m[i][j] for i in range(n)) for j in range(n))
-    return rows, cols
+def _columns(mat, cols):
+    return tuple(tuple(row[A] for A in cols) for row in mat)
 
 
-def _old_eval_coords(form, margins, coords1, coords2):
+def _bi_charge(sub):
+    return tuple(map(sum, sub)), tuple(map(sum, zip(*sub)))
+
+
+def _block_pairing(n, gamma, sub1, sub2):
+    """sum_j a_j <N_j sub1, sub2>_Fock on a deformed block of size n, zero
+    across bi-charge slices: a_j from `BlockForm.newton`, N_0 = sub1 and
+    N_{j+1} = (C - lambda_j) N_j by `_casimir_apply` itself."""
+    margins = _bi_charge(sub1)
+    if margins != _bi_charge(sub2):
+        return 0
+    form = block_form(n, gamma)
     t, _mus, lams = form.spectrum.nodes(margins)
-    denom = lcm(*(c.denominator for c in coords1.values()))
-    img = {m: int(c * denom) for m, c in coords1.items()}
-    images = [coords1]
-    for lam in lams[:-1]:
-        img = _casimir_apply(img, form.n, t, lam)
-        if not img:
-            break
-        images.append({m: F(c, denom) for m, c in img.items()})
-    return sum((a * _fock_pair(img, coords2) for a, img in zip(form.newton(margins), images)), F(0))
-
-
-def _old_pair(form, m1, m2):
-    k1, k2 = _old_margins(m1, form.n), _old_margins(m2, form.n)
-    if k1 != k2:
-        return F(0)
-    return _old_eval_coords(form, k1, {m1: F(1)}, {m2: F(1)})
-
-
-def _block_matrix(mat, rows, cols):
-    return tuple(tuple(mat[r][c] for c in cols) for r in rows)
-
-
-def _old_split_state(spec, s):
-    a_cols = spec.A_delta if spec.a_deformed else ()
-    b_cols = spec.B_delta if spec.b_deformed else ()
-    plain_a = tuple(
-        tuple(s.a[fl][A] for A in range(spec.P) if A not in a_cols) for fl in range(spec.q)
-    )
-    plain_b = tuple(
-        tuple(s.b[fl][A] for A in range(spec.P) if A not in b_cols) for fl in range(spec.p)
-    )
-    a_sub = _block_matrix(s.a, range(spec.q), a_cols) if spec.a_deformed else None
-    b_sub = _block_matrix(s.b, range(spec.p), b_cols) if spec.b_deformed else None
-    return (s.f, plain_a, plain_b), a_sub, b_sub
-
-
-def _group(spec, lc):
-    groups = {}
-    for s, c in lc.items():
-        rest, a_sub, b_sub = _old_split_state(spec, s)
-        groups.setdefault(rest, {})
-        key = (a_sub, b_sub)
-        groups[rest][key] = groups[rest].get(key, F(0)) + c
-    return groups
-
-
-def _old_eval_single(form, terms1, terms2, pos):
-    by_margin1, by_margin2 = {}, {}
-    for terms, by_margin in ((terms1, by_margin1), (terms2, by_margin2)):
-        for subs, c in terms.items():
-            sub = subs[pos]
-            by_margin.setdefault(_old_margins(sub, form.n), {})[sub] = c
-    total = F(0)
-    for marg, coords1 in by_margin1.items():
-        coords2 = by_margin2.get(marg)
-        if coords2:
-            total += _old_eval_coords(form, marg, coords1, coords2)
+    total, image = F(0), {sub1: 1}
+    for a, lam in zip(form.newton(margins), lams):
+        total += a * _fock_pair(image, {sub2: 1})
+        image = _casimir_apply(image, n, t, lam)
     return total
 
 
-def _old_eval_double(form_a, form_b, terms1, terms2):
-    def organise(terms):
-        by_key = {}
-        for (a_sub, b_sub), c in terms.items():
-            key = (_old_margins(a_sub, form_a.n), _old_margins(b_sub, form_b.n))
-            by_key.setdefault(key, {}).setdefault(b_sub, {})[a_sub] = c
-        return by_key
-
-    k1, k2 = organise(terms1), organise(terms2)
+def _definition_inner_product(spec, u, v):
+    """<u, v>, bilinear over state pairs: two t^0 states pair only when their
+    fermion bits and plain colours agree, and then as the product of the
+    plain factorials and of `_block_pairing` on each deformed block."""
     total = F(0)
-    for key, bgroups1 in k1.items():
-        bgroups2 = k2.get(key)
-        if not bgroups2:
-            continue
-        for b1, coords_a1 in bgroups1.items():
-            for b2, coords_a2 in bgroups2.items():
-                gb = _old_pair(form_b, b1, b2)
-                if gb:
-                    total += gb * _old_eval_coords(form_a, key[0], coords_a1, coords_a2)
-    return total
-
-
-def _old_inner_product(spec, u, v):
-    lc1 = u if isinstance(u, dict) else {u: F(1)}
-    lc2 = v if isinstance(v, dict) else {v: F(1)}
-    if not lc1 or not lc2:
-        return F(0)
-    g1, g2 = _group(spec, lc1), _group(spec, lc2)
-    form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
-    form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
-    total = F(0)
-    for rest, terms1 in g1.items():
-        terms2 = g2.get(rest)
-        if not terms2:
-            continue
-        fact = 1
-        for mat in (rest[1], rest[2]):
-            for row in mat:
-                for e in row:
-                    fact *= factorial(e)
-        if form_a is None and form_b is None:
-            total += fact * terms1.get((None, None), F(0)) * terms2.get((None, None), F(0))
-        elif form_b is None:
-            total += fact * _old_eval_single(form_a, terms1, terms2, 0)
-        elif form_a is None:
-            total += fact * _old_eval_single(form_b, terms1, terms2, 1)
-        else:
-            total += fact * _old_eval_double(form_a, form_b, terms1, terms2)
+    for s1, c1 in (u if isinstance(u, dict) else {u: 1}).items():
+        for s2, c2 in (v if isinstance(v, dict) else {v: 1}).items():
+            if s1.f != s2.f:
+                continue
+            term = F(c1 * c2)
+            for m1, m2, cols, n, gamma in (
+                (s1.a, s2.a, spec.A_delta if spec.a_deformed else (), spec.q, spec.gamma_R),
+                (s1.b, s2.b, spec.B_delta if spec.b_deformed else (), spec.p, spec.gamma_L),
+            ):
+                plain = [A for A in range(spec.P) if A not in cols]
+                term *= _fock_pair({_columns(m1, plain): 1}, {_columns(m2, plain): 1})
+                if cols:
+                    term *= _block_pairing(n, gamma, _columns(m1, cols), _columns(m2, cols))
+            total += term
     return total
 
 
@@ -450,8 +376,9 @@ PAIRING_SPECS = (
 def pairing_cases(draw):
     """(spec, pool, u, v): u, v random LinCombs over one pool of t^0 states.
 
-    Plain exponents and fermion bits come from two patterns, so rest keys
-    repeat; block exponents are 0..2, so slices hold several monomials."""
+    Plain exponents (0..2) and fermion bits (0/1) each come from one pattern
+    per state, so rest keys repeat and carry Fock factors other than 1;
+    block exponents are 0..2, so slices hold several monomials."""
     spec = draw(st.sampled_from(PAIRING_SPECS))
     blocks = set(spec.bosons["a"].block) | set(spec.bosons["b"].block)
 
@@ -463,9 +390,9 @@ def pairing_cases(draw):
 
     pool = []
     for _ in range(draw(st.integers(1, 6))):
-        pattern = draw(st.integers(0, 1))
+        pattern, bits = draw(st.integers(0, 2)), draw(st.integers(0, 1))
         a, b = matrix(spec.q, pattern), matrix(spec.p, pattern)
-        pool.append(State(a, b, pattern * (2 ** (spec.m * spec.P) - 1), 0, 0))
+        pool.append(State(a, b, bits * (2 ** (spec.m * spec.P) - 1), 0, 0))
     # int and Fraction coefficients mixed, as in LinCombs seeded with int 1
     nonzero = st.integers(-4, 4).filter(bool)
     coefficient = nonzero | st.builds(F, nonzero, st.integers(1, 6))
@@ -477,81 +404,44 @@ def pairing_cases(draw):
     return spec, pool, lincomb(), lincomb()
 
 
-@settings(max_examples=150, deadline=None)
+def _argument_pairs(pool, u, v):
+    """(u, v), (v, u), (u, u) (the same-object path), (state, v), (u, state)
+    and (state, state)."""
+    return ((u, v), (v, u), (u, u), (pool[0], v), (u, pool[-1]), (pool[0], pool[0]))
+
+
+# Both tests keep the names they were introduced under, after the pairing
+# paths they were first checked against; both now check against
+# `_definition_inner_product`.
+
+
+@settings(max_examples=200, deadline=None)
 @given(pairing_cases())
 def test_prepared_inner_product_matches_grouped_fraction_path(case):
+    """`Prepared` vectors, as either argument or both, pair like the LinCombs
+    and states they came from; `prepare` passes a `Prepared` through; empty
+    vectors pair to 0."""
     spec, pool, u, v = case
-    want = _old_inner_product(spec, u, v)
-    pu, pv = prepare(spec, u), prepare(spec, v)
+    pu = prepare(spec, u)
     assert prepare(spec, pu) is pu
-    for x, y in ((u, v), (pu, v), (u, pv), (pu, pv)):
-        got = inner_product(spec, x, y)
-        assert type(got) is F and got == want
-    assert inner_product(spec, u, u) == _old_inner_product(spec, u, u)
+    for x, y in _argument_pairs(pool, u, v):
+        want = _definition_inner_product(spec, x, y)
+        px, py = prepare(spec, x), prepare(spec, y)
+        for xx, yy in ((px, y), (x, py), (px, py)):
+            got = inner_product(spec, xx, yy)
+            assert type(got) is F and got == want
     assert inner_product(spec, {}, v) == inner_product(spec, pu, {}) == F(0)
-    s = pool[0]
-    assert inner_product(spec, s, v) == inner_product(spec, prepare(spec, s), pv)
-    assert inner_product(spec, s, v) == _old_inner_product(spec, s, v)
-    assert inner_product(spec, pu, s) == _old_inner_product(spec, u, s)
-    assert inner_product(spec, s, s) == _old_inner_product(spec, s, s)
-
-
-# -- the prepared pairing that summed a Fraction per slice pairing ----------
-# kept as the reference for the integer numerators summed per denominator
-
-
-def _fraction_eval_coords(form, margins, coords1, coords2):
-    nums, den = form.newton_numerators(margins)
-    images = form.spectrum.images(margins, coords1)
-    return F(sum(a * inner._fock_pair(img, coords2) for a, img in zip(nums, images)), den)
-
-
-def _fraction_pair(form, m1, m2):
-    k1, k2 = inner._margins(m1), inner._margins(m2)
-    if k1 != k2:
-        return F(0)
-    return _fraction_eval_coords(form, k1, {m1: 1}, {m2: 1})
-
-
-def _fraction_inner_product(spec, u, v):
-    pu, pv = prepare(spec, u), prepare(spec, v)
-    form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
-    form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
-    total = 0
-    for rest, (fact, data1) in pu.rests.items():
-        got = pv.rests.get(rest)
-        if got is None:
-            continue
-        data2 = got[1]
-        if form_a is not None and form_b is not None:
-            for key, bgroups1 in data1.items():
-                for b1, coords_a1 in bgroups1.items():
-                    for b2, coords_a2 in data2.get(key, {}).items():
-                        gb = _fraction_pair(form_b, b1, b2)
-                        if gb:
-                            total += fact * gb * _fraction_eval_coords(
-                                form_a, key[0], coords_a1, coords_a2
-                            )
-        elif form_a is not None or form_b is not None:
-            for marg, coords1 in data1.items():
-                if data2.get(marg):
-                    total += fact * _fraction_eval_coords(
-                        form_a or form_b, marg, coords1, data2[marg]
-                    )
-        else:
-            total += fact * data1[None] * data2[None]
-    return F(total, pu.denom * pv.denom)
 
 
 @settings(max_examples=200, deadline=None)
 @given(pairing_cases())
 def test_integer_inner_product_matches_fraction_summing_path(case):
     """Specs with no deformed block, a only, b only and both; coefficients
-    int and Fraction mixed."""
+    int and Fraction mixed; LinCombs and states."""
     spec, pool, u, v = case
-    for x, y in ((u, v), (v, u), (u, u), (pool[0], v), (u, pool[-1])):
+    for x, y in _argument_pairs(pool, u, v):
         got = inner_product(spec, x, y)
-        assert type(got) is F and got == _fraction_inner_product(spec, x, y)
+        assert type(got) is F and got == _definition_inner_product(spec, x, y)
 
 
 # delta_ladder_norms and capelli_identity_check at P = 2, 3 over the five

@@ -111,7 +111,7 @@ def test_profile_matches_zero_plaquette_columns():
     import itertools
 
     from superdual.labels import classify_supqm, weight_from_label
-    from superdual.lattice import build_weight_lattice
+    from superdual.lattice import build_weight_lattice, plaquette_check
     from superdual.partitions import partitions_bounded
 
     for p, q, m in [(1, 1, 2), (0, 2, 2), (2, 1, 2), (1, 2, 1)]:
@@ -128,7 +128,7 @@ def test_profile_matches_zero_plaquette_columns():
                                 continue
                             prof = shortening_profile(lab)
                             lat = build_weight_lattice(weight_from_label(lab))
-                            zeros = lat.zero_cells()
+                            zeros = plaquette_check(lat).zeros
                             for a in range(1, m + 1):
                                 up = any(r > p and c == a for (r, c) in zeros)
                                 low = any(r <= p and c == a for (r, c) in zeros)
