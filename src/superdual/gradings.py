@@ -308,8 +308,6 @@ def admits_nontrivial_unitary(form) -> bool:
     if not m:
         raise ValueError(f"unrecognised real form {form!r}")
     if m.group("su"):
-        p, q, r, s = (int(m.group(k)) for k in ("a1", "a2", "a3", "a4"))
-        if (p + q) and (r + s) and p and q and r and s:
-            return False
+        r, s = (int(m.group(k)) for k in ("a3", "a4"))
         return r == 0 or s == 0
     return False

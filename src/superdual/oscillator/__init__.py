@@ -1,6 +1,6 @@
 """Brute-force oracle: exact oscillator realisations on (deformed) Fock spaces."""
 
-from .algebra import OscillatorSpec, basis_states, deformed_action, generator_action, generator_matrix
+from .algebra import OscillatorSpec, basis_states, generator_action
 from .capelli import capelli_identity_check, capelli_norm_factor, delta_ladder_norms
 from .inner import inner_product
 from .module import GramReport, build_u0, gram_positivity, verify_hws
@@ -13,10 +13,8 @@ __all__ = [
     "build_u0",
     "capelli_identity_check",
     "capelli_norm_factor",
-    "deformed_action",
     "delta_ladder_norms",
     "generator_action",
-    "generator_matrix",
     "gram_positivity",
     "GramReport",
     "helicity",

@@ -25,10 +25,8 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import NamedTuple
 
-from ..diagrams import NonCompactYoungDiagram, Realization, realize
-from ..labels import RepLabel, grading_pmq, weight_pmq_from_realization
+from ..diagrams import NonCompactYoungDiagram
 from ..rationals import rat
-from ..weights import FundamentalWeight
 from .states import PERMS, State, _bump, _perm_bump, add_into, reduce_state, set_field, zero_state
 
 
@@ -238,15 +236,6 @@ def ann_f(spec, fl, col, lc):
     return out
 
 
-def deformed_action(spec: OscillatorSpec, kind: str, direction: str, fl: int, col: int, v):
-    """Single-oscillator action; kind in {a, b, f}, direction in {raise, lower}."""
-    lc = v if isinstance(v, dict) else {v: 1}
-    fermion_op, boson_op = {"raise": (mul_f, mul), "lower": (ann_f, ann)}[direction]
-    if kind == "f":
-        return fermion_op(spec, fl, col, lc)
-    return boson_op(spec, spec.bosons[kind], fl, col, lc)
-
-
 # ---------------------------------------------------------------------------
 # determinant operators of the deformed blocks
 # ---------------------------------------------------------------------------
@@ -384,17 +373,3 @@ def _masks(bits, max_pop):
     for mask in range(1 << bits):
         if mask.bit_count() <= max_pop:
             yield mask
-
-
-def generator_matrix(spec: OscillatorSpec, i: int, j: int, cutoff: int, max_s: int = 0):
-    """Sparse matrix of E_ij over the degree-truncated canonical basis.
-
-    Returns (basis, matrix) where matrix[col_index] lists (row_state, coeff);
-    images leaving the truncation window are kept (as states), so commutation
-    identities can be checked exactly on the sub-basis that stays inside.
-    """
-    basis = basis_states(spec, cutoff, max_s)
-    cols = {}
-    for k, st in enumerate(basis):
-        cols[k] = generator_action(spec, i, j, st)
-    return basis, cols

@@ -18,9 +18,7 @@ from fractions import Fraction
 
 from .diagrams import NonCompactYoungDiagram, realize
 from .labels import RepLabel, classify_supqm
-from .rationals import is_int, rat, rat_str
-
-INF = None  # no finite monomial order
+from .rationals import rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,11 @@ def shortening_profile_of(d: NonCompactYoungDiagram) -> ShorteningProfile:
 # su(2,2|4) specialisation
 # ---------------------------------------------------------------------------
 
-def _require_2244(d: NonCompactYoungDiagram):
+def _lam_2244(d: NonCompactYoungDiagram) -> list:
+    """[lambda_1..lambda_4] = tau_a + |F_Delta| of an su(2,2|4) diagram."""
     if (d.label.p, d.label.q, d.label.m) != (2, 2, 4):
         raise ValueError("this operation is specific to su(2,2|4)")
+    return [d.label.tau.part(a) + d.realization.fdelta for a in range(1, 5)]
 
 
 def bps_type_22_4(d: NonCompactYoungDiagram):
@@ -87,8 +87,7 @@ def bps_type_22_4(d: NonCompactYoungDiagram):
     sbar counts columns with lambda_a = 0 (Q_R BPS), s those with
     P - lambda_a = 0 (Q_L BPS); t, tbar likewise at value 1 (semi-short).
     """
-    _require_2244(d)
-    lam = [d.label.tau.part(a) + d.realization.fdelta for a in range(1, 5)]
+    lam = _lam_2244(d)
     P = d.realization.P
     sbar = Fraction(sum(1 for x in lam if x == 0 and d.realization.gamma_R == 0), 4)
     s = Fraction(sum(1 for x in lam if P - x == 0 and d.realization.gamma_L == 0), 4)
@@ -108,13 +107,11 @@ class DolanOsbornLabel:
     def __str__(self):
         k, p, q = self.dynkin
         j, jb = self.spins
-        name = {"Dbar": "Dbar"}.get(self.cls, self.cls)
-        sup = ""
-        if self.cls != "A":
-            sup = f"^({rat_str(self.fractions[0])},{rat_str(self.fractions[1])})"
         if self.cls == "A":
             sup = f"^Delta={rat_str(self.delta)}"
-        return f"{name}[{k},{p},{q}]({rat_str(j)},{rat_str(jb)}){sup}"
+        else:
+            sup = f"^({rat_str(self.fractions[0])},{rat_str(self.fractions[1])})"
+        return f"{self.cls}[{k},{p},{q}]({rat_str(j)},{rat_str(jb)}){sup}"
 
 
 def dolan_osborn(d: NonCompactYoungDiagram) -> DolanOsbornLabel:
@@ -124,11 +121,10 @@ def dolan_osborn(d: NonCompactYoungDiagram) -> DolanOsbornLabel:
     BPS on one side, semi-short on the other.  Mixed long/short sides fall
     outside the five classes and raise.
     """
-    _require_2244(d)
+    lam = _lam_2244(d)
     s, sbar, t, tbar = bps_type_22_4(d)
-    lam = [d.label.tau.part(a) + d.realization.fdelta for a in range(1, 5)]
     dynkin = (lam[0] - lam[1], lam[1] - lam[2], lam[2] - lam[3])
-    j = rat(d.label.mu_L.part(1), ) / 2
+    j = rat(d.label.mu_L.part(1)) / 2
     jb = rat(d.label.mu_R.part(1)) / 2
     delta = (
         rat(d.label.mu_L.part(1) + d.label.mu_R.part(1)) / 2
@@ -169,9 +165,8 @@ def dolan_osborn(d: NonCompactYoungDiagram) -> DolanOsbornLabel:
 def can_recombine(d: NonCompactYoungDiagram) -> bool:
     """Konishi criterion: a short zero-central-charge su(2,2|4) multiplet can
     join into a long one iff lambda_4 != 0, or lambda_4 = 0 and lambda_3 > 1."""
-    _require_2244(d)
+    lam = _lam_2244(d)
     prof = shortening_profile_of(d)
     if not prof.is_short():
         raise ValueError("recombination is defined for short multiplets")
-    lam = [d.label.tau.part(a) + d.realization.fdelta for a in range(1, 5)]
     return lam[3] != 0 or lam[2] > 1

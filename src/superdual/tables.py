@@ -10,8 +10,6 @@ instances.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagrams import NonCompactYoungDiagram, Realization, realize
 from .labels import RepLabel
 from .oscillator.module import build_u0, verify_hws

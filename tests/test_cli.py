@@ -86,11 +86,19 @@ def test_verify_command(capsys):
                       "beta_L": "0", "beta_R": "3/2"})
     code, out, _ = run(capsys, "verify", "--label", lab, "--cutoff", "4")
     assert code == 0 and "positive_definite=True" in out
+    # non-unitary labels whose negative directions sit at depth 2: a shallower
+    # cutoff hides them, which is no contradiction with the theorem
+    for m, cutoff in ((0, "1"), (4, "0")):
+        lab = json.dumps({"p": 2, "q": 2, "m": m, "mu_L": [], "tau": [], "mu_R": [],
+                          "beta_L": "0", "beta_R": "1/2"})
+        code, out, err = run(capsys, "verify", "--label", lab, "--cutoff", cutoff)
+        assert code == 3 and "MISMATCH" not in out and not err
+        assert f"oracle: no negative direction up to depth {cutoff}" in out
 
 
 def test_verify_negative_cutoff_exit2(capsys):
-    """A negative cutoff is a usage error, not an empty positive definite
-    Gram matrix that disagrees with the theorem (exit 4, MISMATCH)."""
+    """A negative cutoff is a usage error, not an empty Gram matrix reported
+    as a verdict."""
     lab = json.dumps({"p": 2, "q": 2, "m": 0, "mu_L": [], "tau": [], "mu_R": [],
                       "beta_L": "0", "beta_R": "1/2"})
     code, out, err = run(capsys, "verify", "--cutoff", "-1", "--label", lab)

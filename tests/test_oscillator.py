@@ -1,17 +1,18 @@
 import gc
 import itertools
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdual.diagrams import Realization, realize
-from superdual.labels import RepLabel, classify_supqm, grading_pmq, weight_from_label
+import superdual.oscillator
+from superdual.diagrams import realize
+from superdual.labels import RepLabel, classify_supqm, grading_pmq
 from superdual.oscillator import (
     OscillatorSpec,
     basis_states,
-    deformed_action,
     generator_action,
     gram_positivity,
     inner_product,
@@ -34,8 +35,8 @@ from superdual.oscillator.states import (
     _reduce_block,
     add_into,
     combine,
-    reduce_state,
     scale,
+    set_field,
 )
 
 GAMMAS = (F(1, 2), F(-1, 3), F(2, 3))
@@ -121,14 +122,14 @@ def test_deformed_action_examples():
     # a acting on the identity monomial of the gamma-block: cofactor * gamma/t
     spec = block_spec(2, F(1, 2))
     vac = spec.vacuum()
-    out = deformed_action(spec, "a", "lower", 0, 0, vac)
+    out = ann(spec, spec.bosons["a"], 0, 0, {vac: 1})
     (st, coeff), = out.items()
     assert st.sR == 1 and coeff == F(1, 2)  # gamma * cofactor x_22
     assert st.a == ((0, 0), (0, 1))
     # gamma = 0: plain Fock derivative
     spec0 = OscillatorSpec.plain(q=2, P=2)
     st0 = State(((1, 0), (0, 0)), (), 0, 0, 0)
-    out0 = deformed_action(spec0, "a", "lower", 0, 0, st0)
+    out0 = ann(spec0, spec0.bosons["a"], 0, 0, {st0: 1})
     assert out0 == {spec0.vacuum(): F(1)}
     # Delta |> t^0 = gamma(gamma+1) t^-1 for P=2
     res = delta_lower(spec, "a", {vac: F(1)})
@@ -245,42 +246,35 @@ def test_gram_su22_polynomial_shortening_kernel():
     assert all(inner_product(spec, null, v) == 0 for v in (m1, m2))
 
 
-# -- the PBW family rebuilt from each base vector -----------------------------
-# kept as the reference for the suffix build of `pbw_family`
+# -- the PBW spanning family from its definition ------------------------------
 
 
-def _old_pbw_family(spec, u0_basis, cutoff):
-    """Monomials from a recursive walk; every vector rebuilt from its base
-    vector, generator by generator; slices in order of first appearance."""
+def _definition_pbw_family(spec, u0_basis, cutoff):
+    """{weight: [((mono, bi), E_mono u_bi)]} in ascending weight order.
+
+    mono runs over the non-decreasing words of length <= cutoff in the E^(-)
+    generators with no odd generator repeated, in lexicographic order, and
+    acts right to left; a vector's weight is u_bi's weight plus the roots
+    e_i - e_j of its generators E_ij."""
     gens = eminus_generators(spec)
-    monomials = [()]
-
-    def extend(prefix, start):
-        for gi in range(start, len(gens)):
-            if gens[gi][2] and prefix and prefix[-1] == gi:
-                continue
-            new = prefix + (gi,)
-            if len(new) <= cutoff:
-                monomials.append(new)
-                extend(new, gi)
-
-    extend((), 0)
+    monos = (
+        mono
+        for k in range(cutoff + 1)
+        for mono in itertools.product(range(len(gens)), repeat=k)
+        if list(mono) == sorted(mono) and all(mono.count(g) == 1 for g in mono if gens[g][2])
+    )
     slices = {}
-    for mono in monomials:
+    for mono in sorted(monos):
         for bi, base in enumerate(u0_basis):
-            charge = list(spec.state_charge(next(iter(base))))
-            for gi in mono:
-                i, j, _odd = gens[gi]
-                charge[i] += 1
-                charge[j] -= 1
+            weight = list(spec.state_weight(next(iter(base))))
             vec = base
-            for gi in reversed(mono):
-                i, j, _odd = gens[gi]
+            for g in reversed(mono):
+                i, j, _odd = gens[g]
+                weight[i] += 1
+                weight[j] -= 1
                 vec = generator_action(spec, i, j, vec)
-                if not vec:
-                    break
-            slices.setdefault(spec.charge_weight(tuple(charge)), []).append(((mono, bi), vec))
-    return slices
+            slices.setdefault(tuple(weight), []).append(((mono, bi), vec))
+    return dict(sorted(slices.items()))
 
 
 # (label, largest cutoff): the shapes of the criterion-3 labels and of the
@@ -310,8 +304,8 @@ def test_pbw_suffix_build_matches_rebuild_from_base(data):
     spec, u0 = build_u0(realize(lab, allow_nonunitary=True))
     basis = u0_k_basis(spec, u0)
     got = pbw_family(spec, basis, cutoff)
-    want = _old_pbw_family(spec, basis, cutoff)
-    assert list(got) == sorted(want)  # ascending weight order
+    want = _definition_pbw_family(spec, basis, cutoff)
+    assert list(got) == list(want)  # ascending weight order
     assert got == want  # the same tags in the same order, equal vectors
 
 
@@ -332,7 +326,7 @@ def test_gram_positivity_leaves_no_cyclic_garbage():
 
 
 def test_helicity_and_masslessness():
-    from superdual.oscillator import generator_matrix, helicity, is_massless
+    from superdual.oscillator import helicity, is_massless
 
     # P = 1 doubleton (a+)^m: helicity m/2
     for m in (1, 2, 3):
@@ -358,17 +352,16 @@ def test_conformal_hamiltonian_on_vacuum():
     assert h == {spec.vacuum(): F(1)}
 
 
-def test_generator_matrix_api():
-    from superdual.oscillator import generator_matrix
-
+def test_oscillator_api():
+    missing = [name for name in superdual.oscillator.__all__ if not hasattr(superdual.oscillator, name)]
+    assert not missing
     spec = OscillatorSpec.plain(q=2, P=1)
-    basis, cols = generator_matrix(spec, 0, 1, cutoff=2)
+    basis = basis_states(spec, 2)
     assert len(basis) == 6  # monomials of degree <= 2 in two variables
     # E_12 maps x2 -> x1
-    idx = {s: k for k, s in enumerate(basis)}
     x2 = State(((0,), (1,)), (), 0, 0, 0)
     x1 = State(((1,), (0,)), (), 0, 0, 0)
-    assert cols[idx[x2]] == {x1: F(1)}
+    assert x2 in basis and generator_action(spec, 0, 1, x2) == {x1: F(1)}
 
 
 def test_perm_table_is_lazy_and_bounded():
@@ -387,7 +380,7 @@ def test_perm_table_is_lazy_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# column determinant and normal form against their permutation-sum references
+# column determinant against the permutation sum; the normal form
 # ---------------------------------------------------------------------------
 
 def _naive_column_det(n, op, lc, order):
@@ -438,34 +431,27 @@ def test_column_det_matches_permutation_sum(data):
         column_det(3, op, lc, (0, 2, 1))
 
 
-def _fraction_reduce_block(mat, s, cols):
-    """The normal form modulo det X - t by direct recursion over Fractions."""
-    n = len(cols)
-    if s == 0 or n == 0 or any(mat[i][cols[i]] == 0 for i in range(n)):
-        return [(mat, s, F(1))]
-    stripped = mat
-    for i in range(n):
-        stripped = _bump(stripped, i, cols[i], -1)
-    out = list(_fraction_reduce_block(stripped, s - 1, cols))
-    for perm, sign in PERMS[n]:
-        if list(perm) == list(range(n)):
-            continue
-        withperm = stripped
-        for i in range(n):
-            withperm = _bump(withperm, i, cols[perm[i]], +1)
-        for mat2, s2, c2 in _fraction_reduce_block(withperm, s, cols):
-            out.append((mat2, s2, -sign * c2))
-    merged = {}
-    for mat2, s2, c2 in out:
-        merged[mat2, s2] = merged.get((mat2, s2), F(0)) + c2
-    return [(mm, ss, cc) for (mm, ss), cc in merged.items() if cc != 0]
+def _times_det(poly, cols, power):
+    """The polynomial {exponent matrix: coefficient} times det(X)^power,
+    X the block of rows 0..n-1 and columns cols."""
+    for _ in range(power):
+        out = {}
+        for mat, c in poly.items():
+            for perm, sign in PERMS[len(cols)]:
+                term = mat
+                for i, k in enumerate(perm):
+                    term = _bump(term, i, cols[k], +1)
+                add_into(out, term, sign * c)
+        poly = out
+    return poly
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_memoised_normal_form_matches_fraction_recursion(data):
-    """_reduce_block (memoised, integer) equals the Fraction recursion, on a
-    cold memo and again when every key is warm."""
+    """_reduce_block (memoised, integer) is the normal form modulo det X - t,
+    on a cold memo and again when every key is warm: no term with s' > 0
+    has a full block diagonal, and sum c' x^M' det^(s - s') = x^M."""
     n = data.draw(st.integers(1, 4))
     s = data.draw(st.integers(0, 2))
     rows = data.draw(st.integers(n, n + 1))  # a flavour outside the block
@@ -476,7 +462,6 @@ def test_memoised_normal_form_matches_fraction_recursion(data):
     for i in range(n):  # a full diagonal, so the relation applies
         cells[i * width + cols[i]] = max(cells[i * width + cols[i]], 1)
     mat = tuple(tuple(cells[r * width:(r + 1) * width]) for r in range(rows))
-    want = {(m, k): c for m, k, c in _fraction_reduce_block(mat, s, cols)}
 
     inner.clear_caches()
     cold = _reduce_block(mat, s, cols)
@@ -484,33 +469,55 @@ def test_memoised_normal_form_matches_fraction_recursion(data):
     for form in (cold, warm):
         assert isinstance(form, tuple)
         assert all(type(c) is int for _m, _k, c in form)
-        assert {(m, k): c for m, k, c in form} == want
+        total = {}
+        for mat2, s2, c2 in form:
+            assert 0 <= s2 <= s
+            assert s2 == 0 or any(mat2[i][cols[i]] == 0 for i in range(n))
+            for term, c in _times_det({mat2: c2}, cols, s - s2).items():
+                add_into(total, term, c)
+        assert total == {mat: 1}
     if s:
         assert warm is cold  # a memo hit
 
 
 # ---------------------------------------------------------------------------
-# analyze_gram: witnesses, including the isotropic branch
+# analyze_gram against the inertia of the matrix
 # ---------------------------------------------------------------------------
 
 def _norm(G, w):
     return sum(w[i] * G[i][j] * w[j] for i in range(len(G)) for j in range(len(G)))
 
 
-def _rank(G):
-    rows = [list(r) for r in G]
-    rank = 0
-    for col in range(len(G)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _inertia(G):
+    """(n+, n0, n-) of the symmetric matrix G: det(x - G) by Faddeev-LeVerrier,
+    then Descartes' rule of signs, exact here because every root is real."""
+    n = len(G)
+    coeffs = [F(1)]  # highest power first
+    M = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(G[i][t] * M[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(G[i][t] * M[t][i] for i in range(n) for t in range(n)) / k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    return sign_changes(coeffs), zero, sign_changes([c * (-1) ** k for k, c in enumerate(coeffs)])
+
+
+def _check_inertia(G):
+    """A witness exactly when G has a negative eigenvalue, of negative norm;
+    the kernel count is n0, or at most n0 beside a witness."""
+    n_pos, n_zero, n_neg = _inertia(G)
+    assert n_pos + n_zero + n_neg == len(G)
+    kernel, witness = analyze_gram(G)
+    assert (witness is not None) == (n_neg > 0)
+    if witness is None:
+        assert kernel == n_zero
+    else:
+        assert _norm(G, witness) < 0 and kernel <= n_zero
 
 
 @pytest.mark.parametrize("h", [F(0), F(3), F(-5, 2)])
@@ -525,58 +532,20 @@ def test_analyze_gram_isotropic_witness(h):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_analyze_gram_witness_negative_or_kernel_exact(data):
-    """A returned witness has negative norm; without one, the kernel count is
-    exactly N - rank G."""
+    """analyze_gram against the inertia on small symmetric matrices."""
     n = data.draw(st.integers(1, 4))
     entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
     G = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             G[i][j] = G[j][i] = data.draw(entry)
-    kernel, witness = analyze_gram(G)
-    if witness is not None:
-        assert _norm(G, witness) < 0
-    else:
-        assert kernel == n - _rank(G)
-
-
-def _gram_schmidt_reference(G):
-    """The dense Gram-Schmidt elimination that `analyze_gram` replaced."""
-    n = len(G)
-    pivots = []  # (coeff vector, G @ coeff, norm)
-    kernel = 0
-    for i in range(n):
-        c = [F(1) if t == i else F(0) for t in range(n)]
-        for (cj, gj, nj) in pivots:
-            num = sum(c[t] * gj[t] for t in range(n) if c[t])
-            if num:
-                f = num / nj
-                c = [a - f * b for a, b in zip(c, cj)]
-        g = [sum(G[u][t] * c[t] for t in range(n) if c[t]) for u in range(n)]
-        norm = sum(c[t] * g[t] for t in range(n) if c[t])
-        if norm > 0:
-            pivots.append((c, g, norm))
-        elif norm < 0:
-            return kernel, c
-        else:
-            partner = next((u for u in range(n) if g[u] != 0), None)
-            if partner is None:
-                kernel += 1
-            else:
-                s = g[partner]
-                h = G[partner][partner]
-                tau = -(abs(h) + 1) / (2 * s)
-                wit = [tau * x for x in c]
-                wit[partner] += 1
-                return kernel, wit
-    return kernel, None
+    _check_inertia(G)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_analyze_gram_matches_gram_schmidt_reference(data):
-    """The RowSpace reduction returns the reference's kernel count and
-    witness, coefficient for coefficient, on random symmetric matrices
+    """analyze_gram against the inertia on random symmetric matrices
     (isotropic and negative directions) and on Gram matrices of dependent
     vectors (positive semidefinite, with kernels)."""
     n = data.draw(st.integers(1, 6))
@@ -591,109 +560,39 @@ def test_analyze_gram_matches_gram_schmidt_reference(data):
         dim = data.draw(st.integers(1, 4))
         vecs = [[data.draw(st.integers(-2, 2)) for _ in range(dim)] for _ in range(n)]
         G = [[F(sum(a * b for a, b in zip(u, v))) for v in vecs] for u in vecs]
-    assert repr(analyze_gram(G)) == repr(_gram_schmidt_reference(G))
+    _check_inertia(G)
 
 
-# the a/b boson operators as written before the `Boson` records, one branch
-# per family: references for `mul`, `ann`, `delta_dagger` and `delta_lower`
+# ---------------------------------------------------------------------------
+# the boson operators from their definitions
+# ---------------------------------------------------------------------------
 
-def _ref_reduce(spec, state):
-    return reduce_state(
-        state,
-        spec.A_delta if spec.a_deformed else (),
-        spec.B_delta if spec.b_deformed else (),
-    )
+def _mirror(lc):
+    """Each state with (a, sR) and (b, sL) swapped."""
+    return {State(s.b, s.a, s.f, s.sR, s.sL): c for s, c in lc.items()}
 
 
-def _ref_add_reduced(spec, out, state, coeff):
-    for rs, rc in _ref_reduce(spec, state).items():
-        add_into(out, rs, coeff * rc)
-
-
-def _ref_mul(spec, which, fl, col, lc):
-    out = {}
-    for s, c in lc.items():
-        if which == "a":
-            ns = s._replace(a=_bump(s.a, fl, col, +1))
-            block = s.sR and spec.a_deformed and col in spec.A_delta
-        else:
-            ns = s._replace(b=_bump(s.b, fl, col, +1))
-            block = s.sL and spec.b_deformed and col in spec.B_delta
-        if block:
-            _ref_add_reduced(spec, out, ns, c)
-        else:
-            add_into(out, ns, c)
-    return out
-
-
-def _ref_ann(spec, which, fl, col, lc):
-    deformed = spec.a_deformed if which == "a" else spec.b_deformed
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    gamma = spec.gamma_R if which == "a" else spec.gamma_L
-    out = {}
-    for s, c in lc.items():
-        mat = s.a if which == "a" else s.b
-        spow = s.sR if which == "a" else s.sL
-        if mat[fl][col]:
-            add_into(out, s._replace(**{which: _bump(mat, fl, col, -1)}), c * mat[fl][col])
-        if deformed and col in cols and gamma != spow:
-            tail = c * (gamma - spow)
-            pos = cols.index(col)
-            n = len(cols)
-            for perm, sign in PERMS[n]:
-                if perm[fl] != pos:
-                    continue
-                ns_mat = mat
-                for j in range(n):
-                    if j != fl:
-                        ns_mat = _bump(ns_mat, j, cols[perm[j]], +1)
-                if which == "a":
-                    ns = s._replace(a=ns_mat, sR=spow + 1)
-                else:
-                    ns = s._replace(b=ns_mat, sL=spow + 1)
-                _ref_add_reduced(spec, out, ns, tail if sign == 1 else -tail)
-    return out
-
-
-def _ref_delta_dagger(spec, which, lc):
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    n = len(cols)
-    out = {}
-    for s, c in lc.items():
-        spow = s.sR if which == "a" else s.sL
-        if spow:
-            ns = s._replace(sR=s.sR - 1) if which == "a" else s._replace(sL=s.sL - 1)
-            add_into(out, ns, c)
-            continue
-        mat = s.a if which == "a" else s.b
-        for perm, sign in PERMS[n]:
-            ns_mat = mat
-            for i in range(n):
-                ns_mat = _bump(ns_mat, i, cols[perm[i]], +1)
-            add_into(out, s._replace(**{which: ns_mat}), c * sign)
-    return out
-
-
-def _ref_delta_lower(spec, which, lc):
-    cols = spec.A_delta if which == "a" else spec.B_delta
-    return _naive_column_det(
-        len(cols), lambda row, k, term: _ref_ann(spec, which, row, cols[k], term), lc, range(len(cols))
-    )
+def _commutator(x, y, lc):
+    return combine(x(y(lc)), scale(y(x(lc)), -1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_boson_operators_match_per_family_reference(data):
-    """mul, ann, delta_dagger and delta_lower read one `Boson` record and
-    equal the per-family reference on both families, with and without a
-    deformed block, on random canonical states of s power 0..2."""
+    """mul, ann, delta_dagger and delta_lower against their definitions on
+    both families, with and without a deformed block, on random canonical
+    states of s power 0..2: the b family is the a family of the mirrored
+    spec; [ann, mul] = delta and [ann, ann] = 0; delta_dagger is t, the
+    determinant of the creation oscillators on s = 0; delta_lower is the
+    determinant of the annihilators."""
     p, q = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     gammas = st.sampled_from((F(0),) + GAMMAS)
     gamma_L, gamma_R = data.draw(gammas), data.draw(gammas)
     P = p + q + data.draw(st.integers(0, 1))  # maybe one plain colour
-    spec = OscillatorSpec(
-        p, 0, q, P, gamma_L, gamma_R, tuple(range(p)), tuple(range(p, p + q)), (), ()
-    )
+    B_delta, A_delta = tuple(range(p)), tuple(range(p, p + q))
+    spec = OscillatorSpec(p, 0, q, P, gamma_L, gamma_R, B_delta, A_delta, (), ())
+    # (p, gamma_L, B_delta) and (q, gamma_R, A_delta) swapped
+    mirror = OscillatorSpec(q, 0, p, P, gamma_R, gamma_L, A_delta, B_delta, (), ())
 
     def mat(rows):
         return tuple(tuple(data.draw(st.integers(0, 2)) for _ in range(P)) for _ in range(rows))
@@ -706,43 +605,48 @@ def test_boson_operators_match_per_family_reference(data):
             data.draw(st.integers(0, 2)) if gamma_R else 0,
         )
         coeff = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
-        _ref_add_reduced(spec, lc, state, coeff)
+        for s, c in spec.reduce(state).items():
+            add_into(lc, s, coeff * c)
+
+    b, a = spec.bosons["b"], mirror.bosons["a"]
+    for fl, col in itertools.product(range(p), range(P)):
+        for op in (mul, ann):
+            assert _mirror(op(spec, b, fl, col, lc)) == op(mirror, a, fl, col, _mirror(lc))
+    for op in (delta_dagger, delta_lower):
+        assert _mirror(op(spec, "b", lc)) == op(mirror, "a", _mirror(lc))
+
     for which, flavours in (("a", q), ("b", p)):
         fam = spec.bosons[which]
-        for fl in range(flavours):
-            for col in range(P):
-                assert mul(spec, fam, fl, col, lc) == _ref_mul(spec, which, fl, col, lc)
-                assert ann(spec, fam, fl, col, lc) == _ref_ann(spec, which, fl, col, lc)
-        assert delta_dagger(spec, which, lc) == _ref_delta_dagger(spec, which, lc)
-        assert delta_lower(spec, which, lc) == _ref_delta_lower(spec, which, lc)
-
-
-def _old_state_weight(spec, s):
-    """The Fraction weight formula that `state_charge` replaced."""
-    out = []
-    for r in range(spec.p):
-        val = -(sum(s.b[r]) + spec.P)
-        if spec.b_deformed:
-            val -= spec.gamma_L - s.sL
-        out.append(F(val))
-    for a in range(spec.m):
-        out.append(F(sum(1 for A in range(spec.P) if s.f >> (a * spec.P + A) & 1)))
-    for al in range(spec.q):
-        val = sum(s.a[al])
-        if spec.a_deformed:
-            val += spec.gamma_R - s.sR
-        out.append(F(val))
-    return tuple(out)
+        cells = list(itertools.product(range(flavours), range(P)))
+        for x, y in itertools.product(cells, repeat=2):
+            ann_x = partial(ann, spec, fam, *x)
+            assert _commutator(ann_x, partial(mul, spec, fam, *y), lc) == (lc if x == y else {})
+            assert _commutator(ann_x, partial(ann, spec, fam, *y), lc) == {}
+        n = len(fam.cols)
+        for s, c in lc.items():
+            if s[fam.spow]:
+                t = {set_field(s, fam.spow, s[fam.spow] - 1): c}
+            else:
+                t = _naive_column_det(
+                    n, lambda row, k, term: mul(spec, fam, row, fam.cols[k], term), {s: c}, range(n))
+            assert delta_dagger(spec, which, {s: c}) == t
+        assert delta_lower(spec, which, lc) == _naive_column_det(
+            n, lambda row, k, term: ann(spec, fam, row, fam.cols[k], term), lc, range(n))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_state_charge_is_weight_minus_constant_offsets(data):
+    """A canonical state's weight is its E_ii eigenvalues, on specs whose
+    deformed blocks exist; s powers are drawn on undeformed families too,
+    where they must not count."""
     p, m, q = (data.draw(st.integers(0, 2)) for _ in range(3))
-    P = data.draw(st.integers(1, 3))
+    P = max(p + q, 1) + data.draw(st.integers(0, 1))
     gammas = st.sampled_from((F(0),) + GAMMAS)
     gamma_L, gamma_R = data.draw(gammas), data.draw(gammas)
-    spec = OscillatorSpec(p, m, q, P, gamma_L, gamma_R, (), (), (), ())
+    spec = OscillatorSpec(
+        p, m, q, P, gamma_L, gamma_R, tuple(range(p)), tuple(range(p, p + q)), (), ()
+    )
 
     def state():
         def mat(rows):
@@ -769,8 +673,11 @@ def test_state_charge_is_weight_minus_constant_offsets(data):
         s2 = state()
     for s in (s1, s2):
         weight, charge = spec.state_weight(s), spec.state_charge(s)
-        assert weight == _old_state_weight(spec, s)
         assert all(type(w) is F for w in weight) and all(type(c) is int for c in charge)
         assert spec.charge_weight(charge) == weight
+        for canonical in spec.reduce(s):
+            assert spec.state_weight(canonical) == weight
+            for i, w in enumerate(weight):
+                assert generator_action(spec, i, i, canonical) == ({canonical: w} if w else {})
     same_charge = spec.state_charge(s1) == spec.state_charge(s2)
     assert same_charge == (spec.state_weight(s1) == spec.state_weight(s2))
