@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok / unitary, 3 non-unitary, 2 usage error (malformed input,
 or a request the package refuses with ValueError), 4 internal error,
-inconsistency or golden mismatch.  `verify` exits 3 on a non-unitary label
+inconsistency or golden mismatch.  A closed stdout ends the process by
+SIGPIPE, with no message.  `verify` exits 3 on a non-unitary label
 even when the oracle finds no negative direction up to its cutoff, since
 truncation can hide one; a negative norm on a unitary label is exit 4.
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 
 from .diagrams import NonCompactYoungDiagram, Realization, realize, render
-from .gradings import parse_grading, render_grading
+from .gradings import Grading, parse_grading, render_grading
 from .labels import RepLabel, classify_supqm, weight_from_label
 from .lattice import build_weight_lattice, plaquette_check
 from .rationals import rat, rat_str, wire_int
@@ -55,6 +57,23 @@ def _from_json(what: str, build, data):
 # the fields of schemas/label.schema.json, and those diagram.schema.json adds
 _LABEL_KEYS = frozenset(("p", "q", "m", "mu_L", "tau", "mu_R", "beta_L", "beta_R"))
 _REALIZATION_KEYS = frozenset(("gamma_L", "gamma_R", "fdelta", "P"))
+# the fields of schemas/weight.schema.json (grading_text is optional) and
+# of a block of schemas/grading.schema.json
+_WEIGHT_KEYS = frozenset(("grading", "values"))
+_BLOCK_KEYS = frozenset(("size", "p", "c"))
+
+
+def _check_fields(what: str, data, want, optional=frozenset()):
+    """Refuse a JSON value that is not an object with the fields `want`,
+    and perhaps some of `optional`, and no others."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what} JSON (not a JSON object)")
+    keys = set(data)
+    if not want <= keys <= want | optional:
+        raise ValueError(
+            f"malformed {what} JSON (missing fields {sorted(want - keys)}, "
+            f"unknown fields {sorted(keys - want - optional)})"
+        )
 
 
 def _label_json(text: str):
@@ -64,15 +83,10 @@ def _label_json(text: str):
     and realization fields: a missing or unknown field is a usage error.
     """
     data = _load_json_arg(text)
-    if not isinstance(data, dict):
-        raise ValueError("malformed label JSON (not a JSON object)")
-    keys = set(data)
-    want = _LABEL_KEYS | _REALIZATION_KEYS if keys & _REALIZATION_KEYS else _LABEL_KEYS
-    if keys != want:
-        raise ValueError(
-            f"malformed label JSON (missing fields {sorted(want - keys)}, "
-            f"unknown fields {sorted(keys - want)})"
-        )
+    want = _LABEL_KEYS
+    if isinstance(data, dict) and set(data) & _REALIZATION_KEYS:
+        want = _LABEL_KEYS | _REALIZATION_KEYS
+    _check_fields("label", data, want)
     label = _from_json("label", RepLabel.from_json, data)
     if want == _LABEL_KEYS:
         return label, None
@@ -83,14 +97,23 @@ def _label_arg(text: str) -> RepLabel:
     return _label_json(text)[0]
 
 
-def _weight_from_json(d) -> FundamentalWeight:
-    g = parse_grading(d["grading"]) if isinstance(d["grading"], str) else None
-    if g is None:
-        from .gradings import Grading
+def _grading_block(b) -> tuple:
+    _check_fields("grading block", b, _BLOCK_KEYS)
+    size, p, c = (wire_int(b[k]) for k in ("size", "p", "c"))
+    if p not in (0, 1) or c not in (0, 1):
+        raise ValueError(f"malformed grading block JSON (p and c are 0 or 1, got {b})")
+    return size, p, c
 
-        g = Grading.from_blocks(
-            [tuple(wire_int(b[k]) for k in ("size", "p", "c")) for b in d["grading"]["blocks"]]
-        )
+
+def _weight_from_json(d) -> FundamentalWeight:
+    _check_fields("weight", d, _WEIGHT_KEYS, optional={"grading_text"})
+    if isinstance(d["grading"], str):
+        g = parse_grading(d["grading"])
+    else:
+        _check_fields("grading", d["grading"], {"blocks"})
+        g = Grading.from_blocks([_grading_block(b) for b in d["grading"]["blocks"]])
+    if not isinstance(d["values"], list) or not isinstance(d.get("grading_text", ""), str):
+        raise ValueError("malformed weight JSON (values is a list, grading_text a string)")
     return FundamentalWeight(g, tuple(rat(v) for v in d["values"]))
 
 
@@ -359,6 +382,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`superdual verify ... | head -5`): end
+        # silently by SIGPIPE, as `cat` does (Python's "Note on SIGPIPE")
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+        return 128 + signal.SIGPIPE
+
+
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -366,6 +402,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -126,20 +126,19 @@ class NonCompactYoungDiagram:
         return out
 
 
-def realize(label: RepLabel, strategy="MinimalP", allow_nonunitary=False) -> NonCompactYoungDiagram:
+def realize(label: RepLabel, strategy=None, allow_nonunitary=False) -> NonCompactYoungDiagram:
     """Attach realisation data to a label.
 
+    A Realization `strategy` is checked and used as given.  Without one,
     MinimalP keeps the gammas in (-1, 0], picking the smallest admissible
     fdelta and then the smallest P.  With allow_nonunitary the same
     arithmetic runs for non-unitary labels; a gamma may then fall at
     or below -1 (exactly how the Gram oracle exhibits negative norms) and the
     Realization invariants are not enforced.
     """
-    if isinstance(strategy, Realization):
+    if strategy is not None:
         strategy.check(label)
         return NonCompactYoungDiagram(label, strategy)
-    if strategy != "MinimalP":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     unitary = classify_supqm(label).unitary
     if not unitary and not allow_nonunitary:
@@ -214,37 +213,21 @@ def read_weight(d: NonCompactYoungDiagram, g: Grading) -> FundamentalWeight:
 # iso moves
 # ---------------------------------------------------------------------------
 
-def iso_move_lower(d: NonCompactYoungDiagram) -> NonCompactYoungDiagram:
-    """(gamma_L, P) -> (gamma_L - 1, P + 1); label unchanged."""
-    r = replace(d.realization, gamma_L=d.realization.gamma_L - 1, P=d.realization.P + 1)
+def iso_move_lower(d: NonCompactYoungDiagram, k: int = 1) -> NonCompactYoungDiagram:
+    """(gamma_L, P) -> (gamma_L - k, P + k); label unchanged, k = -1 undoes it."""
+    r = replace(d.realization, gamma_L=d.realization.gamma_L - k, P=d.realization.P + k)
     r.check(d.label)
     return NonCompactYoungDiagram(d.label, r)
 
 
-def iso_move_lower_inv(d: NonCompactYoungDiagram) -> NonCompactYoungDiagram:
-    r = replace(d.realization, gamma_L=d.realization.gamma_L + 1, P=d.realization.P - 1)
-    r.check(d.label)
-    return NonCompactYoungDiagram(d.label, r)
-
-
-def iso_move_upper(d: NonCompactYoungDiagram) -> NonCompactYoungDiagram:
-    """(gamma_R, fdelta, P) -> (gamma_R - 1, fdelta + 1, P + 1); label unchanged."""
+def iso_move_upper(d: NonCompactYoungDiagram, k: int = 1) -> NonCompactYoungDiagram:
+    """(gamma_R, fdelta, P) -> (gamma_R - k, fdelta + k, P + k); label unchanged,
+    k = -1 undoes it."""
     r = replace(
         d.realization,
-        gamma_R=d.realization.gamma_R - 1,
-        fdelta=d.realization.fdelta + 1,
-        P=d.realization.P + 1,
-    )
-    r.check(d.label)
-    return NonCompactYoungDiagram(d.label, r)
-
-
-def iso_move_upper_inv(d: NonCompactYoungDiagram) -> NonCompactYoungDiagram:
-    r = replace(
-        d.realization,
-        gamma_R=d.realization.gamma_R + 1,
-        fdelta=d.realization.fdelta - 1,
-        P=d.realization.P - 1,
+        gamma_R=d.realization.gamma_R - k,
+        fdelta=d.realization.fdelta + k,
+        P=d.realization.P + k,
     )
     r.check(d.label)
     return NonCompactYoungDiagram(d.label, r)
@@ -452,10 +435,9 @@ def _covers(d: NonCompactYoungDiagram, col: int, row: int) -> bool:
 
 def _window(d: NonCompactYoungDiagram):
     label = d.label
-    west = label.m
+    west = 0
     if label.p:
         west = min(west, int(d.lower_row_start(1)))
-    west = min(west, 0)
     east = label.m
     if label.q:
         east = max(east, _ceil(d.upper_row_end(1)))

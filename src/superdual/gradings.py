@@ -32,6 +32,11 @@ def node_kind(pc1, pc2) -> str:
     return NON_COMPACT if c_odd else COMPACT_EVEN
 
 
+# 8 times su(2,2|4); the bound makes a grading like su(1000000000000) a
+# ValueError (a usage error at the CLI) before it is expanded, not a MemoryError
+MAX_INDICES = 64
+
+
 class Grading:
     """Ordered sequence of (p, c) pairs, one per gl(n|m) index."""
 
@@ -45,11 +50,13 @@ class Grading:
 
     @classmethod
     def from_blocks(cls, blocks):
-        """blocks: iterable of (size, p, c)."""
+        """blocks: iterable of (size, p, c), the sizes summing to at most MAX_INDICES."""
         ent = []
         for size, p, c in blocks:
             if size <= 0:
                 raise ValueError(f"zero-sized block in {blocks}")
+            if len(ent) + size > MAX_INDICES:
+                raise ValueError(f"a grading has at most {MAX_INDICES} indices")
             ent.extend([(p % 2, c % 2)] * size)
         return cls(ent)
 
@@ -101,40 +108,20 @@ class Grading:
         )
 
 
-_GRADING_RE = re.compile(r"^su\(([0-9,|]+)\)$")
+_GRADING_RE = re.compile(r"su\(([0-9]+(?:(?:,\||,|\|)[0-9]+)*)\)")
 
 
 def parse_grading(text: str) -> Grading:
     """Parse the su(...) block notation; the first block is (p,c) = (0,0)."""
-    m = _GRADING_RE.match(text.strip())
+    m = _GRADING_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"malformed grading {text!r}")
-    body = m.group(1)
-    tokens = re.findall(r"\d+|,\||\||,", body)
-    if "".join(tokens) != body:
-        raise ValueError(f"malformed grading {text!r}")
     blocks = []
-    p, c = 0, 0
-    expect_int = True
-    for tok in tokens:
-        if tok.isdigit():
-            if not expect_int:
-                raise ValueError(f"two consecutive sizes in {text!r}")
-            size = int(tok)
-            if size == 0:
-                raise ValueError(f"zero block size in {text!r}")
-            blocks.append((size, p, c))
-            expect_int = False
-        else:
-            if expect_int:
-                raise ValueError(f"dangling separator in {text!r}")
-            if tok in (",", ",|"):
-                c ^= 1
-            if tok in ("|", ",|"):
-                p ^= 1
-            expect_int = True
-    if expect_int:
-        raise ValueError(f"trailing separator in {text!r}")
+    p = c = 0
+    for sep, size in re.findall(r"([,|]*)([0-9]+)", m.group(1)):
+        c ^= "," in sep
+        p ^= "|" in sep
+        blocks.append((int(size), p, c))
     return Grading.from_blocks(blocks)
 
 

@@ -48,28 +48,19 @@ class Verdict:
         return self.status + extra
 
 
+def _grading_of(*blocks) -> Grading:
+    """The grading of the nonempty blocks among the (size, p, c) given."""
+    return Grading.from_blocks([b for b in blocks if b[0]])
+
+
 def grading_pmq(p: int, m: int, q: int) -> Grading:
     """The su(p,|m|q) grading (nu_L block, fermions, nu_R block)."""
-    blocks = []
-    if p:
-        blocks.append((p, 0, 0))
-    if m:
-        blocks.append((m, 1, 1))
-    if q:
-        blocks.append((q, 0, 1))
-    return Grading.from_blocks(blocks)
+    return _grading_of((p, 0, 0), (m, 1, 1), (q, 0, 1))
 
 
 def grading_distinguished(p: int, q: int, m: int) -> Grading:
     """The su(p,q|m) grading (all bosonic rows first, fermions on top)."""
-    blocks = []
-    if p:
-        blocks.append((p, 0, 0))
-    if q:
-        blocks.append((q, 0, 1))
-    if m:
-        blocks.append((m, 1, 1))
-    return Grading.from_blocks(blocks)
+    return _grading_of((p, 0, 0), (q, 0, 1), (m, 1, 1))
 
 
 @dataclass(frozen=True)

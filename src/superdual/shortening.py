@@ -84,16 +84,17 @@ def _lam_2244(d: NonCompactYoungDiagram) -> list:
 def bps_type_22_4(d: NonCompactYoungDiagram):
     """(s, sbar, t, tbar): BPS and semi-shortening fractions out of N = 4.
 
-    sbar counts columns with lambda_a = 0 (Q_R BPS), s those with
-    P - lambda_a = 0 (Q_L BPS); t, tbar likewise at value 1 (semi-short).
+    sbar and tbar count the columns of right shortening order 1 (Q_R BPS)
+    and 2 (semi-short); s and t count the left orders 1 and 2.
     """
-    lam = _lam_2244(d)
-    P = d.realization.P
-    sbar = Fraction(sum(1 for x in lam if x == 0 and d.realization.gamma_R == 0), 4)
-    s = Fraction(sum(1 for x in lam if P - x == 0 and d.realization.gamma_L == 0), 4)
-    tbar = Fraction(sum(1 for x in lam if x == 1 and d.realization.gamma_R == 0), 4)
-    t = Fraction(sum(1 for x in lam if P - x == 1 and d.realization.gamma_L == 0), 4)
-    return (s, sbar, t, tbar)
+    _lam_2244(d)  # raises off su(2,2|4)
+    prof = shortening_profile_of(d)
+    return (
+        Fraction(prof.left.count(1), 4),
+        Fraction(prof.right.count(1), 4),
+        Fraction(prof.left.count(2), 4),
+        Fraction(prof.right.count(2), 4),
+    )
 
 
 @dataclass(frozen=True)

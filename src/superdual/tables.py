@@ -50,6 +50,11 @@ _T1_ROWS = [
 ]
 
 
+def _weight_text(cells) -> str:
+    """[E_11,E_22;E_33..E_66;E_77,E_88] from the texts of the eight entries."""
+    return f"[{','.join(cells[:2])};{','.join(cells[2:6])};{','.join(cells[6:])}]"
+
+
 def table1_lines():
     lines = ["# Table 1: su(2,|4|2) unitary supermultiplets with one colour (P=1)"]
     lines.append("# HWS | fundamental weight [E_11..E_88] | [mu_L,tau,mu_R;beta_L,beta_R] | BPS")
@@ -59,15 +64,8 @@ def table1_lines():
             spec, u0 = build_u0(d)
             rep = verify_hws(spec, u0)
             assert rep.raised_to_zero
-            w = rep.weight.values
-            weight_txt = (
-                "[" + ",".join(rat_str(v) for v in w[:2])
-                + ";" + ",".join(rat_str(v) for v in w[2:6])
-                + ";" + ",".join(rat_str(v) for v in w[6:]) + "]"
-            )
+            weight_txt = _weight_text([rat_str(v) for v in rep.weight.values])
             lab_txt = label_2244(d.label)
-            s, sbar, _t, _tb = bps_type_22_4(d)
-            bps = f"({rat_str(s)},{rat_str(sbar)})"
         else:
             # verify the affine pattern at three instances, print symbolically
             ws = []
@@ -93,17 +91,13 @@ def table1_lines():
                     raise AssertionError("unexpected parametric pattern")
                 return rat_str(ws[0][i])
 
-            weight_txt = (
-                "[" + ",".join(cell(i) for i in range(2))
-                + ";" + ",".join(cell(i) for i in range(2, 6))
-                + ";" + ",".join(cell(i) for i in range(6, 8)) + "]"
-            )
+            weight_txt = _weight_text([cell(i) for i in range(8)])
             d = doubleton(kind, 2)
             lab_txt = label_2244(d.label).replace("2", sym, 1) if kind == "bn" else (
                 label_2244(d.label).replace(",2;", f",{sym};")
             )
-            s, sbar, _t, _tb = bps_type_22_4(d)
-            bps = f"({rat_str(s)},{rat_str(sbar)})"
+        s, sbar, _t, _tb = bps_type_22_4(d)
+        bps = f"({rat_str(s)},{rat_str(sbar)})"
         lines.append(f"{name:<22} {weight_txt:<28} {lab_txt:<16} {bps}")
     return lines
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -213,14 +214,104 @@ def test_off_wire_format_realization_exit2(capsys, realization):
     assert code == 2 and not out and err.startswith("error: ")
 
 
+def _blocks(*blocks):
+    return {"blocks": [dict(zip(("size", "p", "c"), b)) for b in blocks]}
+
+
 @pytest.mark.parametrize("weight", [
     {"grading": "su(2,|4|2)", "values": ["-1", "-1", "1", "1", "0", "0", "0", "2/4"]},
     {"grading": "su(2,|4|2)", "values": [-1, -1, 1, 1, 0, 0, 0, 0.0]},
     {"grading": {"blocks": [{"size": 2.0, "p": 0, "c": 0}]}, "values": ["0", "0"]},
+    # fields that weight.schema.json and grading.schema.json do not allow
+    {"grading": "su(1,|1)", "values": ["0", "0"], "bogus": 1},
+    {"grading": {"blocks": [{"size": 2, "p": 0, "c": 0, "bogus": 1}]}, "values": ["0", "0"]},
+    {"grading": _blocks((2, 0, 0)) | {"bogus": 1}, "values": ["0", "0"]},
+    {"grading": "su(1,|1)", "values": ["0", "0"], "grading_text": 1},
+    {"grading": "su(1,|1)", "values": "00"},
+    # p and c are 0 or 1, not folded mod 2
+    {"grading": _blocks((1, 0, 0), (1, 3, 0)), "values": ["0", "0"]},
+    {"grading": _blocks((2, 0, -1)), "values": ["0", "0"]},
+    # a grading has at most 64 indices, checked before the blocks are expanded
+    {"grading": _blocks((10**12, 0, 0)), "values": ["0", "0"]},
+    {"grading": _blocks((60, 0, 0), (5, 0, 1)), "values": ["0"] * 65},
 ])
 def test_off_wire_format_weight_exit2(capsys, weight):
     code, out, err = run(capsys, "lattice", "--weight", json.dumps(weight))
     assert code == 2 and not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grading", ["su(1000000000000)", "su(32,32|1)"])
+def test_oversized_grading_exit2(capsys, grading):
+    code, out, err = run(capsys, "weight", "--label", YM, "--grading", grading)
+    assert code == 2 and not out
+    assert err == "error: a grading has at most 64 indices\n"
+
+
+# each of RepLabel's input checks, in the order they run
+@pytest.mark.parametrize("fields, message", [
+    ({"p": -1, "mu_L": []}, "negative dimensions"),
+    ({"mu_L": [1, 1]}, "mu_L not proper for p=2"),
+    ({"mu_R": [2, 1]}, "mu_R not proper for q=2"),
+    ({"tau": [1, 1, 1, 1]}, "tau not proper for m=4"),
+    ({"m": 0, "tau": [1]}, "tau must be empty for m=0"),
+    ({"p": 0, "mu_L": [], "beta_L": "1"}, "beta_L must vanish for p=0"),
+    ({"q": 0, "mu_R": [], "beta_R": "1"}, "beta_R must vanish for q=0"),
+])
+def test_label_checks_exit2(capsys, fields, message):
+    code, out, err = run(capsys, "classify", "--label", json.dumps(_label(**fields)))
+    assert code == 2 and not out and err == f"error: {message}\n"
+
+
+_M0 = {"m": 0, "tau": [], "mu_L": [1, 0], "mu_R": [1, 0], "beta_R": "2"}
+
+
+# each of Realization.check's checks, in the order they run
+@pytest.mark.parametrize("fields, realization, message", [
+    ({}, ("-1", "0", 0, 1), "gammas must exceed -1"),
+    ({}, ("0", "0", -1, 1), "fdelta and P are nonnegative integers"),
+    (_M0, ("0", "0", 1, 2), "fdelta must vanish for m = 0"),
+    (_M0, ("0", "0", 0, 3), "beta inconsistent with realization"),
+    (_M0 | {"beta_R": "1"}, ("0", "0", 0, 1),
+     "colour sets A_Delta, B_Delta overlap (P too small)"),
+    ({"beta_R": "1/2"}, ("0", "1/2", 0, 1), "|A_Delta| <= |F_Delta| violated"),
+    ({}, ("0", "0", 0, 0), "colour sets F_Delta, F, B_Delta overlap (P too small)"),
+    ({}, ("0", "0", 0, 2), "beta_L inconsistent with realization"),
+    ({}, ("0", "0", 1, 2), "beta_R inconsistent with realization"),
+])
+def test_realization_checks_exit2(capsys, fields, realization, message):
+    diagram = _label(**fields) | dict(zip(("gamma_L", "gamma_R", "fdelta", "P"), realization))
+    code, out, err = run(capsys, "diagram", "--label", json.dumps(diagram))
+    assert code == 2 and not out and err == f"error: {message}\n"
+
+
+def test_verify_lists_flagged_slices(capsys):
+    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "1")
+    lines = out.splitlines()
+    assert code == 0 and not err and len(lines) == 11
+    assert lines[1] == "gram: positive_definite=False negative=False kernel=80"
+    assert all(line.startswith("  slice ") and ": kernel " in line for line in lines[2:10])
+    assert lines[10] == "  ... 56 more flagged slices"
+    lab = json.dumps({"p": 2, "q": 2, "m": 0, "mu_L": [], "tau": [], "mu_R": [],
+                      "beta_L": "0", "beta_R": "1/2"})
+    code, out, err = run(capsys, "verify", "--label", lab, "--cutoff", "2")
+    assert code == 3 and not err
+    assert out.splitlines()[2:] == ["  slice ('-3', '-3', '-1/2', '-1/2') dim 2: NEGATIVE"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--label", YM],
+    ["verify", "--label", YM, "--cutoff", "1"],
+    ["tables", "--table", "2"],
+])
+def test_closed_stdout_ends_by_sigpipe(argv):
+    """A reader that closes the pipe early (`superdual verify ... | head`)
+    ends the command as SIGPIPE ends `cat`: no message, no exit 4."""
+    proc = subprocess.Popen([sys.executable, "-m", "superdual.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE and err == b""
 
 
 def test_json_outputs_match_schemas(capsys):

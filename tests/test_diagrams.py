@@ -11,9 +11,7 @@ from superdual.diagrams import (
     fat_hook,
     from_thook,
     iso_move_lower,
-    iso_move_lower_inv,
     iso_move_upper,
-    iso_move_upper_inv,
     read_weight,
     realize,
     render,
@@ -122,7 +120,7 @@ def test_iso_moves():
     low = iso_move_lower(d)
     assert low.realization == Realization(F(-1, 2), 0, 2, 4)
     assert low.label == d.label
-    assert iso_move_lower_inv(low).realization == d.realization
+    assert iso_move_lower(low, -1).realization == d.realization
     with pytest.raises(ValueError):
         iso_move_upper(d)  # gamma_R pinned at zero
     # beta-invariance through a move, via weights
@@ -137,7 +135,7 @@ def test_iso_move_upper_roundtrip():
     up = iso_move_upper(d)
     assert up.label == lab
     assert up.realization == Realization(F(-1, 2), F(-1, 2), 3, 5)
-    assert iso_move_upper_inv(up).realization == d.realization
+    assert iso_move_upper(up, -1).realization == d.realization
 
 
 def test_extend_carve_yang_mills():

@@ -126,3 +126,10 @@ def test_signature_shift_invariance(entries):
         for dc in (0, 1):
             g2 = Grading([((p + dp) % 2, (c + dc) % 2) for (p, c) in entries])
             assert signature(g2) == signature(g)
+
+
+@given(st.lists(entry, min_size=1, max_size=11))
+def test_parse_render_round_trip(entries):
+    """Every grading that starts at (0, 0) renders to text that parses back to it."""
+    g = Grading([(0, 0)] + entries)
+    assert parse_grading(render_grading(g)) == g

@@ -92,6 +92,48 @@ def test_can_recombine():
         can_recombine(realize(RepLabel(2, 2, 4, (), (), (), 2 + gam, 2 + gam)))
 
 
+def _bps_by_lambda(d):
+    """(s, sbar, t, tbar) from the definition: sbar and tbar count columns with
+    lambda_a = 0 resp. 1 when gamma_R = 0, s and t those with P - lambda_a = 0
+    resp. 1 when gamma_L = 0."""
+    r = d.realization
+    lam = [d.label.tau.part(a) + r.fdelta for a in range(1, 5)]
+    left = [r.P - x for x in lam] if r.gamma_L == 0 else []
+    right = lam if r.gamma_R == 0 else []
+    return tuple(F(side.count(v), 4) for v, side in ((0, left), (0, right), (1, left), (1, right)))
+
+
+def test_bps_fractions_match_lambda_rule():
+    """bps_type_22_4 reads the shortening profile; on unitary MinimalP diagrams
+    and on explicit realizations one lower or upper iso move away it agrees
+    with the lambda-rule definition."""
+    import itertools
+
+    from superdual.diagrams import iso_move_lower, iso_move_upper
+    from superdual.labels import classify_supqm
+
+    mus = [(), (1,), (2,)]
+    taus = [(a, b, c) for a in range(3) for b in range(a + 1) for c in range(b + 1)]
+    betas = [F(k, 2) for k in range(0, 7)]
+    checked = nonzero = 0
+    for mu_l, tau, mu_r, bl, br in itertools.product(mus, taus, mus, betas, betas):
+        lab = RepLabel(2, 2, 4, mu_l, tau, mu_r, bl, br)
+        if not classify_supqm(lab).unitary:
+            continue
+        d = realize(lab)
+        diagrams = [d]
+        for move, k in itertools.product((iso_move_lower, iso_move_upper), (-1, 1)):
+            try:
+                diagrams.append(move(d, k))
+            except ValueError:
+                pass
+        for e in diagrams:
+            assert bps_type_22_4(e) == _bps_by_lambda(e), e
+            checked += 1
+            nonzero += any(_bps_by_lambda(e))
+    assert (checked, nonzero) == (4480, 1600)
+
+
 def test_do_invariance_under_iso_move():
     # two realizations of one long label related by the lower iso move keep
     # every Dolan-Osborn field (the move trades gamma_L for P)
