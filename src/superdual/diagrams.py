@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .gradings import Grading
-from .labels import RepLabel, classify_supqm, weight_pmq_from_realization
+from .labels import RepLabel, classify_supqm, grading_pmq
 from .lattice import build_weight_lattice, weight_in_grading
 from .partitions import Partition
 from .rationals import is_int, rat, rat_str, wire_int
@@ -43,7 +43,8 @@ class Realization:
     Admissibility: gammas > -1; the deformed determinant blocks are square,
     so |A_Delta| = q when gamma_R != 0 (else h(mu_R)), |B_Delta| = p when
     gamma_L != 0 (else h(mu_L)); A_Delta sits inside F_Delta, and F_Delta, F,
-    B_Delta are pairwise disjoint colour sets, which bounds P from below.
+    B_Delta are pairwise disjoint colour sets, which bounds P from below
+    (`layout`).
     """
 
     gamma_L: Fraction
@@ -55,17 +56,30 @@ class Realization:
         object.__setattr__(self, "gamma_L", rat(self.gamma_L))
         object.__setattr__(self, "gamma_R", rat(self.gamma_R))
 
-    def a_delta_size(self, label: RepLabel) -> int:
-        return label.q if self.gamma_R != 0 else label.mu_R.height
+    def layout(self, label: RepLabel):
+        """The colour layout and its fit: ((B_Delta, A_Delta, F_Delta, tau
+        columns) as ranges of colours, None) when it fits, else (None, the
+        rule it breaks).
 
-    def b_delta_size(self, label: RepLabel) -> int:
-        return label.p if self.gamma_L != 0 else label.mu_L.height
-
-    def delta_p(self, label: RepLabel) -> int:
-        """Colours unused by U_0 (activated only by the E^(-) action)."""
+        Colours count from 0: B_Delta, then F_Delta, whose first |A_Delta|
+        colours are A_Delta, then one colour per tau column.  For m = 0 there
+        is no F_Delta and A_Delta follows B_Delta.  It fits when |A_Delta| <=
+        |F_Delta| and it uses at most P colours.
+        """
+        nB = label.p if self.gamma_L != 0 else label.mu_L.height
+        nA = label.q if self.gamma_R != 0 else label.mu_R.height
+        B_delta = range(nB)
         if label.m == 0:
-            return self.P - self.a_delta_size(label) - self.b_delta_size(label)
-        return self.P - self.fdelta - label.tau.part(1) - self.b_delta_size(label)
+            if nB + nA > self.P:
+                return None, "colour sets A_Delta, B_Delta overlap (P too small)"
+            return (B_delta, range(nB, nB + nA), range(0), range(0)), None
+        if nA > self.fdelta:
+            return None, "|A_Delta| <= |F_Delta| violated"
+        top = nB + self.fdelta
+        if top + label.tau.part(1) > self.P:
+            return None, "colour sets F_Delta, F, B_Delta overlap (P too small)"
+        F_delta = range(nB, top)
+        return (B_delta, F_delta[:nA], F_delta, range(top, top + label.tau.part(1))), None
 
     def check(self, label: RepLabel):
         if self.gamma_L <= -1 or self.gamma_R <= -1:
@@ -77,13 +91,11 @@ class Realization:
                 raise ValueError("fdelta must vanish for m = 0")
             if label.beta_R != self.P + self.gamma_L + self.gamma_R:
                 raise ValueError("beta inconsistent with realization")
-            if self.delta_p(label) < 0:
-                raise ValueError("colour sets A_Delta, B_Delta overlap (P too small)")
+        _colours, misfit = self.layout(label)
+        if misfit:
+            raise ValueError(misfit)
+        if label.m == 0:
             return
-        if self.a_delta_size(label) > self.fdelta:
-            raise ValueError("|A_Delta| <= |F_Delta| violated")
-        if self.delta_p(label) < 0:
-            raise ValueError("colour sets F_Delta, F, B_Delta overlap (P too small)")
         if label.beta_L != self.gamma_L + self.P - self.fdelta - label.tau.part(1):
             raise ValueError("beta_L inconsistent with realization")
         if label.beta_R != self.gamma_R + self.fdelta:
@@ -108,9 +120,9 @@ class NonCompactYoungDiagram:
     realization: Realization
 
     # boundary data in lattice coordinates -----------------------------------
-    def lam(self, c: int) -> Fraction:
-        """Upper boundary over fermionic column c (1-based)."""
-        return rat(self.label.tau.part(c) + self.realization.fdelta)
+    def lam(self, c: int) -> int:
+        """Upper boundary over fermionic column c (1-based): tau_c + |F_Delta|."""
+        return self.label.tau.part(c) + self.realization.fdelta
 
     def upper_row_end(self, a: int) -> Fraction:
         """Right end of upper row a (1-based, counted up from the centre)."""
@@ -119,6 +131,18 @@ class NonCompactYoungDiagram:
     def lower_row_start(self, d: int) -> Fraction:
         """Left end of lower row d (1-based, counted down from the centre)."""
         return -(self.label.mu_L.part(d) + self.realization.P + self.realization.gamma_L)
+
+    def weight(self) -> FundamentalWeight:
+        """The HWS weight in the su(p,|m|q) grading, read off the boundary:
+        nu_L from the lower row starts (bottom row first), lambda from the
+        strip, nu_R from the upper row ends less the strip width m."""
+        label = self.label
+        return FundamentalWeight(
+            grading_pmq(label.p, label.m, label.q),
+            tuple(self.lower_row_start(d) for d in range(label.p, 0, -1))
+            + tuple(self.lam(c) for c in range(1, label.m + 1))
+            + tuple(self.upper_row_end(a) - label.m for a in range(1, label.q + 1)),
+        )
 
     def to_json(self):
         out = self.label.to_json()
@@ -139,16 +163,10 @@ def realize(label: RepLabel, strategy=None, allow_nonunitary=False) -> NonCompac
     if strategy is not None:
         strategy.check(label)
         return NonCompactYoungDiagram(label, strategy)
-
-    unitary = classify_supqm(label).unitary
-    if not unitary and not allow_nonunitary:
+    if not allow_nonunitary and not classify_supqm(label).unitary:
         raise ValueError(f"no admissible realization: {label} is not unitary")
-
-    if label.m == 0:
-        real = _realize_m0(label)
-    else:
-        real = _realize_generic(label)
-    if unitary and not allow_nonunitary:
+    real = _realize_m0(label) if label.m == 0 else _realize_generic(label)
+    if not allow_nonunitary:
         real.check(label)
     return NonCompactYoungDiagram(label, real)
 
@@ -196,15 +214,15 @@ def _realize_m0(label: RepLabel) -> Realization:
 # weight read-off along an arbitrary grading
 # ---------------------------------------------------------------------------
 
-def read_weight(d: NonCompactYoungDiagram, g: Grading) -> FundamentalWeight:
+def read_weight(d: NonCompactYoungDiagram, g: Grading | None = None) -> FundamentalWeight:
     """The diagram's weight in grading g.
 
-    The su(p,|m|q) weight of the realization, carried to g along the weight
-    lattice (`lattice.weight_in_grading`); returned as is when g is its own
+    `NonCompactYoungDiagram.weight`, carried to g along the weight lattice
+    (`lattice.weight_in_grading`); returned as is when g is None or its own
     grading.
     """
-    w0 = weight_pmq_from_realization(d.label, d.realization)
-    if g == w0.grading:
+    w0 = d.weight()
+    if g is None or g == w0.grading:
         return w0
     return weight_in_grading(build_weight_lattice(w0), g)
 
@@ -300,8 +318,6 @@ def carve(e: ExtendedYoungDiagram, p: int, q: int, m: int) -> NonCompactYoungDia
         raise ValueError("upper boundary is not a partition over the strip")
     fdelta = lam[-1] if m else 0
     tau = Partition([x - fdelta for x in lam])
-    if m and tau and tau.height >= m:
-        raise ValueError("tau not proper for this hook")
 
     if q and e.heights[-1] >= 1:
         raise ValueError("upper boundary does not flatten east of the hook")
@@ -400,6 +416,7 @@ def fat_hook(tau: Partition, mu: Partition, beta_R, q: int, m: int) -> FatHookDi
 # ---------------------------------------------------------------------------
 
 CELL = 10  # svg units per lattice cell
+MAX_RENDER_CELLS = 100_000  # largest window (columns x rows) that `render` draws
 
 
 def render(d: NonCompactYoungDiagram, format: str = "ascii") -> str:
@@ -441,10 +458,14 @@ def _window(d: NonCompactYoungDiagram):
     east = label.m
     if label.q:
         east = max(east, _ceil(d.upper_row_end(1)))
-    tops = [_ceil(d.lam(c)) for c in range(1, label.m + 1)]
-    bots = [int(d.lam(c)) - d.realization.P for c in range(1, label.m + 1)]
-    top = max(tops + [label.q, 1])
-    bot = min(bots + [-label.p, -1])
+    lams = [d.lam(c) for c in range(1, label.m + 1)]
+    top = max(lams + [label.q, 1])
+    bot = min([lam - d.realization.P for lam in lams] + [-label.p, -1])
+    if (east - west) * (top - bot) > MAX_RENDER_CELLS:
+        raise ValueError(
+            f"a window of {east - west} x {top - bot} cells is larger than "
+            f"{MAX_RENDER_CELLS} cells to render"
+        )
     return west, east, bot, top
 
 

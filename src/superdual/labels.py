@@ -278,33 +278,13 @@ def label_from_weight(w: FundamentalWeight) -> RepLabel:
 def weight_from_label(
     label: RepLabel, target: Grading | None = None, allow_nonunitary: bool = False
 ) -> FundamentalWeight:
-    """Realise the label minimally and read its weight in `target`.
+    """The weight of the label's MinimalP diagram in `target` (its su(p,|m|q)
+    weight when target is None): `diagrams.read_weight(realize(...), target)`.
 
-    The weight is built in the su(p,|m|q) grading from the realization data
-    (gamma_L, gamma_R, |F_Delta|, P) and, given a target, transported along
-    the weight lattice by `diagrams.read_weight`.
-    Pass allow_nonunitary=True to build weights for non-unitary labels
-    (the lattice machinery is well-defined there and is how violations are
+    `realize` refuses a non-unitary label unless allow_nonunitary=True (the
+    lattice machinery is well-defined there and is how violations are
     exhibited).
     """
     from .diagrams import read_weight, realize  # local import to avoid a cycle
 
-    if not allow_nonunitary and not classify_supqm(label).unitary:
-        raise ValueError(f"label {label} is not unitary (pass allow_nonunitary)")
-    d = realize(label, allow_nonunitary=allow_nonunitary)
-    if target is None:
-        return weight_pmq_from_realization(label, d.realization)
-    return read_weight(d, target)
-
-
-def weight_pmq_from_realization(label: RepLabel, realization) -> FundamentalWeight:
-    """The HWS weight in the su(p,|m|q) grading for given realization data."""
-    p, q, m = label.p, label.q, label.m
-    gL, gR = realization.gamma_L, realization.gamma_R
-    fd, P = realization.fdelta, realization.P
-    mu_l = label.mu_L.padded(p) if p else ()
-    nu_L = tuple(-mu_l[p - 1 - i] - P - gL for i in range(p))
-    lam = tuple(label.tau.part(a) + fd for a in range(1, m + 1))
-    mu_r = label.mu_R.padded(q) if q else ()
-    nu_R = tuple(mu_r[i] + gR for i in range(q))
-    return FundamentalWeight(grading_pmq(p, m, q), nu_L + lam + nu_R)
+    return read_weight(realize(label, allow_nonunitary=allow_nonunitary), target)

@@ -22,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain, combinations_with_replacement
 from operator import itemgetter
 from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram
 from ..rationals import rat
-from .states import PERMS, State, _bump, _perm_bump, add_into, reduce_state, set_field, zero_state
+from .states import (
+    MAX_COLOURS, MAX_U0_DEGREE, PERMS, State, _bump, _perm_bump, add_into, reduce_state,
+    set_field, zero_state,
+)
 
 
 class Boson(NamedTuple):
@@ -62,24 +66,23 @@ class OscillatorSpec:
 
     @classmethod
     def from_diagram(cls, d: NonCompactYoungDiagram) -> "OscillatorSpec":
+        """The spec on the diagram's colour layout (`Realization.layout`).
+
+        Refuses (ValueError) a layout that does not fit, more than
+        MAX_COLOURS colours, or a U_0 vector of more than MAX_U0_DEGREE
+        oscillators."""
         label, r = d.label, d.realization
-        nB = r.b_delta_size(label)
-        nA = r.a_delta_size(label)
-        B_delta = tuple(range(nB))
-        if label.m:
-            F_delta = tuple(range(nB, nB + r.fdelta))
-            A_delta = F_delta[:nA]
-            if nA > len(F_delta):
-                raise ValueError("realization lacks colours for A_Delta inside F_Delta")
-            F_cols = tuple(range(nB + r.fdelta, nB + r.fdelta + label.tau.part(1)))
-            top = nB + r.fdelta + label.tau.part(1)
-        else:
-            F_delta = ()
-            A_delta = tuple(range(nB, nB + nA))
-            F_cols = ()
-            top = nB + nA
-        if top > r.P:
-            raise ValueError(f"realization needs at least {top} colours, has {r.P}")
+        colours, misfit = r.layout(label)
+        if misfit:
+            raise ValueError(misfit)
+        if r.P > MAX_COLOURS:
+            raise ValueError(f"{r.P} colours are outside the supported range 0..{MAX_COLOURS}")
+        degree = label.mu_L.size + label.tau.size + label.m * r.fdelta + label.mu_R.size
+        if degree > MAX_U0_DEGREE:
+            raise ValueError(
+                f"a U_0 vector of degree {degree} is outside the supported range 0..{MAX_U0_DEGREE}"
+            )
+        B_delta, A_delta, F_delta, F_cols = map(tuple, colours)
         return cls(
             label.p, label.m, label.q, r.P, r.gamma_L, r.gamma_R,
             B_delta, A_delta, F_delta, F_cols,
@@ -326,50 +329,32 @@ def generator_action(spec: OscillatorSpec, i: int, j: int, v) -> dict:
 
 
 def basis_states(spec: OscillatorSpec, cutoff: int, max_s: int = 0):
-    """All canonical monomials with oscillator degree <= cutoff, s <= max_s."""
+    """All canonical monomials with oscillator degree <= cutoff, s <= max_s.
 
-    def mats(rows, budget):
-        cells = rows * spec.P
-        if cells == 0:
-            yield ()
-            return
-        for combo in _bounded_tuples(cells, budget):
-            yield tuple(combo[r * spec.P : (r + 1) * spec.P] for r in range(rows))
-
+    A monomial of degree k is a multiset of k oscillator cells: the a cells
+    (flavour, colour), then the b cells, then the fermion bits, which occur
+    at most once."""
+    P = spec.P
+    n_a, n_bosons = spec.q * P, (spec.q + spec.p) * P
     out = []
-    for total_a in range(cutoff + 1):
-        for amat in mats(spec.q, total_a):
-            if sum(map(sum, amat)) != total_a:
-                continue
-            for total_b in range(cutoff - total_a + 1):
-                for bmat in mats(spec.p, total_b):
-                    if sum(map(sum, bmat)) != total_b:
-                        continue
-                    budget_f = cutoff - total_a - total_b
-                    for fmask in _masks(spec.m * spec.P, budget_f):
-                        for sL in range(max_s + 1 if spec.b_deformed else 1):
-                            for sR in range(max_s + 1 if spec.a_deformed else 1):
-                                st = State(amat, bmat, fmask, sL, sR)
-                                if spec.reduce(st) != {st: 1}:
-                                    continue  # not canonical
-                                out.append(st)
+    for cells in chain.from_iterable(
+        combinations_with_replacement(range(n_bosons + spec.m * P), k)
+        for k in range(cutoff + 1)
+    ):
+        if any(x == y >= n_bosons for x, y in zip(cells, cells[1:])):
+            continue  # a fermion bit twice
+        exps = [0] * n_bosons
+        f = 0
+        for x in cells:
+            if x < n_bosons:
+                exps[x] += 1
+            else:
+                f |= 1 << (x - n_bosons)
+        a = tuple(tuple(exps[r * P : r * P + P]) for r in range(spec.q))
+        b = tuple(tuple(exps[n_a + r * P : n_a + r * P + P]) for r in range(spec.p))
+        for sL in range(max_s + 1 if spec.b_deformed else 1):
+            for sR in range(max_s + 1 if spec.a_deformed else 1):
+                st = State(a, b, f, sL, sR)
+                if spec.reduce(st) == {st: 1}:  # canonical
+                    out.append(st)
     return out
-
-
-def _bounded_tuples(cells, budget):
-    if cells == 0:
-        if budget == 0:
-            yield ()
-        return
-    if cells == 1:
-        yield (budget,)
-        return
-    for first in range(budget + 1):
-        for rest in _bounded_tuples(cells - 1, budget - first):
-            yield (first,) + rest
-
-
-def _masks(bits, max_pop):
-    for mask in range(1 << bits):
-        if mask.bit_count() <= max_pop:
-            yield mask

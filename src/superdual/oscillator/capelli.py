@@ -29,7 +29,7 @@ from .algebra import (
     generator_action,
 )
 from .inner import inner_product
-from .module import _apply_minor
+from .module import minor_powers
 from .states import combine, scale
 
 
@@ -82,10 +82,7 @@ def delta_ladder_norms(P: int, gamma, mu: Partition, nmax: int):
     spec = block_spec(P, gamma)
     mu = Partition(mu)
     # highest vector of V_mu (x) V_mu: top-left minors
-    v = {spec.vacuum(): 1}
-    for y in range(1, mu.height + 1):
-        for _ in range(mu.part(y) - mu.part(y + 1)):
-            v = _apply_minor(spec, v, list(range(y)), tuple(range(y)), spec.bosons["a"])
+    v = minor_powers(spec, "a", mu, {spec.vacuum(): 1})
     ratios = []
     prev = inner_product(spec, v, v)
     cur = v

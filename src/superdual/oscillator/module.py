@@ -32,16 +32,7 @@ def build_u0(d: NonCompactYoungDiagram):
     """The K-highest vector of U_0 as a LinComb, plus its OscillatorSpec."""
     spec = OscillatorSpec.from_diagram(d)
     label = d.label
-    v = {spec.vacuum(): 1}
-
-    # left block: bottom-row minors of b over B_delta colours
-    mu_l = label.mu_L
-    for y in range(1, mu_l.height + 1):
-        power = mu_l.part(y) - mu_l.part(y + 1)
-        rows = list(range(spec.p - y, spec.p))  # bottom y flavours
-        cols = spec.B_delta[:y]
-        for _ in range(power):
-            v = _apply_minor(spec, v, rows, cols, spec.bosons["b"])
+    v = minor_powers(spec, "b", label.mu_L, {spec.vacuum(): 1})
 
     # fermionic tau columns over F colours
     tau_conj = label.tau.conjugate()
@@ -55,22 +46,22 @@ def build_u0(d: NonCompactYoungDiagram):
         for fl in range(spec.m):
             v = mul_f(spec, fl, col, v)
 
-    # right block: top-row minors of a over A_delta colours
-    mu_r = label.mu_R
-    for y in range(1, mu_r.height + 1):
-        power = mu_r.part(y) - mu_r.part(y + 1)
-        rows = list(range(y))  # top y flavours
-        cols = spec.A_delta[:y]
-        for _ in range(power):
-            v = _apply_minor(spec, v, rows, cols, spec.bosons["a"])
-    return spec, v
+    return spec, minor_powers(spec, "a", label.mu_R, v)
 
 
-def _apply_minor(spec, v, rows, cols, fam):
-    """det[the family's creation (rows[i], cols[j])] v, the factors applied row by row."""
-    return column_det(
-        len(rows), lambda j, i, term: mul(spec, fam, rows[i], cols[j], term), v, range(len(rows))
-    )
+def minor_powers(spec: OscillatorSpec, side: str, mu, v):
+    """prod_y D_y^(mu_y - mu_(y+1)) v, D_y the y x y minor of the side's
+    creation oscillators on its first y determinant colours and its top y
+    flavours for a, its bottom y for b; each minor is applied row by row."""
+    fam = spec.bosons[side]
+    for y in range(1, mu.height + 1):
+        rows = range(y) if side == "a" else range(spec.p - y, spec.p)
+        cols = fam.cols[:y]
+        for _ in range(mu.part(y) - mu.part(y + 1)):
+            v = column_det(
+                y, lambda j, i, term: mul(spec, fam, rows[i], cols[j], term), v, range(y)
+            )
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def _perm_sign(perm) -> int:
 # colour count P and the size of a minor.
 MAX_BLOCK = 8
 
+# Largest colour count P and U_0 degree (the number of oscillators in the
+# K-highest vector of U_0: |mu_L| + |tau| + m |F_Delta| + |mu_R|) that
+# `OscillatorSpec.from_diagram` accepts.  A state holds P exponents per boson
+# flavour, and U_0 applies one creation per unit of degree, so both bound the
+# oracle's memory and time before any state is built.
+MAX_COLOURS = 32
+MAX_U0_DEGREE = 32
+
 
 class _PermTable(dict):
     """n -> [(perm, sign)] over the permutations of range(n), built on first use.

@@ -12,8 +12,6 @@ of U_0: no other eliminator is involved.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq, label_from_weight
 from ..weights import FundamentalWeight
@@ -107,9 +105,7 @@ def tensor_decompose(d1: NonCompactYoungDiagram, d2: NonCompactYoungDiagram):
         raise ValueError("tensor factors with continuous gammas are not supported")
 
     P = spec1.P + spec2.P
-    spec = OscillatorSpec(
-        spec1.p, spec1.m, spec1.q, P, Fraction(0), Fraction(0), (), (), (), ()
-    )
+    spec = OscillatorSpec.plain(spec1.p, spec1.m, spec1.q, P)
     col_map1 = {A: A for A in range(spec1.P)}
     col_map2 = {A: spec1.P + A for A in range(spec2.P)}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import NonCompactYoungDiagram, realize
-from .labels import RepLabel, classify_supqm
+from .labels import RepLabel
 from .rationals import rat, rat_str
 
 
@@ -42,12 +42,9 @@ class ShorteningProfile:
 
 
 def shortening_profile(label: RepLabel) -> ShorteningProfile:
-    """Weight-level shortening orders for a unitary label (both sides)."""
-    verdict = classify_supqm(label)
-    if not verdict.unitary:
-        raise ValueError("shortening profile is defined for unitary labels")
-    d = realize(label)
-    return shortening_profile_of(d)
+    """Weight-level shortening orders for a unitary label (both sides);
+    `realize` refuses a non-unitary one."""
+    return shortening_profile_of(realize(label))
 
 
 def shortening_profile_of(d: NonCompactYoungDiagram) -> ShorteningProfile:
@@ -55,7 +52,7 @@ def shortening_profile_of(d: NonCompactYoungDiagram) -> ShorteningProfile:
     right = []
     left = []
     for a in range(1, label.m + 1):
-        lam = label.tau.part(a) + real.fdelta
+        lam = d.lam(a)
         r = None
         if real.gamma_R == 0 and lam <= label.q - 1:
             if all(label.mu_R.part(j) == 0 for j in range(lam + 1, label.q + 1)):
@@ -78,7 +75,7 @@ def _lam_2244(d: NonCompactYoungDiagram) -> list:
     """[lambda_1..lambda_4] = tau_a + |F_Delta| of an su(2,2|4) diagram."""
     if (d.label.p, d.label.q, d.label.m) != (2, 2, 4):
         raise ValueError("this operation is specific to su(2,2|4)")
-    return [d.label.tau.part(a) + d.realization.fdelta for a in range(1, 5)]
+    return [d.lam(a) for a in range(1, 5)]
 
 
 def bps_type_22_4(d: NonCompactYoungDiagram):

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from superdual.diagrams import (
+    NonCompactYoungDiagram,
     Realization,
     carve,
     extend,
@@ -373,9 +374,7 @@ def test_criterion_7_konishi():
     parent_label_limit = RepLabel(2, 2, 4, (), (), (), 2 + gam, 2 + gam)
     ok &= parent_label_limit == KONISHI_MEMBERS["C"].label
     parent_real = Realization(gam, gam, 2, 4)
-    from superdual.labels import weight_pmq_from_realization
-
-    wp = weight_pmq_from_realization(parent_label_limit, parent_real).values
+    wp = NonCompactYoungDiagram(parent_label_limit, parent_real).weight().values
     # lowering weight vectors on [nu_L(2); lambda(4); nu_R(2)]
     def vec(entries):
         v = [F(0)] * 8
@@ -395,7 +394,7 @@ def test_criterion_7_konishi():
     }
     for name, (lows, lam_shift) in decomps.items():
         d = KONISHI_MEMBERS[name]
-        wm = weight_pmq_from_realization(d.label, d.realization).values
+        wm = d.weight().values
         total = [a - b - lam_shift * s for a, b, s in zip(wm, wp, shift)]
         for lw in lows:
             total = [t - l for t, l in zip(total, lw)]

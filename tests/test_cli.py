@@ -284,6 +284,37 @@ def test_realization_checks_exit2(capsys, fields, realization, message):
     assert code == 2 and not out and err == f"error: {message}\n"
 
 
+# an oracle input past the bounds next to states.MAX_BLOCK: 10^9 colours
+# (su(1,1) at beta = 10^9; su(2,2|4) with tau_1 = 10^9) and a U_0 vector of
+# degree 10^9 + 6 (mu_R^1 = 10^9); these once ended in MemoryError or ran on
+@pytest.mark.parametrize("fields, message", [
+    ({"p": 1, "q": 1, "m": 0, "mu_L": [], "tau": [], "mu_R": [], "beta_R": "1000000000"},
+     "1000000000 colours are outside the supported range 0..32"),
+    ({"tau": [1000000000, 0, 0, 0]}, "1000000000 colours are outside the supported range 0..32"),
+    ({"mu_R": [1000000000, 0], "beta_R": "1"},
+     "a U_0 vector of degree 1000000006 is outside the supported range 0..32"),
+])
+def test_oracle_input_bounds_exit2(capsys, fields, message):
+    lab = json.dumps(_label(**fields))
+    for argv in (["verify", "--label", lab], ["tensor", "--left", lab, "--right", lab]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err == f"error: {message}\n"
+    # the theorem side stays exact for any beta
+    for cmd in ("classify", "weight", "lattice"):
+        code, out, err = run(capsys, cmd, "--label", lab)
+        assert code == 0 and out and not err
+
+
+def test_diagram_window_bound_exit2(capsys):
+    lab = json.dumps(_label(mu_R=[1000000000, 0], beta_R="1"))
+    for fmt in ("ascii", "svg"):
+        code, out, err = run(capsys, "diagram", "--label", lab, "--format", fmt)
+        assert code == 2 and not out
+        assert err == "error: a window of 1000000006 x 4 cells is larger than 100000 cells to render\n"
+    code, out, err = run(capsys, "diagram", "--label", lab, "--format", "json")
+    assert code == 0 and json.loads(out)["mu_R"] == [1000000000, 0]
+
+
 def test_verify_lists_flagged_slices(capsys):
     code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "1")
     lines = out.splitlines()

@@ -179,6 +179,28 @@ def test_carve_other_algebra():
     assert classify_supqm(d.label).unitary
 
 
+# each refusal of `carve`, and `render`'s unknown format
+@pytest.mark.parametrize("refused, args, message", [
+    (carve, (ExtendedYoungDiagram(1, 1, (0, 1)), 0, 0, 2),
+     "upper boundary is not a partition over the strip"),
+    (carve, (ExtendedYoungDiagram(1, 1, (-1,)), 0, 0, 1),
+     "upper boundary is not a partition over the strip"),
+    (carve, (ExtendedYoungDiagram(1, 1, (1,)), 0, 1, 1),
+     "upper boundary does not flatten east of the hook"),
+    (carve, (ExtendedYoungDiagram(1, 1, (1, 1, 0)), 0, 1, 1), "mu_R not proper for this hook"),
+    (carve, (ExtendedYoungDiagram(1, 0, (0, 1)), 1, 0, 1),
+     "lower boundary does not flatten west of the hook"),
+    (carve, (ExtendedYoungDiagram(2, 0, (2, 2)), 1, 0, 1),
+     "hook row 1 is not covered by the diagram"),
+    (carve, (ExtendedYoungDiagram(1, -2, (1, 0, 0, 1)), 1, 0, 1), "mu_L not proper for this hook"),
+    (render, (realize(RepLabel(1, 1, 2, (), (), (), 0, 0)), "png"), "unknown format 'png'"),
+])
+def test_inconsistent_inputs_are_refused(refused, args, message):
+    with pytest.raises(ValueError) as exc:
+        refused(*args)
+    assert str(exc.value) == message
+
+
 def test_thook_round_trips():
     d = realize(RepLabel(2, 2, 4, (1, 0), (2, 1, 0), (1, 0), 2, 3))
     e = extend(d)

@@ -488,8 +488,9 @@ def test_results_stay_fractions_on_int_seeded_inputs():
     assert type(capelli_norm_factor(Partition(()), 0, 0, 2)) is F
 
 
-def _old_L_apply(lc, i, j, n):
-    """L_ij rebuilding every row of every target."""
+def _definition_L_apply(lc, i, j, n):
+    """L_ij = sum_A x_iA d/dx_jA on {exponent matrix: coefficient}: each
+    monomial, times the exponent e of x_jA, with one x_jA traded for x_iA."""
     out = {}
     for mat, coef in lc.items():
         for A in range(n):
@@ -506,7 +507,7 @@ def _old_L_apply(lc, i, j, n):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_L_apply_matches_full_row_rebuild(data):
+def test_L_apply_matches_definition(data):
     n = data.draw(st.integers(1, 4))
     entry = st.integers(0, 2)
     mat = st.tuples(*[st.tuples(*[entry] * n)] * n)
@@ -514,5 +515,5 @@ def test_L_apply_matches_full_row_rebuild(data):
     lc = data.draw(st.dictionaries(mat, coef, max_size=6))
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     got = _L_apply(lc, i, j, n)
-    want = _old_L_apply(lc, i, j, n)
+    want = _definition_L_apply(lc, i, j, n)
     assert list(got.items()) == list(want.items())
