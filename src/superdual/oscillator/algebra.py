@@ -149,17 +149,33 @@ class OscillatorSpec:
         )
 
     @cached_property
-    def _weight_offsets(self) -> tuple:  # state_weight - state_charge
-        return ((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
-                + (rat(self.gamma_R),) * self.q)
+    def _weight_table(self) -> "_WeightTable":
+        return _WeightTable((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
+                            + (rat(self.gamma_R),) * self.q)
 
     def charge_weight(self, charge) -> tuple:
-        """The E_ii eigenvalues of every state of the given charge."""
-        return tuple(o + c for o, c in zip(self._weight_offsets, charge))
+        """The E_ii eigenvalues of every state of the given charge: entry i
+        is the constant offset of index i plus charge[i], read from this
+        spec's table."""
+        return tuple(map(self._weight_table.__getitem__, enumerate(charge)))
 
     def state_weight(self, s: State) -> tuple:
         """E_ii eigenvalues of a monomial state, in su(p,|m|q) index order."""
         return self.charge_weight(self.state_charge(s))
+
+
+class _WeightTable(dict):
+    """(index i, charge entry c) -> offsets[i] + c, a Fraction made on first
+    use: the weight entries of one spec (`OscillatorSpec.charge_weight`)."""
+
+    def __init__(self, offsets: tuple):
+        super().__init__()
+        self.offsets = offsets  # state_weight - state_charge
+
+    def __missing__(self, key):
+        i, c = key
+        weight = self[key] = self.offsets[i] + c
+        return weight
 
 
 def _row_getter(cols: tuple):

@@ -37,14 +37,18 @@ gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
 on top of it, which keeps only the weights c_mu(gamma) and each slice's
 divided differences as integer numerators over one slice denominator: a
 slice pairing is the integer sum_j num_j <N_j u, v>_Fock over that
-denominator.  `inner_product` stays on integers until it returns: it adds
-each slice pairing, times the Fock factor of its plain rest, into an integer
-numerator keyed by its denominator (on two deformed blocks the product of
-the a and b pairings, over the product of their denominators), and makes one
-Fraction per pairing from those sums and the two vectors' denominators.
-`clear_caches()` drops both tables, and the normal forms modulo det X - t
-that `states` memoises.  A prepared vector is a per-call value, never
-memoised.
+denominator.  The forms are keyed on the integers (n, numerator,
+denominator) of (n, gamma), so a lookup hashes no Fraction.
+`inner_product` stays on integers until it returns: it adds each slice
+pairing, times the Fock factor of its plain rest, into an integer numerator
+keyed by its denominator (on two deformed blocks the product of the a and b
+pairings, over the product of their denominators, with the Newton images of
+each b monomial and of its a coordinates taken once), and makes one
+Fraction per pairing from those sums and the two vectors' denominators.  A
+pairing with an empty vector, such as a vanishing PBW monomial, is 0 before
+any form is looked up.  `clear_caches()` drops both tables, and the normal
+forms modulo det X - t that `states` memoises.  A prepared vector is a
+per-call value, never memoised.
 """
 
 from __future__ import annotations
@@ -158,6 +162,11 @@ def _fock_pair(coords1: dict, coords2: dict) -> int:
     return total
 
 
+def _newton_pair(nums, images, coords2) -> int:
+    """sum_j nums[j] <N_j, coords2>_Fock over the Newton images N_j."""
+    return sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images))
+
+
 def _dominates(mu: tuple, lam: tuple) -> bool:
     """Dominance order on equal-length tuples: every partial sum of mu is
     at least that of lam."""
@@ -246,8 +255,7 @@ class BlockForm:
         num / den, num summed on the integer numerators of the a_j and den
         their denominator from `newton_numerators`."""
         nums, den = self.newton_numerators(margins)
-        images = self.spectrum.images(margins, coords1)
-        return sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images)), den
+        return _newton_pair(nums, self.spectrum.images(margins, coords1), coords2), den
 
     def weight(self, mu: Partition) -> Fraction:
         """c_mu(gamma), computed once per mu."""
@@ -284,7 +292,7 @@ class BlockForm:
 
 
 _SPECTRA = {}  # n -> BlockSpectrum
-_BLOCK_FORMS = {}  # (n, gamma) -> BlockForm
+_BLOCK_FORMS = {}  # (n, numerator, denominator) of (n, gamma) -> BlockForm
 
 
 def block_spectrum(n: int) -> BlockSpectrum:
@@ -293,11 +301,14 @@ def block_spectrum(n: int) -> BlockSpectrum:
     return _SPECTRA[n]
 
 
-def block_form(n: int, gamma: Fraction) -> BlockForm:
-    key = (n, rat(gamma))
-    if key not in _BLOCK_FORMS:
-        _BLOCK_FORMS[key] = BlockForm(*key)
-    return _BLOCK_FORMS[key]
+def block_form(n: int, gamma) -> BlockForm:
+    """The shared form of size n at the rational gamma (a Fraction or int),
+    keyed on integers so that no lookup hashes a Fraction."""
+    key = (n, gamma.numerator, gamma.denominator)
+    form = _BLOCK_FORMS.get(key)
+    if form is None:
+        form = _BLOCK_FORMS[key] = BlockForm(n, gamma)
+    return form
 
 
 def clear_caches() -> None:
@@ -366,6 +377,9 @@ def prepare(spec, u) -> Prepared:
     return Prepared(denom, rests)
 
 
+_ZERO = Fraction(0)
+
+
 def inner_product(spec, u, v) -> Fraction:
     """Exact pairing of two LinCombs, states or `Prepared` vectors in the
     polynomial sector.
@@ -374,10 +388,13 @@ def inner_product(spec, u, v) -> Fraction:
     with factorials, fermions with delta, and each deformed block through its
     c_mu-weighted form, evaluated per bi-charge slice at vector level.  Each
     slice pairing is an integer numerator over its Newton denominator; they
-    are summed per denominator and make one Fraction.
+    are summed per denominator and make one Fraction.  An empty vector pairs
+    to 0 at once.
     """
     pu = prepare(spec, u)
     pv = pu if v is u else prepare(spec, v)
+    if not pu.rests or not pv.rests:
+        return _ZERO
     form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
     form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
     acc = {}  # slice denominator -> integer numerator
@@ -409,20 +426,22 @@ def _eval_single(form, data1, data2, fact, acc):
 def _eval_double(form_a, form_b, data1, data2, fact, acc):
     """Add fact times each (a slice, b slice) pairing into acc: the b
     monomials b1, b2 of a group share the b margins of its key, so their
-    pairing is sum_j a_j(b) <N_j b1, b2>_Fock on the b-form's numerators."""
+    pairing is sum_j a_j(b) <N_j b1, b2>_Fock on the b-form's numerators.
+    The Newton images of b1 and of its a coordinates are taken once per b1."""
     for key, bgroups1 in data1.items():
         bgroups2 = data2.get(key)
         if not bgroups2:
             continue
         a_marg, b_marg = key
+        nums_a, den_a = form_a.newton_numerators(a_marg)
         nums_b, den_b = form_b.newton_numerators(b_marg)
-        den = den_b * form_a.newton_numerators(a_marg)[1]
+        den = den_a * den_b
         total = 0
         for b1, coords_a1 in bgroups1.items():
-            images = form_b.spectrum.images(b_marg, {b1: 1})
+            images_a = form_a.spectrum.images(a_marg, coords_a1)
+            images_b = form_b.spectrum.images(b_marg, {b1: 1})
             for b2, coords_a2 in bgroups2.items():
-                gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images))
+                gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images_b))
                 if gb:
-                    num_a, _den_a = form_a.eval_coords(a_marg, coords_a1, coords_a2)
-                    total += gb * _fock_norm(b2) * num_a
+                    total += gb * _fock_norm(b2) * _newton_pair(nums_a, images_a, coords_a2)
         acc[den] = acc.get(den, 0) + fact * total

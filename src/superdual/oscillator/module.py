@@ -8,6 +8,14 @@ family (per Cartan slice) is positive definite for long unitary labels,
 degenerates exactly at shortenings, and acquires negative directions on the
 non-unitary side.  Its inertia comes from `RowSpace`, the eliminator that
 also spans the K-orbit of U_0 and the tensor tables' K-highest vectors.
+
+The slice loop computes on integers: each slice's weight is read from a
+per-spec table (`OscillatorSpec.charge_weight`), `inner.prepare` clears a
+vector's denominators once, and `RowSpace` reduces fraction-free on integer
+rows (`analyze_gram` scales a slice's Gram matrix once by the lcm of its
+denominators).  Fractions are made only for the Gram entries that
+`inner_product` returns and for a negative-norm witness.  A PBW family
+larger than `states.MAX_PBW_FAMILY` is refused before it is built.
 """
 
 from __future__ import annotations
@@ -15,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb, gcd, lcm
 
 from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, column_det, generator_action, mul, mul_f
 from .inner import inner_product, prepare
-from .states import add_into, scale
+from .states import MAX_PBW_FAMILY, add_into
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +132,58 @@ def k_lowering_generators(spec: OscillatorSpec):
 # ---------------------------------------------------------------------------
 
 class RowSpace:
-    """Incremental row-echelon store for sparse vectors, pivoting on the largest key."""
+    """Incremental fraction-free row-echelon store for sparse integer
+    vectors, pivoting on the largest key.
+
+    A row meets the stored row of its largest key and becomes
+    p row - x stored, p the stored row's pivot entry and x the row's entry
+    there, both divided by their gcd.  A stored row is divided by the gcd of
+    its entries, signed so that its pivot entry p is positive; every reduced
+    row is thus a positive integer multiple of the rational reduction
+    against rows normalised to 1 at their pivots.  Entries must be
+    integers, and no Fraction is made.
+    """
 
     def __init__(self):
-        self.pivots = {}  # pivot key -> reduced vector with coeff 1 there
+        self.pivots = {}  # pivot key -> primitive integer row, positive at the pivot
 
     def reduce(self, vec):
+        """(row, pivot): vec reduced until its largest key has no stored
+        row, and that key; ({}, None) when vec lies in the span."""
         vec = dict(vec)
         while vec:
             piv = max(vec)
-            if piv not in self.pivots:
+            stored = self.pivots.get(piv)
+            if stored is None:
                 return vec, piv
-            coeff = vec[piv]
-            for s, c in self.pivots[piv].items():
-                add_into(vec, s, -coeff * c)
+            p, x = stored[piv], vec[piv]
+            g = gcd(p, x)
+            if p != g:
+                vec = {s: c * (p // g) for s, c in vec.items()}
+            x //= g
+            for s, c in stored.items():
+                add_into(vec, s, -x * c)
         return {}, None
 
     def insert(self, vec):
-        """Reduce and store; returns the reduced vector or None if dependent."""
+        """Reduce and store; returns the stored row or None if dependent."""
         red, piv = self.reduce(vec)
         if piv is None:
             return None
-        inv = Fraction(1) / red[piv]
-        red = scale(red, inv)
+        g = gcd(*red.values())
+        if red[piv] < 0:
+            g = -g
+        if g != 1:
+            red = {s: c // g for s, c in red.items()}
         self.pivots[piv] = red
         return red
+
+
+def integer_multiple(vec) -> dict:
+    """vec times the lcm of its coefficients' denominators, with int
+    coefficients: the row that `RowSpace` takes for a rational vector."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {s: c.numerator * (den // c.denominator) for s, c in vec.items()}
 
 
 # rounds of K-lowering after which a U_0 that has not closed is an error
@@ -158,7 +194,7 @@ def u0_k_basis(spec: OscillatorSpec, u0):
     """Basis of the K-module U_0: closure of u0 under K-lowering operators."""
     gens = k_lowering_generators(spec)
     space = RowSpace()
-    space.insert(dict(u0))
+    space.insert(integer_multiple(u0))
     frontier = [dict(u0)]
     basis = [dict(u0)]
     for _ in range(K_ORBIT_MAX_ROUNDS):
@@ -168,8 +204,7 @@ def u0_k_basis(spec: OscillatorSpec, u0):
                 w = generator_action(spec, i, j, v)
                 if not w:
                     continue
-                red = space.insert(w)
-                if red is not None:
+                if space.insert(integer_multiple(w)) is not None:
                     new_frontier.append(w)
                     basis.append(w)
         if not new_frontier:
@@ -181,6 +216,15 @@ def u0_k_basis(spec: OscillatorSpec, u0):
 # ---------------------------------------------------------------------------
 # PBW spanning family and Gram analysis
 # ---------------------------------------------------------------------------
+
+def monomial_count(gens, cutoff: int) -> int:
+    """The number of PBW monomials of length <= cutoff: an even generator
+    repeats freely and an odd one occurs at most once, so choosing j of the
+    odd ones leaves a multiset of at most cutoff - j even ones."""
+    odd = sum(1 for g in gens if g[2])
+    even = len(gens) - odd
+    return sum(comb(odd, j) * comb(even + cutoff - j, even) for j in range(min(odd, cutoff) + 1))
+
 
 def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
     """PBW monomials in E^(-) applied to the U_0 basis, grouped by weight.
@@ -199,8 +243,17 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
     monomial's suffix, which is itself a family member.  Slices are keyed by
     integer charge while they are built; the weight is the charge plus a
     constant offset, so charge order is weight order.
+
+    A family of more than MAX_PBW_FAMILY vectors (`monomial_count` times the
+    basis size) is refused with ValueError before any vector is built.
     """
     gens = eminus_generators(spec)
+    size = len(u0_basis) * monomial_count(gens, cutoff)
+    if size > MAX_PBW_FAMILY:
+        raise ValueError(
+            f"a PBW family of {size} vectors (depth {cutoff}) is outside the "
+            f"supported range 0..{MAX_PBW_FAMILY}"
+        )
     by_length = [
         mono
         for k in range(cutoff + 1)
@@ -265,18 +318,23 @@ def analyze_gram(G):
     direction, so kernel_dim then counts only the null directions met
     before it: a lower bound.
 
-    Row i is G's row i, column u under key -u (the least column pivots),
-    plus e_i under key -n - i.  Reduced against the stored rows of positive
-    norm it is (g, c) with g = G c zero on every stored column, so c is e_i
-    made G-orthogonal to them and its norm is g_i.  With g_i = 0 and g != 0,
-    c is isotropic and pairs with e_partner, partner the least column of g.
+    The reduction runs on integers: G is multiplied once by L, the lcm of
+    its entries' denominators.  Row i is row i of L G, column u under key -u
+    (the least column pivots), plus e_i under key -n - i.  Reduced against
+    the stored rows of positive norm it is (g, c) with g = L G c zero on
+    every stored column, and c a positive multiple c_i of e_i made
+    G-orthogonal to them; the norm of c / c_i has the sign of g_i.  A
+    negative witness is c / c_i.  With g_i = 0 and g != 0, c is isotropic
+    and pairs with e_partner, partner the least column of g; the witness
+    -(|G_pp| + 1) L c / (2 g_partner) + e_partner has norm G_pp - |G_pp| - 1.
     """
     n = len(G)
+    scale = lcm(*(x.denominator for row in G for x in row))
     space = RowSpace()
     kernel = 0
     for i in range(n):
-        row = {-u: x for u, x in enumerate(G[i]) if x}
-        row[-n - i] = Fraction(1)
+        row = {-u: x.numerator * (scale // x.denominator) for u, x in enumerate(G[i]) if x}
+        row[-n - i] = 1
         red, piv = space.reduce(row)
         if piv <= -n:  # g = 0
             kernel += 1
@@ -285,12 +343,12 @@ def analyze_gram(G):
         if norm > 0:
             space.insert(red)
             continue
-        c = [red.get(-n - t, Fraction(0)) for t in range(n)]
+        c = [red.get(-n - t, 0) for t in range(n)]
         if norm < 0:
-            return kernel, c
+            return kernel, [Fraction(x, c[i]) for x in c]
         partner = -piv
-        tau = -(abs(G[partner][partner]) + 1) / (2 * red[piv])
-        wit = [tau * x for x in c]
+        tau = -(abs(G[partner][partner]) + 1) * scale
+        wit = [Fraction(tau * x, 2 * red[piv]) for x in c]
         wit[partner] += 1
         return kernel, wit
     return kernel, None

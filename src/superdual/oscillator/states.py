@@ -54,6 +54,12 @@ MAX_BLOCK = 8
 MAX_COLOURS = 32
 MAX_U0_DEGREE = 32
 
+# Largest PBW spanning family (monomials of length <= cutoff times the
+# K-basis of U_0) that `module.pbw_family` builds.  The family grows about
+# fourfold per unit of depth on su(2,2|4), and a family of this size takes
+# tens of seconds to analyse.
+MAX_PBW_FAMILY = 200_000
+
 
 class _PermTable(dict):
     """n -> [(perm, sign)] over the permutations of range(n), built on first use.

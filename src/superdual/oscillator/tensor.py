@@ -16,7 +16,7 @@ from ..diagrams import NonCompactYoungDiagram
 from ..labels import grading_pmq, label_from_weight
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, generator_action
-from .module import RowSpace, build_u0, k_lowering_generators, u0_k_basis
+from .module import RowSpace, build_u0, integer_multiple, k_lowering_generators, u0_k_basis
 from .states import State, add_into
 
 
@@ -65,11 +65,12 @@ def k_hws_in_span(spec: OscillatorSpec, vectors):
 
     Each vector enters one `RowSpace` as a row holding its own coordinates
     under keys (0, state) and its image under each K raising generator g
-    under keys (1, g, state).  The store pivots on the largest key, so the
-    images are eliminated first: a stored row whose pivot is an own key has
-    no image left, and these rows' own parts are a basis of the K-highest
-    vectors of the span.  A vector that reduces to nothing was dependent.
-    Rows of different weights share no key, so no row mixes weights.
+    under keys (1, g, state), scaled to integers.  The store pivots on the
+    largest key, so the images are eliminated first: a stored row whose
+    pivot is an own key has no image left, and these rows' own parts are a
+    basis of the K-highest vectors of the span, each a primitive integer
+    vector.  A vector that reduces to nothing was dependent.  Rows of
+    different weights share no key, so no row mixes weights.
     """
     gens = [(j, i) for i, j in k_lowering_generators(spec)]
     space = RowSpace()
@@ -80,7 +81,7 @@ def k_hws_in_span(spec: OscillatorSpec, vectors):
         for g in gens:
             for s, c in generator_action(spec, *g, v).items():
                 row[(1, g, s)] = c
-        space.insert(row)
+        space.insert(integer_multiple(row))
     found = [
         (spec.state_weight(piv[1]), {key[1]: c for key, c in row.items()})
         for piv, row in space.pivots.items()

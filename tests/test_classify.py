@@ -4,14 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from superdual.gradings import Grading
 from superdual.labels import (
     RepLabel,
     classify_contravariant,
     classify_covariant,
     classify_supq,
     classify_supqm,
-    grading_distinguished,
     grading_pmq,
     label_from_weight,
     mack_classify,

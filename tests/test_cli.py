@@ -3,6 +3,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +106,17 @@ def test_verify_negative_cutoff_exit2(capsys):
     code, out, err = run(capsys, "verify", "--cutoff", "-1", "--label", lab)
     assert code == 2 and not out
     assert err.startswith("error: ") and "cutoff" in err
+
+
+def test_verify_refuses_a_pbw_family_past_the_bound(capsys):
+    """Yang-Mills at cutoff 6 has a PBW family of 524,244 vectors, past
+    MAX_PBW_FAMILY; the family is counted before any vector is built, so
+    `verify` exits 2 at once instead of running for minutes."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "6")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "524244 vectors" in err and "200000" in err
+    assert time.perf_counter() - t0 < 10
 
 
 GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "src" / "superdual" / "goldens"

@@ -1,7 +1,9 @@
 import gc
 import itertools
+import math
 from fractions import Fraction as F
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +20,20 @@ from superdual.oscillator import (
     inner_product,
     verify_hws,
 )
-from superdual.oscillator import inner
+from superdual.oscillator import inner, module
 from superdual.oscillator.algebra import ann, column_det, delta_dagger, delta_lower, mul
 from superdual.oscillator.capelli import block_spec
 from superdual.oscillator.module import (
+    RowSpace,
     analyze_gram,
     build_u0,
     eminus_generators,
+    monomial_count,
     pbw_family,
     u0_k_basis,
 )
 from superdual.oscillator.states import (
+    MAX_PBW_FAMILY,
     PERMS,
     State,
     _bump,
@@ -307,6 +312,23 @@ def test_pbw_suffix_build_matches_rebuild_from_base(data):
     want = _definition_pbw_family(spec, basis, cutoff)
     assert list(got) == list(want)  # ascending weight order
     assert got == want  # the same tags in the same order, equal vectors
+    size = sum(map(len, got.values()))
+    assert size == len(basis) * monomial_count(eminus_generators(spec), cutoff)
+
+
+def test_pbw_family_is_bounded_before_any_vector_is_built():
+    """The closed-form count on Yang-Mills at cutoffs 2..6, and a refusal
+    past MAX_PBW_FAMILY raised before the first E^(-) action."""
+    ym = RepLabel(2, 2, 4, (0, 0), (1, 1, 0, 0), (0, 0), 0, 0)
+    spec, u0 = build_u0(realize(ym))
+    basis = u0_k_basis(spec, u0)
+    gens = eminus_generators(spec)
+    sizes = [len(basis) * monomial_count(gens, cutoff) for cutoff in range(2, 7)]
+    assert sizes == [1290, 8610, 42300, 163884, 524244]
+    assert sizes[3] <= MAX_PBW_FAMILY < sizes[4]
+    with mock.patch.object(module, "generator_action", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="524244 vectors"):
+            pbw_family(spec, basis, 6)
 
 
 def test_gram_positivity_leaves_no_cyclic_garbage():
@@ -561,6 +583,117 @@ def test_analyze_gram_matches_gram_schmidt_reference(data):
         vecs = [[data.draw(st.integers(-2, 2)) for _ in range(dim)] for _ in range(n)]
         G = [[F(sum(a * b for a, b in zip(u, v))) for v in vecs] for u in vecs]
     _check_inertia(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_analyze_gram_ignores_a_positive_rescaling(data):
+    """analyze_gram(c G) is analyze_gram(G) for a positive rational c, on
+    entries of mixed denominators: the integer scale L never leaks into the
+    kernel count or a witness.  The one exception is by design: the
+    isotropic witness tau v + e_p takes tau = -(|G_pp| + 1) / (2 G_p v),
+    which is not homogeneous in G, so there only tau may move."""
+    n = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    G = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = data.draw(entry)
+    c = data.draw(st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12))
+    kernel, witness = analyze_gram(G)
+    kernel2, witness2 = analyze_gram([[c * x for x in row] for row in G])
+    assert kernel2 == kernel and (witness2 is None) == (witness is None)
+    if witness is None:
+        return
+    assert all(type(x) is F for x in witness + witness2)
+    assert _norm(G, witness2) < 0
+    if repr(witness2) != repr(witness):
+
+        def minus_e(w, p):
+            return [x - (t == p) for t, x in enumerate(w)]
+
+        def parallel(u, v):
+            return all(a * v[t] == b * u[t] for a, b in zip(u, v) for t in range(n))
+
+        assert any(parallel(minus_e(witness, p), minus_e(witness2, p)) for p in range(n))
+
+
+def _reference_echelon(rows):
+    """[(pivot key or None, reduced row)] of the incremental echelon form by
+    definition, over Fractions: each row minus its entry at a stored pivot
+    times the stored row, which is 1 there, from the largest key down; a
+    row that keeps a nonzero entry is stored divided by its pivot entry."""
+    stored, out = {}, []
+    for row in rows:
+        vec = {k: F(x) for k, x in row.items() if x}
+        while vec and max(vec) in stored:
+            top = stored[max(vec)]
+            x = vec[max(vec)]
+            for k, y in top.items():
+                vec[k] = vec.get(k, 0) - x * y
+            vec = {k: y for k, y in vec.items() if y}
+        piv = max(vec) if vec else None
+        if piv is not None:
+            stored[piv] = {k: y / vec[piv] for k, y in vec.items()}
+        out.append((piv, vec))
+    return out, stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_space_matches_fraction_echelon_reference(data):
+    """RowSpace against the Fraction reduction from its definition: the same
+    pivots, each reduction a positive multiple of the reference one, and
+    each stored row a primitive integer multiple of the reference row,
+    positive at its pivot."""
+    width = data.draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if rows and data.draw(st.booleans()):  # a combination of earlier rows
+            row = {}
+            for old in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                k = data.draw(entry)
+                for key, x in old.items():
+                    row[key] = row.get(key, 0) + k * x
+        else:
+            row = {key: data.draw(entry) for key in range(width)}
+        rows.append({key: x for key, x in row.items() if x})
+    want, want_stored = _reference_echelon(rows)
+    space = RowSpace()
+    for row, (piv, ref) in zip(rows, want):
+        red, got_piv = space.reduce(row)
+        assert got_piv == piv
+        assert red.keys() == ref.keys() and all(type(x) is int for x in red.values())
+        if piv is not None:
+            ratio = red[piv] / ref[piv]
+            assert ratio > 0 and all(red[k] == ratio * ref[k] for k in ref)
+        stored = space.insert(row)
+        assert (stored is None) == (piv is None)
+    assert space.pivots.keys() == want_stored.keys()
+    for piv, row in space.pivots.items():
+        assert row[piv] > 0 and math.gcd(*row.values()) == 1
+        assert row == {k: row[piv] * x for k, x in want_stored[piv].items()}
+
+
+def test_charge_weight_reads_a_per_spec_table():
+    """Each entry is the Fraction offset + charge, negative charges
+    included, and specs that differ only in gamma_L keep separate tables."""
+    specs = [
+        OscillatorSpec(2, 1, 1, 3, gamma_L, F(1, 3), (0, 1), (2,), (), ())
+        for gamma_L in (F(1, 2), F(-2, 3), F(1, 2))
+    ]
+    assert specs[0] == specs[2] and specs[0] != specs[1]
+    for charge in itertools.product(range(-3, 3), repeat=4):
+        for spec in specs:
+            offsets = (-spec.P - spec.gamma_L,) * 2 + (F(0), spec.gamma_R)
+            weight = spec.charge_weight(charge)
+            assert all(type(w) is F for w in weight)
+            assert weight == tuple(o + x for o, x in zip(offsets, charge))
+            assert spec.charge_weight(charge) == weight  # a table hit
+    tables = [spec._weight_table for spec in specs]
+    assert tables[0] is not tables[1] and tables[0] is not tables[2]
+    assert tables[0][0, -3] != tables[1][0, -3]
 
 
 # ---------------------------------------------------------------------------
