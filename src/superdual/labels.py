@@ -82,6 +82,8 @@ class RepLabel:
         object.__setattr__(self, "beta_R", rat(self.beta_R))
         if self.p < 0 or self.q < 0 or self.m < 0:
             raise ValueError("negative dimensions")
+        if self.p + self.q + self.m < 2:
+            raise ValueError("p + q + m must be at least 2")
         # proper partitions: the last entry of each block vanishes
         if self.mu_L.height >= max(self.p, 1) and self.mu_L:
             raise ValueError(f"mu_L not proper for p={self.p}")

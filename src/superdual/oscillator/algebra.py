@@ -274,40 +274,32 @@ def delta_dagger(spec: OscillatorSpec, which: str, lc: dict) -> dict:
 
 
 def delta_lower(spec: OscillatorSpec, which: str, lc: dict) -> dict:
-    """The annihilator determinant Delta = det(a_i(A)) on the block."""
+    """The annihilator determinant Delta = det(a_i(A)) on the block; its
+    entries commute, so `column_det`'s column order does not matter."""
     fam = spec.bosons[which]
     n = len(fam.cols)
-    return column_det(n, lambda row, k, term: ann(spec, fam, row, fam.cols[k], term), lc, range(n))
+    return column_det(n, lambda row, k, term: ann(spec, fam, row, fam.cols[k], term), lc)
 
 
-def column_det(n: int, op, lc: dict, order) -> dict:
-    """sum_sigma sgn(sigma) op(sigma(k_last), k_last) ... op(sigma(k_0), k_0) lc.
+def column_det(n: int, op, lc: dict) -> dict:
+    """sum_sigma sgn(sigma) op(sigma(0), 0) ... op(sigma(n-1), n-1) lc, the
+    column-ordered determinant: column n-1 acts first, as the Capelli
+    identity needs for entries that do not commute.
 
-    op(row, k, lc) is a linear map; `order` lists the columns k_0, ..., k_last
-    in the order they act, ascending (range(n)) or descending.  The partial
-    sums are kept per set of rows used so far, so the 2^n sets replace the n!
-    permutations (n 2^(n-1) applications of op) and cancelling terms merge
-    early.  A new row adds one inversion per used row on its inverting side:
-    above it when the columns ascend, below it when they descend.
+    op(row, k, lc) is a linear map.  The partial sums are kept per set of
+    rows used so far, so the 2^n sets replace the n! permutations
+    (n 2^(n-1) applications of op) and cancelling terms merge early.  A new
+    row adds one inversion per used row below it.
     """
-    order = tuple(order)
-    if order == tuple(range(n)):
-        def inversions(used, row):
-            return (used >> (row + 1)).bit_count()
-    elif order == tuple(range(n - 1, -1, -1)):
-        def inversions(used, row):
-            return (used & ((1 << row) - 1)).bit_count()
-    else:
-        raise ValueError(f"columns {order} are not monotone in range({n})")
     sums = {0: lc}  # bitmask of the rows used -> partial sum
-    for k in order:
+    for k in range(n - 1, -1, -1):
         nxt = {}
         for used, term in sums.items():
             for row in range(n):
                 if used >> row & 1:
                     continue
                 acc = nxt.setdefault(used | 1 << row, {})
-                odd = inversions(used, row) % 2
+                odd = (used & ((1 << row) - 1)).bit_count() % 2
                 for s, c in op(row, k, term).items():
                     add_into(acc, s, -c if odd else c)
         sums = {used: term for used, term in nxt.items() if term}

@@ -74,7 +74,7 @@ def _column_det_action(spec: OscillatorSpec, lc):
         image = generator_action(spec, base + row, base + col, term)
         return combine(image, scale(term, P - (row + 1))) if row == col else image
 
-    return column_det(P, entry, lc, range(P - 1, -1, -1))
+    return column_det(P, entry, lc)
 
 
 def delta_ladder_norms(P: int, gamma, mu: Partition, nmax: int):

@@ -34,10 +34,10 @@ and do not depend on gamma, so each block size n has one shared
 `BlockSpectrum`.  It memoises the nodes of every slice and the images of every
 vector by integer content, so a vector entering many Gram entries, at any
 gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
-on top of it, which keeps only the weights c_mu(gamma) and each slice's
-divided differences as integer numerators over one slice denominator: a
-slice pairing is the integer sum_j num_j <N_j u, v>_Fock over that
-denominator.  The forms are keyed on the integers (n, numerator,
+on top of it, which keeps only each slice's divided differences, computed
+once from c_mu(gamma) and held as integer numerators over one slice
+denominator: a slice pairing is the integer sum_j num_j <N_j u, v>_Fock over
+that denominator.  The forms are keyed on the integers (n, numerator,
 denominator) of (n, gamma), so a lookup hashes no Fraction.
 `inner_product` stays on integers until it returns: it adds each slice
 pairing, times the Fock factor of its plain rest, into an integer numerator
@@ -239,52 +239,30 @@ class BlockSpectrum:
 
 class BlockForm:
     """Deformed-block pairings for one (size, gamma): the shared spectrum of
-    its size plus the weights c_mu(gamma) and each slice's divided
-    differences."""
+    its size plus each slice's divided differences of c_mu(gamma)."""
 
     def __init__(self, n: int, gamma: Fraction):
         self.n = n
         self.gamma = rat(gamma)
         self.spectrum = block_spectrum(n)
-        self._weights = {}  # mu -> c_mu(gamma)
         # (rows, cols) -> (numerators, denominator) of a_0, a_1, ...
         self._newton = {}
 
-    def eval_coords(self, margins, coords1, coords2) -> tuple:
-        """(num, den): sum_j a_j <N_j coords1, coords2>_Fock on one slice is
-        num / den, num summed on the integer numerators of the a_j and den
-        their denominator from `newton_numerators`."""
-        nums, den = self.newton_numerators(margins)
-        return _newton_pair(nums, self.spectrum.images(margins, coords1), coords2), den
-
-    def weight(self, mu: Partition) -> Fraction:
-        """c_mu(gamma), computed once per mu."""
-        w = self._weights.get(mu)
-        if w is None:
-            w = self._weights[mu] = c_mu(mu, self.gamma, self.n)
-        return w
-
-    def newton(self, margins) -> list:
-        """Divided differences c[lambda_0..lambda_j] of c_mu(gamma) at the
-        slice's nodes, j = 0, 1, ..."""
-        _t, mus, lams = self.spectrum.nodes(margins)
-        table = [self.weight(mu) for mu in mus]
-        coefs = [table[0]]
-        for j in range(1, len(lams)):
-            table = [
-                (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
-                for i in range(len(table) - 1)
-            ]
-            coefs.append(table[0])
-        return coefs
-
     def newton_numerators(self, margins) -> tuple:
-        """(nums, den): the divided differences of `newton` as integers over
-        one positive denominator, a_j = nums[j] / den; computed once per
-        slice."""
+        """(nums, den): the divided differences a_j = c[lambda_0..lambda_j]
+        of c_mu(gamma) at the slice's nodes as integers over one positive
+        denominator, a_j = nums[j] / den; computed once per slice."""
         got = self._newton.get(margins)
         if got is None:
-            coefs = self.newton(margins)
+            _t, mus, lams = self.spectrum.nodes(margins)
+            table = [c_mu(mu, self.gamma, self.n) for mu in mus]
+            coefs = [table[0]]
+            for j in range(1, len(lams)):
+                table = [
+                    (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
+                    for i in range(len(table) - 1)
+                ]
+                coefs.append(table[0])
             den = lcm(*(a.denominator for a in coefs))
             nums = tuple(a.numerator * (den // a.denominator) for a in coefs)
             got = self._newton[margins] = (nums, den)
@@ -313,8 +291,8 @@ def block_form(n: int, gamma) -> BlockForm:
 
 def clear_caches() -> None:
     """Drop every shared block spectrum (nodes, images), block form
-    (weights, divided differences) and normal form modulo det X - t; later
-    calls recompute them."""
+    (divided differences) and normal form modulo det X - t; later calls
+    recompute them."""
     _SPECTRA.clear()
     _BLOCK_FORMS.clear()
     _NORMAL_FORMS.clear()
@@ -415,11 +393,14 @@ def inner_product(spec, u, v) -> Fraction:
 
 
 def _eval_single(form, data1, data2, fact, acc):
-    """Add fact times each slice pairing of one deformed block into acc."""
+    """Add fact times each slice pairing of one deformed block into acc: the
+    integer sum_j num_j <N_j coords1, coords2>_Fock over the slice's
+    denominator, on the form's numerators."""
     for marg, coords1 in data1.items():
         coords2 = data2.get(marg)
         if coords2:
-            num, den = form.eval_coords(marg, coords1, coords2)
+            nums, den = form.newton_numerators(marg)
+            num = _newton_pair(nums, form.spectrum.images(marg, coords1), coords2)
             acc[den] = acc.get(den, 0) + fact * num
 
 

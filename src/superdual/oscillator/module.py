@@ -6,8 +6,10 @@ states.  The induced module is spanned by PBW monomials in the E^(-)
 generators applied to a K-basis of U_0; the Gram matrix of that spanning
 family (per Cartan slice) is positive definite for long unitary labels,
 degenerates exactly at shortenings, and acquires negative directions on the
-non-unitary side.  Its inertia comes from `RowSpace`, the eliminator that
-also spans the K-orbit of U_0 and the tensor tables' K-highest vectors.
+non-unitary side.  `analyze_gram` reads each slice's exact null count
+N - rank and its first negative direction off one pass of `RowSpace`, the
+eliminator that also spans the K-orbit of U_0 and the tensor tables'
+K-highest vectors.
 
 The slice loop computes on integers: each slice's weight is read from a
 per-spec table (`OscillatorSpec.charge_weight`), `inner.prepare` clears a
@@ -61,15 +63,14 @@ def build_u0(d: NonCompactYoungDiagram):
 def minor_powers(spec: OscillatorSpec, side: str, mu, v):
     """prod_y D_y^(mu_y - mu_(y+1)) v, D_y the y x y minor of the side's
     creation oscillators on its first y determinant colours and its top y
-    flavours for a, its bottom y for b; each minor is applied row by row."""
+    flavours for a, its bottom y for b; the entries commute, so
+    `column_det`'s column order does not matter."""
     fam = spec.bosons[side]
     for y in range(1, mu.height + 1):
         rows = range(y) if side == "a" else range(spec.p - y, spec.p)
         cols = fam.cols[:y]
         for _ in range(mu.part(y) - mu.part(y + 1)):
-            v = column_det(
-                y, lambda j, i, term: mul(spec, fam, rows[i], cols[j], term), v, range(y)
-            )
+            v = column_det(y, lambda j, i, term: mul(spec, fam, rows[i], cols[j], term), v)
     return v
 
 
@@ -293,45 +294,43 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
 class SliceReport:
     weight: tuple
     dim: int
-    # exact on a slice with no negative direction; a lower bound otherwise,
-    # since `analyze_gram` stops at the first negative direction
-    kernel_dim: int
+    kernel_dim: int  # n0 of the slice's Gram matrix
     negative: bool
-    witness: tuple | None  # (tags, coefficients) of a nonpositive vector
+    witness: tuple | None  # (tags, coefficients) of a negative-norm vector
 
 
 @dataclass
 class GramReport:
     positive_definite: bool
     has_negative: bool
-    kernel_total: int  # sum of the slices' kernel_dim: a lower bound when has_negative
+    kernel_total: int  # sum of the slices' kernel_dim
     slices: list
     negative_witness: tuple | None
 
 
 def analyze_gram(G):
-    """Inertia of the symmetric matrix G by symmetric reduction on `RowSpace`.
-
-    Returns (kernel_dim, negative_coeffs | None): negative_coeffs is a
-    coefficient vector over the original family of a vector with negative
-    norm, if one exists.  The elimination returns at the first negative
-    direction, so kernel_dim then counts only the null directions met
-    before it: a lower bound.
+    """(n0, witness) of the symmetric matrix G by one symmetric reduction on
+    `RowSpace`: n0 = N - rank(G), and witness a coefficient vector over the
+    family with negative norm, or None when G is positive semidefinite.
 
     The reduction runs on integers: G is multiplied once by L, the lcm of
     its entries' denominators.  Row i is row i of L G, column u under key -u
-    (the least column pivots), plus e_i under key -n - i.  Reduced against
-    the stored rows of positive norm it is (g, c) with g = L G c zero on
-    every stored column, and c a positive multiple c_i of e_i made
-    G-orthogonal to them; the norm of c / c_i has the sign of g_i.  A
-    negative witness is c / c_i.  With g_i = 0 and g != 0, c is isotropic
-    and pairs with e_partner, partner the least column of g; the witness
-    -(|G_pp| + 1) L c / (2 g_partner) + e_partner has norm G_pp - |G_pp| - 1.
+    (the least column pivots), plus e_i under key -n - i.  Reduced, it is
+    (g, c) with g = L G c zero on every stored column and c = c_i e_i plus
+    stored rows.  Every row with g != 0 is stored, so N - rank(G) rows
+    reduce to g = 0.  Before the first row with g_i <= 0 every stored row
+    has positive norm, so c / c_i is G-orthogonal to them and its norm has
+    the sign of g_i; a negative one is the witness.  With g_i = 0 and
+    g != 0, c / c_i is isotropic and pairs with e_p, p the least column of
+    g, by g_p = (L G c)_p / (L c_i); the witness tau c / c_i + e_p with
+    tau = -(|G_pp| + |g_p|) / (2 g_p) has norm G_pp - |G_pp| - |g_p| < 0
+    and does not change under G -> c G, c > 0.
     """
     n = len(G)
     scale = lcm(*(x.denominator for row in G for x in row))
     space = RowSpace()
     kernel = 0
+    witness = None
     for i in range(n):
         row = {-u: x.numerator * (scale // x.denominator) for u, x in enumerate(G[i]) if x}
         row[-n - i] = 1
@@ -339,19 +338,20 @@ def analyze_gram(G):
         if piv <= -n:  # g = 0
             kernel += 1
             continue
+        space.insert(red)
         norm = red.get(-i, 0)
-        if norm > 0:
-            space.insert(red)
+        if norm > 0 or witness is not None:
             continue
         c = [red.get(-n - t, 0) for t in range(n)]
         if norm < 0:
-            return kernel, [Fraction(x, c[i]) for x in c]
-        partner = -piv
-        tau = -(abs(G[partner][partner]) + 1) * scale
-        wit = [Fraction(tau * x, 2 * red[piv]) for x in c]
-        wit[partner] += 1
-        return kernel, wit
-    return kernel, None
+            witness = [Fraction(x, c[i]) for x in c]
+            continue
+        p = -piv
+        g_p = Fraction(red[piv], scale * c[i])
+        tau = -(abs(G[p][p]) + abs(g_p)) / (2 * g_p)
+        witness = [tau * x / c[i] for x in c]
+        witness[p] += 1
+    return kernel, witness
 
 
 def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from superdual.diagrams import (
     NonCompactYoungDiagram,
     Realization,

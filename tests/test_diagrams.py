@@ -44,6 +44,8 @@ def test_realize_invariants_on_grid():
     rng = random.Random(3)
     for _ in range(100):
         p, q, m = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3)
+        if p + q + m < 2:  # RepLabel refuses these
+            continue
         mu_l = Partition((rng.randint(0, 3),) if p >= 2 else ())
         mu_r = Partition((rng.randint(0, 3),) if q >= 2 else ())
         tau = Partition(sorted((rng.randint(0, 2) for _ in range(m - 1)), reverse=True))

@@ -22,7 +22,9 @@ from superdual.oscillator.inner import (
     _casimir_apply,
     _casimir_value,
     _L_apply,
+    _eval_single,
     block_form,
+    block_spectrum,
     c_mu,
     clear_caches,
     inner_product,
@@ -151,6 +153,35 @@ def component_vectors(draw):
     return n, gamma, (rows, cols), u, v, parts
 
 
+def _divided_differences(mus, lams, gamma, n):
+    """a_j = sum_{i <= j} c_mu_i / prod_{k <= j, k != i} (lambda_i - lambda_k):
+    the divided differences of c_mu(gamma) at the nodes, in closed form."""
+    out = []
+    for j in range(len(mus)):
+        a = F(0)
+        for i in range(j + 1):
+            term = c_mu(mus[i], gamma, n)
+            for k in range(j + 1):
+                if k != i:
+                    term /= lams[i] - lams[k]
+            a += term
+        out.append(a)
+    return out
+
+
+def _slice_pairing(form, margins, u, v):
+    """The pairing of u and v on one slice by `_eval_single`, after checking
+    the form's Newton numerators against the closed-form divided
+    differences."""
+    nums, den = form.newton_numerators(margins)
+    _t, mus, lams = form.spectrum.nodes(margins)
+    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, form.gamma, form.n)
+    acc = {}
+    _eval_single(form, {margins: u}, {margins: v}, 1, acc)
+    assert set(acc) <= {den}
+    return F(acc.get(den, 0)) / den
+
+
 @settings(max_examples=150, deadline=None)
 @given(component_vectors())
 def test_block_form_matches_per_component_reference(case):
@@ -158,9 +189,7 @@ def test_block_form_matches_per_component_reference(case):
     # cold: a private spectrum; the shared one holds every earlier example
     fresh = BlockForm(n, gamma)
     fresh.spectrum = BlockSpectrum(n)
-    num, den = fresh.eval_coords(margins, u, v)
-    assert den == fresh.newton_numerators(margins)[1]
-    got = F(num, den)
+    got = _slice_pairing(fresh, margins, u, v)
 
     want = sum(
         (c_mu(mu, gamma, n) * r * s * _fock_pair(u_mu, v_mu) for mu, u_mu, v_mu, r, s in parts),
@@ -170,8 +199,8 @@ def test_block_form_matches_per_component_reference(case):
 
     warmed = block_form(n, gamma)
     for _ in range(2):
-        warmed.eval_coords(margins, v, u)
-        assert F(*warmed.eval_coords(margins, dict(u), dict(v))) == got
+        _slice_pairing(warmed, margins, v, u)
+        assert _slice_pairing(warmed, margins, dict(u), dict(v)) == got
 
     if n == 1:
         # one component, mu = (d): (gamma + 1)_d times the Fock pairing
@@ -197,24 +226,15 @@ def slices(draw):
 @settings(max_examples=100, deadline=None)
 @given(slices(), st.sampled_from(GAMMAS + (F(0), F(5, 4))))
 def test_newton_numerators_are_the_divided_differences(case, gamma):
-    """nums[j] / den is a_j, both as `newton` gives it and as the closed
-    form sum_i c_mu_i / prod_{k != i} (lambda_i - lambda_k), i, k <= j."""
+    """nums[j] / den is a_j, the closed form
+    sum_i c_mu_i / prod_{k != i} (lambda_i - lambda_k), i, k <= j."""
     n, margins = case
     form = BlockForm(n, gamma)
     nums, den = form.newton_numerators(margins)
     assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
     _t, mus, lams = form.spectrum.nodes(margins)
     assert len(nums) == len(mus)
-    assert [F(a, den) for a in nums] == form.newton(margins)
-    for j, a in enumerate(nums):
-        closed = F(0)
-        for i in range(j + 1):
-            term = c_mu(mus[i], gamma, n)
-            for k in range(j + 1):
-                if k != i:
-                    term /= lams[i] - lams[k]
-            closed += term
-        assert F(a, den) == closed
+    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, gamma, n)
     assert form.newton_numerators(margins) is form.newton_numerators(margins)
 
 
@@ -327,15 +347,14 @@ def _bi_charge(sub):
 
 def _block_pairing(n, gamma, sub1, sub2):
     """sum_j a_j <N_j sub1, sub2>_Fock on a deformed block of size n, zero
-    across bi-charge slices: a_j from `BlockForm.newton`, N_0 = sub1 and
-    N_{j+1} = (C - lambda_j) N_j by `_casimir_apply` itself."""
+    across bi-charge slices: a_j the closed-form divided differences,
+    N_0 = sub1 and N_{j+1} = (C - lambda_j) N_j by `_casimir_apply` itself."""
     margins = _bi_charge(sub1)
     if margins != _bi_charge(sub2):
         return 0
-    form = block_form(n, gamma)
-    t, _mus, lams = form.spectrum.nodes(margins)
+    t, mus, lams = block_spectrum(n).nodes(margins)
     total, image = F(0), {sub1: 1}
-    for a, lam in zip(form.newton(margins), lams):
+    for a, lam in zip(_divided_differences(mus, lams, gamma, n), lams):
         total += a * _fock_pair(image, {sub2: 1})
         image = _casimir_apply(image, n, t, lam)
     return total
