@@ -262,8 +262,6 @@ def test_oversized_grading_exit2(capsys, grading):
 # each of RepLabel's input checks, in the order they run
 @pytest.mark.parametrize("fields, message", [
     ({"p": -1, "mu_L": []}, "negative dimensions"),
-    ({"p": 0, "q": 0, "m": 0, "mu_L": [], "tau": [], "mu_R": []}, "p + q + m must be at least 2"),
-    ({"p": 1, "q": 0, "m": 0, "mu_L": [0], "tau": [], "mu_R": []}, "p + q + m must be at least 2"),
     ({"mu_L": [1, 1]}, "mu_L not proper for p=2"),
     ({"mu_R": [2, 1]}, "mu_R not proper for q=2"),
     ({"tau": [1, 1, 1, 1]}, "tau not proper for m=4"),
@@ -277,7 +275,7 @@ def test_label_checks_exit2(capsys, fields, message):
 
 
 @pytest.mark.parametrize("p", [0, 1])
-@pytest.mark.parametrize("command", ["weight", "lattice", "diagram", "shorten", "verify"])
+@pytest.mark.parametrize("command", ["classify", "weight", "lattice", "diagram", "shorten", "verify"])
 def test_label_below_two_indices_exit2_in_every_command(capsys, p, command):
     lab = _label(p=p, q=0, m=0, mu_L=[0] * p, tau=[], mu_R=[])
     code, out, err = run(capsys, command, "--label", json.dumps(lab))
