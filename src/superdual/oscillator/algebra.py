@@ -159,6 +159,13 @@ class OscillatorSpec:
         spec's table."""
         return tuple(map(self._weight_table.__getitem__, enumerate(charge)))
 
+    def weight_charge(self, weight) -> tuple:
+        """The charge whose `charge_weight` is weight.  An entry w = o + c
+        of offset o keeps o's reduced denominator, so c is read off the
+        numerators."""
+        return tuple((w.numerator - o.numerator) // o.denominator
+                     for w, o in zip(weight, self._weight_table.offsets))
+
     def state_weight(self, s: State) -> tuple:
         """E_ii eigenvalues of a monomial state, in su(p,|m|q) index order."""
         return self.charge_weight(self.state_charge(s))

@@ -11,6 +11,16 @@ N - rank and its first negative direction off one pass of `RowSpace`, the
 eliminator that also spans the K-orbit of U_0 and the tensor tables'
 K-highest vectors.
 
+The form is invariant under the compact K = s(u(p) + u(m) + u(q)), so the
+truncated module splits orthogonally into K-isotypic parts V_nu (x) M_nu
+with the form (positive on V_nu) (x) h_nu, and each h_nu shows whole in the
+slice of the K-dominant weight nu (Enright-Howe-Wallach, Jakobsen).  The
+oracle therefore builds and pairs only the K-dominant slices.  Their kernels
+are the multiplicities, on dominant weights, of the K-character of the
+family's null space; `ktypes.highest_weight_counts` solves them for each
+K-type's null multiplicity h0(nu), and kernel_total = sum dim V_nu h0(nu)
+is the null count of the whole family, every weight slice included.
+
 The slice loop computes on integers: each slice's weight is read from a
 per-spec table (`OscillatorSpec.charge_weight`), `inner.prepare` clears a
 vector's denominators once, and `RowSpace` reduces fraction-free on integer
@@ -26,8 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
+from operator import add
 
 from ..diagrams import NonCompactYoungDiagram
+from ..ktypes import dimension, highest_weight_counts, is_dominant, k_blocks
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, column_det, generator_action, mul, mul_f
@@ -228,25 +240,29 @@ def monomial_count(gens, cutoff: int) -> int:
 
 
 def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
-    """PBW monomials in E^(-) applied to the U_0 basis, grouped by weight.
+    """The K-dominant slices of the PBW spanning family: PBW monomials in
+    E^(-) applied to the U_0 basis, grouped by weight.
 
-    Returns dict weight -> list of (tag, LinComb) in ascending weight order;
-    tags identify the monomial for witness reporting.  Monomials whose image
-    vanishes identically are kept (as empty LinCombs at their formal weight):
-    they are exact null directions of the generalized Verma module -- for
-    instance the one-step BPS conditions E u0 = 0 -- and must show up in the
-    Gram kernel.
+    Returns dict weight -> list of (tag, LinComb) in ascending weight order,
+    one entry per weight that weakly decreases within each of the p, m and q
+    index blocks (`ktypes.is_dominant`); tags identify the monomial for
+    witness reporting.  Monomials whose image vanishes identically are kept
+    (as empty LinCombs at their formal weight): they are exact null
+    directions of the generalized Verma module -- for instance the one-step
+    BPS conditions E u0 = 0 -- and must show up in the Gram kernel.
 
     A monomial is a non-decreasing tuple of generator indices in which no odd
     generator repeats; the tags of a slice follow the lexicographic order of
-    their monomials, then the basis index.  Monomials are built in order of
-    length, each vector as one generator applied to the vector of its
-    monomial's suffix, which is itself a family member.  Slices are keyed by
-    integer charge while they are built; the weight is the charge plus a
-    constant offset, so charge order is weight order.
+    their monomials, then the basis index.  A vector is one generator applied
+    to the vector of its monomial's suffix, so the vectors built are those of
+    dominant formal weight and their suffixes, in order of length.  Slices
+    are keyed by integer charge while they are built; the weight is the
+    charge plus a constant offset per block, so charge order is weight order
+    and charge dominance is weight dominance.
 
     A family of more than MAX_PBW_FAMILY vectors (`monomial_count` times the
-    basis size) is refused with ValueError before any vector is built.
+    basis size, all weights counted) is refused with ValueError before any
+    vector is built.
     """
     gens = eminus_generators(spec)
     size = len(u0_basis) * monomial_count(gens, cutoff)
@@ -255,38 +271,63 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
             f"a PBW family of {size} vectors (depth {cutoff}) is outside the "
             f"supported range 0..{MAX_PBW_FAMILY}"
         )
-    by_length = [
+    blocks = k_blocks(spec.p, spec.m, spec.q)
+    base_charges = []
+    for base in u0_basis:
+        charges = {spec.state_charge(s) for s in base}
+        if len(charges) != 1:
+            raise AssertionError("U_0 basis vector mixes Cartan slices")
+        base_charges.append(charges.pop())
+    roots = []
+    for i, j, _odd in gens:
+        root = [0] * spec.n
+        root[i], root[j] = 1, -1
+        roots.append(tuple(root))
+
+    # formal charges of the monomials (each from its prefix) and the
+    # dominant (mono, bi) in lexicographic order, with their charges
+    shift = {(): (0,) * spec.n}
+    dominant = {}  # shift -> ((bi, charge), ...) of dominant charge
+    targets = []
+    for mono in sorted(
         mono
         for k in range(cutoff + 1)
         for mono in combinations_with_replacement(range(len(gens)), k)
         if not any(a == b and gens[a][2] for a, b in zip(mono, mono[1:]))
-    ]
+    ):
+        if mono:
+            shift[mono] = tuple(map(add, shift[mono[:-1]], roots[mono[-1]]))
+        s = shift[mono]
+        hits = dominant.get(s)
+        if hits is None:
+            hits = dominant[s] = tuple(
+                (bi, charge)
+                for bi, charge in enumerate(tuple(map(add, s, c)) for c in base_charges)
+                if is_dominant(blocks, charge)
+            )
+        targets.extend((mono, bi, charge) for bi, charge in hits)
 
-    built = {}  # (mono, bi) -> (charge, E_mono base)
-    for mono in by_length:
-        for bi, base in enumerate(u0_basis):
-            if mono:
-                i, j, _odd = gens[mono[0]]
-                charge, vec = built[mono[1:], bi]
-                charge = list(charge)
-                charge[i] += 1
-                charge[j] -= 1
-                charge = tuple(charge)
-                vec = generator_action(spec, i, j, vec) if vec else {}
-                if vec:
-                    got = {spec.state_charge(s) for s in vec}
-                    assert got == {charge}, "PBW vector mixes Cartan slices"
-            else:
-                charges = {spec.state_charge(s) for s in base}
-                assert len(charges) == 1
-                charge, vec = charges.pop(), base
-            built[mono, bi] = charge, vec
+    need = set()  # the targets and their suffixes
+    for mono, bi, _charge in targets:
+        while (mono, bi) not in need:
+            need.add((mono, bi))
+            mono = mono[1:]
+
+    built = {}  # (mono, bi) -> E_mono base
+    for mono, bi in sorted(need, key=lambda key: len(key[0])):
+        if not mono:
+            built[mono, bi] = u0_basis[bi]
+            continue
+        i, j, _odd = gens[mono[0]]
+        vec = built[mono[1:], bi]
+        vec = built[mono, bi] = generator_action(spec, i, j, vec) if vec else {}
+        charge = tuple(map(add, shift[mono], base_charges[bi]))
+        if vec and {spec.state_charge(s) for s in vec} != {charge}:
+            raise AssertionError("PBW vector mixes Cartan slices")
 
     slices = {}
-    for mono in sorted(by_length):
-        for bi in range(len(u0_basis)):
-            charge, vec = built[mono, bi]
-            slices.setdefault(charge, []).append(((mono, bi), vec))
+    for mono, bi, charge in targets:
+        slices.setdefault(charge, []).append(((mono, bi), built[mono, bi]))
     return {spec.charge_weight(charge): slices[charge] for charge in sorted(slices)}
 
 
@@ -301,9 +342,16 @@ class SliceReport:
 
 @dataclass
 class GramReport:
+    """The Gram analysis of the K-dominant weight slices (one SliceReport
+    each).  The form is K-invariant, so a negative or null direction of the
+    truncated module shows in the slice of a K-dominant weight, and
+    kernel_total counts the null directions of the whole spanning family,
+    every weight slice included: each K-type's null multiplicity h0(nu),
+    solved from the dominant slices' kernels by `ktypes`, times dim V_nu."""
+
     positive_definite: bool
     has_negative: bool
-    kernel_total: int  # sum of the slices' kernel_dim
+    kernel_total: int  # sum over all weight slices of n0, by K-types
     slices: list
     negative_witness: tuple | None
 
@@ -355,7 +403,8 @@ def analyze_gram(G):
 
 
 def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
-    """Exact Gram analysis of the induced module up to the given E^(-) depth.
+    """Exact Gram analysis of the induced module up to the given E^(-) depth,
+    on its K-dominant weight slices (`GramReport`).
 
     A negative cutoff is refused (ValueError): it would analyse no slice and
     report an empty, positive definite Gram matrix."""
@@ -370,7 +419,7 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
 
     reports = []
     witness = None
-    kernel_total = 0
+    kernels = {}
     has_negative = False
     for weight, fam in slices.items():
         vecs = [prepare(spec, vec) for _tag, vec in fam]  # split once per slice
@@ -381,7 +430,7 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
                 G[r][c] = val
                 G[c][r] = val
         kern, neg = analyze_gram(G)
-        kernel_total += kern
+        kernels[spec.weight_charge(weight)] = kern
         rep = SliceReport(weight, len(fam), kern, neg is not None, None)
         if neg is not None:
             has_negative = True
@@ -389,6 +438,12 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
             if witness is None:
                 witness = (weight, rep.witness)
         reports.append(rep)
+    blocks = k_blocks(spec.p, spec.m, spec.q)
+    kernel_total = 0
+    for nu, h0 in highest_weight_counts(blocks, kernels).items():
+        if h0 < 0:
+            raise AssertionError(f"the Gram kernel at charge {nu} is no K-character (h0 = {h0})")
+        kernel_total += dimension(blocks, nu) * h0
     return GramReport(
         positive_definite=(not has_negative and kernel_total == 0),
         has_negative=has_negative,

@@ -223,7 +223,8 @@ def test_negative_witnesses_have_negative_norm():
 
 
 # sha256 of repr(GramReport) for each label of `_oracle_cases()` at its
-# cutoff, in order: verdicts, kernels, slice dimensions and witnesses
+# cutoff, in order: verdicts, kernels, the K-dominant slices' dimensions and
+# witnesses
 ORACLE_REPORT_DIGESTS = (
     "b78949e19b271ee391e49d24bf1f5cd288898b3f4ecb413cb0d7c9e1ee246eb7",
     "7cab7bc3e4e3b93305b154a727d1aea78f0a0cb4750777aa467da90d55e14fb7",
@@ -232,21 +233,21 @@ ORACLE_REPORT_DIGESTS = (
     "5782a205ee11e4f50095ebca7a9d9a5eb5e2b9558612f1297c7225c3ea1f265d",
     "c2e2e608db1b1ef52c1f64fd8564227ec6d18f5aeb1da816eb98b9e66d80478b",
     "4139f31486eb55deae4f56a74c62fc0e46388ccf417e3a9485e0d81028aa9dcc",
-    "2066a9c4cc254300a0b10d9193add0d52b4041e46c7d7f8709ea732c70291a5b",
-    "cc55272d691a1b175d201d1f45e5f5932986c6f5bef8b15368781ba6154841f7",
-    "a287a3a409af86af075f966f3f6fc5ab859ed8206ecae6822f39b2c3e8c11c02",
-    "60f9b5d83f9db2a02f8ef6430c6bbc9ab84321a6633ab4e5b7c9d00dfa5af6be",
-    "a4db19071baf0f8448881ae9529df63fb2fdf1c85fa07367730b831d68835a95",
-    "cbbecf1e0c1dda0fbadf0acc7bdf5c35464c330156b589e46ded8d02474c5957",
-    "53f18500e0ef6446316beca26271a4111029be978673973719a5acbf1e13d61f",
-    "b20d66adf740b6a909332c52a7ab26fda4a854af5da22ad4aaa168102c55c0bc",
-    "124af4056b41ecf2e32ce2c233e5fa234f9f83be8b6dc13174afafc4038723c8",
-    "9b74b29ef4fba1b2641d85e8667529fe99f1f6b99d51296dc249d3fdf789c6a4",
-    "e9e054c39e4ca593f1654a09fdd170a3abe2903d1df3629e492b2d5d0a132bc4",
-    "7ffe263de43d619990bd41adf3343d27f59b77216ccad8e9b4f330fcc20d027f",
-    "87ac336955582326ec8a37af6409d0eaa9d640dda24870608cb947189232ce61",
-    "a28e520699c39b5373b8d92dfd87683cc8a3960ba4ab7b9b403ec438a1697b0d",
-    "74528c0a3cd7c6adb20cd547ee4522c2084fc555c76895782be62bfa3ff56a46",
+    "11c7bc2792d8509200ec8f46953c418798d96d12b66537835d5b0c510dd35028",
+    "3c3450fe1d3e61b737330dc2a7f0236e97e737f200c42753c19466b460a0380d",
+    "b91ee89debf29df055bd2e4efb0cee9a05b88ba977da7a8bca3e4127aa79fc34",
+    "5c98d01b3a2815b64e2361f7a2dadf268742faaafadc4d7344ce04ff9732557c",
+    "d3e79520a4dd3fd5f63d9f2bd97ee3b61843f3da466a0daf56b9a054cd232188",
+    "6b21363ee34bee74a5cc52c7764c56f9a3540d98e1370617f41372455241a003",
+    "62878b13b7e60c9565cd4cfaeb6363aff2ff9b3611c17b65f941b3cf1108d71f",
+    "568b0832abd561c6809f02dcc361ae86571a2e49c7456ff18655a154fbae23dd",
+    "b02be43807cc3f76e799051fe21782f3effe1cc792f9aa6a23272f60c1c47146",
+    "80c550e251549a0623d0baad26b30c46dfbb0dbefa296ac1cbb41b9b157097e7",
+    "1236dca0997144be6698756109a47badc6dd031b386603be90779b814fed62ba",
+    "d55fe8c9537f49ffa8d924245470584dfacad6383c39cc9dda2a051d826159c5",
+    "02fdd860ab77049f4e473a7a53418a3aa467e2b19b9726f18c7880dff08ecc58",
+    "5a3c683ae7c5efcb88e31a44073809d4acbe2a4724918b257622c54ac061e864",
+    "e618827b1442b842866ac0f25586446d12c29f5c0679173a9638ee501effe30d",
 )
 
 

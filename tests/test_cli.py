@@ -338,10 +338,16 @@ def test_diagram_window_bound_exit2(capsys):
 def test_verify_lists_flagged_slices(capsys):
     code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "1")
     lines = out.splitlines()
-    assert code == 0 and not err and len(lines) == 11
+    # the kernel of all 126 family vectors, read from the 4 flagged K-type slices
+    assert code == 0 and not err and len(lines) == 6
     assert lines[1] == "gram: positive_definite=False negative=False kernel=80"
+    assert all(line.startswith("  slice ") and ": kernel " in line for line in lines[2:])
+    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "2")
+    lines = out.splitlines()
+    assert code == 0 and not err and len(lines) == 11
+    assert lines[1] == "gram: positive_definite=False negative=False kernel=1136"
     assert all(line.startswith("  slice ") and ": kernel " in line for line in lines[2:10])
-    assert lines[10] == "  ... 56 more flagged slices"
+    assert lines[10] == "  ... 23 more flagged slices"
     lab = json.dumps({"p": 2, "q": 2, "m": 0, "mu_L": [], "tau": [], "mu_R": [],
                       "beta_L": "0", "beta_R": "1/2"})
     code, out, err = run(capsys, "verify", "--label", lab, "--cutoff", "2")
@@ -414,6 +420,17 @@ def test_internal_errors_exit4(capsys, monkeypatch, exc, message):
     monkeypatch.setattr(cli, "classify_supqm", broken)
     code, out, err = run(capsys, "classify", "--label", YM)
     assert code == 4 and err.startswith(message)
+
+
+def test_verify_kernel_that_is_no_k_character_exit4(capsys, monkeypatch):
+    """A negative K-type multiplicity h0 from the kernel inversion is an
+    internal inconsistency, not a verdict."""
+    from superdual.oscillator import module
+
+    monkeypatch.setattr(module, "highest_weight_counts",
+                        lambda blocks, counts: {nu: -1 for nu in counts})
+    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "1")
+    assert code == 4 and err.startswith("internal inconsistency: the Gram kernel at charge")
 
 
 def test_cli_import_leaves_the_oscillator_unloaded():

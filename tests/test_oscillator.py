@@ -1,16 +1,19 @@
 import gc
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import superdual.oscillator
 from superdual.diagrams import realize
+from superdual.ktypes import dimension, highest_weight_counts, is_dominant, k_blocks
 from superdual.labels import RepLabel, classify_supqm, grading_pmq
 from superdual.oscillator import (
     OscillatorSpec,
@@ -251,6 +254,18 @@ def test_gram_su22_polynomial_shortening_kernel():
     assert all(inner_product(spec, null, v) == 0 for v in (m1, m2))
 
 
+def test_su22_kernel_counts_match_the_closed_form():
+    """su(2,2) at cutoffs 2, 3, 4.  At beta = 0 only the vacuum survives, so
+    the kernel at depth k is all C(k+3, 3) monomials of that length; at
+    beta = 1 the K-types at depth k are lambda = (k) alone, of dimension
+    (k+1)^2, so the kernel there is C(k+3, 3) - (k+1)^2."""
+    for beta, at_depth, want in ((0, lambda k: math.comb(k + 3, 3), [14, 34, 69]),
+                                 (1, lambda k: math.comb(k + 3, 3) - (k + 1) ** 2, [1, 5, 15])):
+        d = realize(RepLabel(2, 2, 0, (), (), (), 0, beta))
+        got = [gram_positivity(d, cutoff=c).kernel_total for c in (2, 3, 4)]
+        assert got == want == [sum(map(at_depth, range(1, c + 1))) for c in (2, 3, 4)]
+
+
 # -- the PBW spanning family from its definition ------------------------------
 
 
@@ -310,9 +325,17 @@ def test_pbw_suffix_build_matches_rebuild_from_base(data):
     basis = u0_k_basis(spec, u0)
     got = pbw_family(spec, basis, cutoff)
     want = _definition_pbw_family(spec, basis, cutoff)
-    assert list(got) == list(want)  # ascending weight order
-    assert got == want  # the same tags in the same order, equal vectors
-    size = sum(map(len, got.values()))
+    blocks = k_blocks(spec.p, spec.m, spec.q)
+    # the K-dominant slices in ascending weight order, with the same tags in
+    # the same order and equal vectors
+    assert list(got) == [w for w in want if is_dominant(blocks, w)]
+    assert got == {w: want[w] for w in got}
+    # their sizes give the whole family's size through its K-types
+    types = highest_weight_counts(
+        blocks, {spec.weight_charge(w): len(fam) for w, fam in got.items()})
+    assert min(types.values()) >= 0
+    size = sum(dimension(blocks, nu) * h for nu, h in types.items())
+    assert size == sum(map(len, want.values()))
     assert size == len(basis) * monomial_count(eminus_generators(spec), cutoff)
 
 
@@ -329,6 +352,92 @@ def test_pbw_family_is_bounded_before_any_vector_is_built():
     with mock.patch.object(module, "generator_action", side_effect=AssertionError("built")):
         with pytest.raises(ValueError, match="524244 vectors"):
             pbw_family(spec, basis, 6)
+
+
+# pbw_family's charge checks, run under `python -O`: a base vector or a built
+# vector with states of two charges raises AssertionError
+CHARGE_CHECKS_UNDER_O = """
+from unittest import mock
+from superdual.diagrams import realize
+from superdual.labels import RepLabel
+from superdual.oscillator import module
+
+spec, u0 = module.build_u0(realize(RepLabel(1, 1, 1, (), (), (), 1, 3)))
+basis = module.u0_k_basis(spec, u0)
+act = module.generator_action
+lowered = next(v for v in (act(spec, i, j, u0) for i, j, _o in module.eminus_generators(spec)) if v)
+own, other = next(iter(u0)), next(iter(lowered))  # two states of different charge
+for what, action, family in (
+    ("PBW vector mixes", lambda *args: {**act(*args), own: 1}, basis),
+    ("U_0 basis vector mixes", act, [{**basis[0], other: 1}]),
+):
+    with mock.patch.object(module, "generator_action", action):
+        try:
+            module.pbw_family(spec, family, 2)
+        except AssertionError as exc:
+            if what not in str(exc):
+                raise
+        else:
+            raise SystemExit("not raised: " + what)
+"""
+
+
+def test_pbw_charge_checks_survive_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", CHARGE_CHECKS_UNDER_O],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _full_slice_report(d, cutoff):
+    """{weight: (dim, kernel_dim, negative)} of every weight slice, from the
+    definition of the family, `inner_product` and `analyze_gram`."""
+    spec, u0 = build_u0(d)
+    family = _definition_pbw_family(spec, u0_k_basis(spec, u0), cutoff)
+    out = {}
+    for weight, fam in family.items():
+        G = [[inner_product(spec, u, v) for _t, v in fam] for _t, u in fam]
+        kernel, witness = analyze_gram(G)
+        out[weight] = (len(fam), kernel, witness is not None)
+    return spec, out
+
+
+# (p, q, m) of the random labels: every block size up to 2, one of 3
+RANDOM_SHAPES = ((1, 1, 1), (2, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 0), (2, 1, 1),
+                 (1, 2, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (0, 2, 2), (2, 0, 2))
+RANDOM_BETAS = tuple(F(k, 6) for k in range(-3, 16) if k % 6 in (0, 2, 3, 4))  # integers, halves, thirds
+
+
+def _proper_partition(data, size):
+    """A partition of height < size with entries <= 2 (() for size <= 1)."""
+    parts = data.draw(st.lists(st.integers(0, 2), max_size=max(size - 1, 0)))
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_k_type_slices_match_every_weight_slice(data):
+    """On random labels: the K-dominant slices give the verdict of all the
+    slices, kernel_total is the sum of every slice's kernel_dim, and the
+    kernels are a K-character (every h0 >= 0)."""
+    p, q, m = data.draw(st.sampled_from(RANDOM_SHAPES))
+    mu_l, tau, mu_r = (_proper_partition(data, n) for n in (p, m, q))
+    beta_l = data.draw(st.sampled_from(RANDOM_BETAS)) if p and m else 0
+    beta_r = data.draw(st.sampled_from(RANDOM_BETAS)) if q else 0
+    cutoff = 3 if p + q + m <= 3 else 2
+    try:
+        d = realize(RepLabel(p, q, m, mu_l, tau, mu_r, beta_l, beta_r), allow_nonunitary=True)
+        rep = gram_positivity(d, cutoff=cutoff)
+    except ValueError:  # a label or realization outside the oracle's range
+        assume(False)
+    spec, full = _full_slice_report(d, cutoff)
+    blocks = k_blocks(p, m, q)
+    assert [s.weight for s in rep.slices] == [w for w in full if is_dominant(blocks, w)]
+    assert all((s.dim, s.kernel_dim, s.negative) == full[s.weight] for s in rep.slices)
+    assert rep.has_negative == any(neg for _dim, _kernel, neg in full.values())
+    assert rep.kernel_total == sum(kernel for _dim, kernel, _neg in full.values())
+    h0 = highest_weight_counts(
+        blocks, {spec.weight_charge(s.weight): s.kernel_dim for s in rep.slices})
+    assert min(h0.values()) >= 0
 
 
 def test_gram_positivity_leaves_no_cyclic_garbage():
