@@ -30,6 +30,9 @@ EXIT_USAGE = 2
 EXIT_NON_UNITARY = 3
 EXIT_INTERNAL = 4
 
+# the --m and --n at which the shipped tables goldens are rendered
+GOLDEN_M, GOLDEN_N = 2, 1
+
 
 def _load_json_arg(text: str):
     if os.path.exists(text):
@@ -256,6 +259,11 @@ def cmd_verify(args):
 def cmd_tables(args):
     from . import tables
 
+    if args.check and (args.m, args.n) != (GOLDEN_M, GOLDEN_N):
+        raise ValueError(
+            f"--check compares with the goldens rendered at --m {GOLDEN_M} --n {GOLDEN_N}, "
+            f"got --m {args.m} --n {args.n}"
+        )
     text = tables.render_table(args.table, m=args.m, n=args.n)
     sys.stdout.write(text)
     if args.check:
@@ -369,8 +377,8 @@ def build_parser():
 
     sp = add("tables", cmd_tables, help="regenerate the multiplet tables")
     sp.add_argument("--table", type=int, required=True, choices=range(1, 8))
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--m", type=int, default=GOLDEN_M)
+    sp.add_argument("--n", type=int, default=GOLDEN_N)
     sp.add_argument("--check", action="store_true", help="diff against the shipped golden")
 
     sp = add("tensor", cmd_tensor, help="decompose a K-module tensor product")

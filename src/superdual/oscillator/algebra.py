@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations_with_replacement
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram
@@ -149,40 +149,18 @@ class OscillatorSpec:
         )
 
     @cached_property
-    def _weight_table(self) -> "_WeightTable":
-        return _WeightTable((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
-                            + (rat(self.gamma_R),) * self.q)
+    def _weight_offsets(self) -> tuple:  # state_weight - state_charge, per index
+        return ((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
+                + (rat(self.gamma_R),) * self.q)
 
     def charge_weight(self, charge) -> tuple:
         """The E_ii eigenvalues of every state of the given charge: entry i
-        is the constant offset of index i plus charge[i], read from this
-        spec's table."""
-        return tuple(map(self._weight_table.__getitem__, enumerate(charge)))
-
-    def weight_charge(self, weight) -> tuple:
-        """The charge whose `charge_weight` is weight.  An entry w = o + c
-        of offset o keeps o's reduced denominator, so c is read off the
-        numerators."""
-        return tuple((w.numerator - o.numerator) // o.denominator
-                     for w, o in zip(weight, self._weight_table.offsets))
+        is the constant offset of index i plus charge[i]."""
+        return tuple(map(add, self._weight_offsets, charge))
 
     def state_weight(self, s: State) -> tuple:
         """E_ii eigenvalues of a monomial state, in su(p,|m|q) index order."""
         return self.charge_weight(self.state_charge(s))
-
-
-class _WeightTable(dict):
-    """(index i, charge entry c) -> offsets[i] + c, a Fraction made on first
-    use: the weight entries of one spec (`OscillatorSpec.charge_weight`)."""
-
-    def __init__(self, offsets: tuple):
-        super().__init__()
-        self.offsets = offsets  # state_weight - state_charge
-
-    def __missing__(self, key):
-        i, c = key
-        weight = self[key] = self.offsets[i] + c
-        return weight
 
 
 def _row_getter(cols: tuple):

@@ -21,22 +21,23 @@ family's null space; `ktypes.highest_weight_counts` solves them for each
 K-type's null multiplicity h0(nu), and kernel_total = sum dim V_nu h0(nu)
 is the null count of the whole family, every weight slice included.
 
-The slice loop computes on integers: each slice's weight is read from a
-per-spec table (`OscillatorSpec.charge_weight`), `inner.prepare` clears a
-vector's denominators once, and `RowSpace` reduces fraction-free on integer
-rows (`analyze_gram` scales a slice's Gram matrix once by the lcm of its
-denominators).  Fractions are made only for the Gram entries that
-`inner_product` returns and for a negative-norm witness.  A PBW family
-larger than `states.MAX_PBW_FAMILY` is refused before it is built.
+The slice loop computes on integers: slices are keyed by integer charge
+from `pbw_family` to `ktypes.highest_weight_counts`, and each slice's
+weight is made once for its report (`OscillatorSpec.charge_weight`);
+`inner.prepare` clears a vector's denominators once, and `RowSpace` reduces
+fraction-free on integer rows (`analyze_gram` scales a slice's Gram matrix
+once by the lcm of its denominators).  Fractions are made only for the
+slice weights, the Gram entries that `inner_product` returns and a
+negative-norm witness.  A PBW family larger than `states.MAX_PBW_FAMILY` is
+refused before it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, sub
 
 from ..diagrams import NonCompactYoungDiagram
 from ..ktypes import dimension, highest_weight_counts, is_dominant, k_blocks
@@ -199,31 +200,31 @@ def integer_multiple(vec) -> dict:
     return {s: c.numerator * (den // c.denominator) for s, c in vec.items()}
 
 
-# rounds of K-lowering after which a U_0 that has not closed is an error
-K_ORBIT_MAX_ROUNDS = 60
-
-
 def u0_k_basis(spec: OscillatorSpec, u0):
-    """Basis of the K-module U_0: closure of u0 under K-lowering operators."""
+    """Basis of the K-module U_0: u0 and its images under the K-lowering
+    operators, breadth first.  U_0 is the irreducible K-module of its
+    K-highest vector u0, so the walk stops at Weyl's dimension of u0's
+    charge; a charge that is not K-dominant, or an orbit that closes at
+    another size, raises AssertionError."""
+    blocks = k_blocks(spec.p, spec.m, spec.q)
+    charge = spec.state_charge(next(iter(u0)))
+    if not is_dominant(blocks, charge):
+        raise AssertionError(f"U_0's highest charge {charge} is not K-dominant")
+    size = dimension(blocks, charge)
     gens = k_lowering_generators(spec)
     space = RowSpace()
     space.insert(integer_multiple(u0))
-    frontier = [dict(u0)]
     basis = [dict(u0)]
-    for _ in range(K_ORBIT_MAX_ROUNDS):
-        new_frontier = []
-        for v in frontier:
-            for (i, j) in gens:
-                w = generator_action(spec, i, j, v)
-                if not w:
-                    continue
-                if space.insert(integer_multiple(w)) is not None:
-                    new_frontier.append(w)
-                    basis.append(w)
-        if not new_frontier:
-            return basis
-        frontier = new_frontier
-    raise AssertionError("K-orbit failed to close (is U_0 finite-dimensional?)")
+    for v in basis:  # a queue: the vectors found are appended as it runs
+        if len(basis) == size:
+            break
+        for i, j in gens:
+            w = generator_action(spec, i, j, v)
+            if w and space.insert(integer_multiple(w)) is not None:
+                basis.append(w)
+    if len(basis) != size:
+        raise AssertionError(f"the K-orbit of U_0 closed at {len(basis)} vectors, not {size}")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +242,26 @@ def monomial_count(gens, cutoff: int) -> int:
 
 def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
     """The K-dominant slices of the PBW spanning family: PBW monomials in
-    E^(-) applied to the U_0 basis, grouped by weight.
+    E^(-) applied to the U_0 basis, grouped by integer charge.
 
-    Returns dict weight -> list of (tag, LinComb) in ascending weight order,
-    one entry per weight that weakly decreases within each of the p, m and q
-    index blocks (`ktypes.is_dominant`); tags identify the monomial for
-    witness reporting.  Monomials whose image vanishes identically are kept
-    (as empty LinCombs at their formal weight): they are exact null
-    directions of the generalized Verma module -- for instance the one-step
-    BPS conditions E u0 = 0 -- and must show up in the Gram kernel.
+    Returns dict charge -> list of (tag, LinComb) in ascending charge order,
+    one entry per charge that weakly decreases within each of the p, m and q
+    index blocks (`ktypes.is_dominant`); the slice's weight is
+    `spec.charge_weight(charge)`, the charge plus a constant offset per
+    block, so charge order is weight order and charge dominance is weight
+    dominance.  Tags identify the monomial for witness reporting.  Monomials
+    whose image vanishes identically are kept (as empty LinCombs at their
+    formal charge): they are exact null directions of the generalized Verma
+    module -- for instance the one-step BPS conditions E u0 = 0 -- and must
+    show up in the Gram kernel.
 
     A monomial is a non-decreasing tuple of generator indices in which no odd
-    generator repeats; the tags of a slice follow the lexicographic order of
-    their monomials, then the basis index.  A vector is one generator applied
-    to the vector of its monomial's suffix, so the vectors built are those of
-    dominant formal weight and their suffixes, in order of length.  Slices
-    are keyed by integer charge while they are built; the weight is the
-    charge plus a constant offset per block, so charge order is weight order
-    and charge dominance is weight dominance.
+    generator repeats.  One depth-first walk appends generators in
+    increasing index, so it meets the monomials in lexicographic order, the
+    order of the tags of a slice (then the basis index); it carries each
+    monomial's formal charge shift down the tree.  A vector is one generator
+    applied to the vector of its monomial's suffix (`_suffix_build`), so the
+    vectors built are those of dominant formal charge and their suffixes.
 
     A family of more than MAX_PBW_FAMILY vectors (`monomial_count` times the
     basis size, all weights counted) is refused with ValueError before any
@@ -284,51 +287,45 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
         root[i], root[j] = 1, -1
         roots.append(tuple(root))
 
-    # formal charges of the monomials (each from its prefix) and the
-    # dominant (mono, bi) in lexicographic order, with their charges
-    shift = {(): (0,) * spec.n}
+    built = {((), bi): base for bi, base in enumerate(u0_basis)}  # (mono, bi) -> E_mono base
     dominant = {}  # shift -> ((bi, charge), ...) of dominant charge
-    targets = []
-    for mono in sorted(
-        mono
-        for k in range(cutoff + 1)
-        for mono in combinations_with_replacement(range(len(gens)), k)
-        if not any(a == b and gens[a][2] for a, b in zip(mono, mono[1:]))
-    ):
-        if mono:
-            shift[mono] = tuple(map(add, shift[mono[:-1]], roots[mono[-1]]))
-        s = shift[mono]
-        hits = dominant.get(s)
+    slices = {}
+    stack = [((), (0,) * spec.n)]  # (mono, its charge shift), the next on top
+    while stack:
+        mono, shift = stack.pop()
+        hits = dominant.get(shift)
         if hits is None:
-            hits = dominant[s] = tuple(
+            hits = dominant[shift] = tuple(
                 (bi, charge)
-                for bi, charge in enumerate(tuple(map(add, s, c)) for c in base_charges)
+                for bi, charge in enumerate(tuple(map(add, shift, c)) for c in base_charges)
                 if is_dominant(blocks, charge)
             )
-        targets.extend((mono, bi, charge) for bi, charge in hits)
+        for bi, charge in hits:
+            vec = _suffix_build(spec, gens, roots, built, mono, bi, charge)
+            slices.setdefault(charge, []).append(((mono, bi), vec))
+        if len(mono) < cutoff:
+            first = mono[-1] + gens[mono[-1]][2] if mono else 0  # an odd one does not repeat
+            stack.extend((mono + (g,), tuple(map(add, shift, roots[g])))
+                         for g in range(len(gens) - 1, first - 1, -1))
+    return dict(sorted(slices.items()))
 
-    need = set()  # the targets and their suffixes
-    for mono, bi, _charge in targets:
-        while (mono, bi) not in need:
-            need.add((mono, bi))
-            mono = mono[1:]
 
-    built = {}  # (mono, bi) -> E_mono base
-    for mono, bi in sorted(need, key=lambda key: len(key[0])):
-        if not mono:
-            built[mono, bi] = u0_basis[bi]
-            continue
+def _suffix_build(spec, gens, roots, built, mono, bi, charge):
+    """E_mono u_bi of the given formal charge: the longest suffix of mono
+    found in built, then one generator per step back up to mono, each step's
+    vector stored in built and checked to lie in its formal charge."""
+    chain = []  # (mono, charge) from mono down to the first built suffix
+    while (mono, bi) not in built:
+        chain.append((mono, charge))
+        charge = tuple(map(sub, charge, roots[mono[0]]))
+        mono = mono[1:]
+    vec = built[mono, bi]
+    for mono, charge in reversed(chain):
         i, j, _odd = gens[mono[0]]
-        vec = built[mono[1:], bi]
         vec = built[mono, bi] = generator_action(spec, i, j, vec) if vec else {}
-        charge = tuple(map(add, shift[mono], base_charges[bi]))
         if vec and {spec.state_charge(s) for s in vec} != {charge}:
             raise AssertionError("PBW vector mixes Cartan slices")
-
-    slices = {}
-    for mono, bi, charge in targets:
-        slices.setdefault(charge, []).append(((mono, bi), built[mono, bi]))
-    return {spec.charge_weight(charge): slices[charge] for charge in sorted(slices)}
+    return vec
 
 
 @dataclass
@@ -421,7 +418,7 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
     witness = None
     kernels = {}
     has_negative = False
-    for weight, fam in slices.items():
+    for charge, fam in slices.items():
         vecs = [prepare(spec, vec) for _tag, vec in fam]  # split once per slice
         G = [[Fraction(0)] * len(fam) for _ in fam]
         for r in range(len(fam)):
@@ -430,13 +427,13 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
                 G[r][c] = val
                 G[c][r] = val
         kern, neg = analyze_gram(G)
-        kernels[spec.weight_charge(weight)] = kern
-        rep = SliceReport(weight, len(fam), kern, neg is not None, None)
+        kernels[charge] = kern
+        rep = SliceReport(spec.charge_weight(charge), len(fam), kern, neg is not None, None)
         if neg is not None:
             has_negative = True
             rep.witness = (tuple(tag for tag, _v in fam), tuple(neg))
             if witness is None:
-                witness = (weight, rep.witness)
+                witness = (rep.weight, rep.witness)
         reports.append(rep)
     blocks = k_blocks(spec.p, spec.m, spec.q)
     kernel_total = 0

@@ -55,9 +55,11 @@ MAX_COLOURS = 32
 MAX_U0_DEGREE = 32
 
 # Largest PBW spanning family (monomials of length <= cutoff times the
-# K-basis of U_0, every weight counted) that `module.pbw_family` accepts; it
-# builds only the K-dominant slices and their suffixes.  The family grows
-# about fourfold per unit of depth on su(2,2|4).
+# K-basis of U_0, every weight counted) that `module.pbw_family` accepts.
+# The count is a closed form taken before any vector is built; the walk then
+# charges every monomial but builds only the vectors of the K-dominant
+# charges and their suffixes.  The family grows about fourfold per unit of
+# depth on su(2,2|4).
 MAX_PBW_FAMILY = 200_000
 
 

@@ -134,6 +134,12 @@ def tensor_table_rows(table: int, m: int = 2, n: int = 1):
 
 
 def table_lines(table: int, m: int = 2, n: int = 1):
+    """The lines of the table; n < 0, or m < n on tables 6 and 7, is refused
+    (ValueError)."""
+    if n < 0:
+        raise ValueError(f"n = {n} is outside the supported range n >= 0")
+    if table in (6, 7) and m < n:
+        raise ValueError(f"table {table} needs m >= n, got m = {m}, n = {n}")
     if table == 1:
         return table1_lines()
     name2, rows = tensor_table_rows(table, m, n)

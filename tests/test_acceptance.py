@@ -214,7 +214,8 @@ def test_negative_witnesses_have_negative_norm():
         d = realize(lab, allow_nonunitary=True)
         weight, (tags, coeffs) = gram_positivity(d, cutoff=cutoff).negative_witness
         spec, u0 = build_u0(d)
-        family = dict(pbw_family(spec, u0_k_basis(spec, u0), cutoff)[weight])
+        slices = pbw_family(spec, u0_k_basis(spec, u0), cutoff)
+        family = dict(next(fam for c, fam in slices.items() if spec.charge_weight(c) == weight))
         witness = {}
         for tag, coeff in zip(tags, coeffs):
             for s, c in family[tag].items():

@@ -129,6 +129,33 @@ def test_tables_golden(capsys, table):
     assert out == (GOLDENS / f"table{table}.txt").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--table", "2", "--n", "2"],
+    ["--table", "6", "--m", "3"],
+    ["--table", "1", "--m", "3"],
+])
+def test_tables_check_off_the_pinned_m_n_is_a_usage_error(capsys, argv):
+    """The goldens are rendered at m = 2, n = 1; --check at other values is
+    refused before any table is rendered, not reported as a mismatch."""
+    code, out, err = run(capsys, "tables", *argv, "--check")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "--m 2 --n 1" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--table", "6", "--m", "1", "--n", "2"], "table 6 needs m >= n"),
+    (["--table", "7", "--m", "1", "--n", "2"], "table 7 needs m >= n"),
+    (["--table", "6", "--m", "-1"], "table 6 needs m >= n"),
+    (["--table", "1", "--n", "-1"], "n = -1"),
+    (["--table", "3", "--n", "-1"], "n = -1"),
+])
+def test_tables_refuse_m_n_out_of_range(capsys, argv, what):
+    """n < 0 on any table, and m < n on tables 6 and 7, exit 2."""
+    code, out, err = run(capsys, "tables", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and what in err
+
+
 def test_selfcheck_exit0(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0

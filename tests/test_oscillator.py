@@ -328,11 +328,10 @@ def test_pbw_suffix_build_matches_rebuild_from_base(data):
     blocks = k_blocks(spec.p, spec.m, spec.q)
     # the K-dominant slices in ascending weight order, with the same tags in
     # the same order and equal vectors
-    assert list(got) == [w for w in want if is_dominant(blocks, w)]
-    assert got == {w: want[w] for w in got}
+    assert [spec.charge_weight(c) for c in got] == [w for w in want if is_dominant(blocks, w)]
+    assert all(fam == want[spec.charge_weight(c)] for c, fam in got.items())
     # their sizes give the whole family's size through its K-types
-    types = highest_weight_counts(
-        blocks, {spec.weight_charge(w): len(fam) for w, fam in got.items()})
+    types = highest_weight_counts(blocks, {c: len(fam) for c, fam in got.items()})
     assert min(types.values()) >= 0
     size = sum(dimension(blocks, nu) * h for nu, h in types.items())
     assert size == sum(map(len, want.values()))
@@ -352,6 +351,33 @@ def test_pbw_family_is_bounded_before_any_vector_is_built():
     with mock.patch.object(module, "generator_action", side_effect=AssertionError("built")):
         with pytest.raises(ValueError, match="524244 vectors"):
             pbw_family(spec, basis, 6)
+
+
+def test_pbw_family_builds_only_dominant_targets_and_their_suffixes():
+    """Yang-Mills at cutoff 3: one E^(-) action per vector built, the
+    dominant targets and their suffixes, 516 in all."""
+    ym = RepLabel(2, 2, 4, (0, 0), (1, 1, 0, 0), (0, 0), 0, 0)
+    spec, u0 = build_u0(realize(ym))
+    basis = u0_k_basis(spec, u0)
+    with mock.patch.object(module, "generator_action", wraps=module.generator_action) as act:
+        pbw_family(spec, basis, 3)
+    assert act.call_count == 516
+
+
+def test_u0_k_basis_closes_at_weyl_dimension():
+    """U_0's K-orbit has the Weyl dimension of u0's charge; a vector of
+    non-dominant charge, or an orbit that closes at another size, is an
+    internal inconsistency."""
+    spec, u0 = build_u0(realize(RepLabel(2, 2, 4, (0, 0), (1, 1, 0, 0), (0, 0), 0, 0)))
+    blocks = k_blocks(spec.p, spec.m, spec.q)
+    size = dimension(blocks, spec.state_charge(next(iter(u0))))
+    basis = u0_k_basis(spec, u0)
+    assert len(basis) == size == 6
+    with pytest.raises(AssertionError, match="not K-dominant"):
+        u0_k_basis(spec, basis[1])  # f-block charge (0, 1, 1, 0)
+    with mock.patch.object(module, "dimension", lambda blocks, nu: dimension(blocks, nu) + 1):
+        with pytest.raises(AssertionError, match=f"closed at {size} vectors, not {size + 1}"):
+            u0_k_basis(spec, u0)
 
 
 # pbw_family's charge checks, run under `python -O`: a base vector or a built
@@ -435,8 +461,10 @@ def test_k_type_slices_match_every_weight_slice(data):
     assert all((s.dim, s.kernel_dim, s.negative) == full[s.weight] for s in rep.slices)
     assert rep.has_negative == any(neg for _dim, _kernel, neg in full.values())
     assert rep.kernel_total == sum(kernel for _dim, kernel, _neg in full.values())
+    offsets = spec.charge_weight((0,) * spec.n)
     h0 = highest_weight_counts(
-        blocks, {spec.weight_charge(s.weight): s.kernel_dim for s in rep.slices})
+        blocks,
+        {tuple(int(w - o) for w, o in zip(s.weight, offsets)): s.kernel_dim for s in rep.slices})
     assert min(h0.values()) >= 0
 
 
@@ -720,7 +748,7 @@ def test_kernel_is_exact_beside_a_negative_direction():
     assert rep.has_negative and rep.kernel_total == 12
     spec, u0 = build_u0(d)
     slices = pbw_family(spec, u0_k_basis(spec, u0), 4)
-    assert [s.weight for s in rep.slices] == list(slices)
+    assert [s.weight for s in rep.slices] == list(map(spec.charge_weight, slices))
     both = 0
     for s, fam in zip(rep.slices, slices.values()):
         G = [[inner_product(spec, u, v) for _t, v in fam] for _t, u in fam]
@@ -791,7 +819,7 @@ def test_row_space_matches_fraction_echelon_reference(data):
 
 def test_charge_weight_reads_a_per_spec_table():
     """Each entry is the Fraction offset + charge, negative charges
-    included, and specs that differ only in gamma_L keep separate tables."""
+    included, on specs that differ only in gamma_L."""
     specs = [
         OscillatorSpec(2, 1, 1, 3, gamma_L, F(1, 3), (0, 1), (2,), (), ())
         for gamma_L in (F(1, 2), F(-2, 3), F(1, 2))
@@ -803,10 +831,6 @@ def test_charge_weight_reads_a_per_spec_table():
             weight = spec.charge_weight(charge)
             assert all(type(w) is F for w in weight)
             assert weight == tuple(o + x for o, x in zip(offsets, charge))
-            assert spec.charge_weight(charge) == weight  # a table hit
-    tables = [spec._weight_table for spec in specs]
-    assert tables[0] is not tables[1] and tables[0] is not tables[2]
-    assert tables[0][0, -3] != tables[1][0, -3]
 
 
 # ---------------------------------------------------------------------------

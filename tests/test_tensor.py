@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superdual.ktypes import dimension, k_blocks
 from superdual.labels import RepLabel
 from superdual.oscillator import tensor
 from superdual.oscillator.algebra import generator_action
 from superdual.oscillator.module import k_lowering_generators
 from superdual.oscillator.states import add_into, combine
 from superdual.oscillator.tensor import k_hws_in_span, tensor_decompose
-from superdual.tables import doubleton, label_2244
+from superdual.tables import doubleton, label_2244, tensor_table_rows
 
 
 def decomp(f2, f1):
@@ -68,6 +69,34 @@ def test_table7_telescoping(m, n):
     got = decomp(doubleton("bn", m), doubleton("bn", n))
     want = sorted(f"[{m + n - 2 * j},000,0;{2 + j},0]" for j in range(n + 1))
     assert got == want
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+def test_tensor_decomposition_is_complete(m, n):
+    """Every row of tables 2..7: the K-types of the K-highest vectors that
+    `k_hws_in_span` finds fill U_0 (x) U_0, sum dim V_nu = len(basis1) *
+    len(basis2)."""
+    bases, totals = [], []
+    real_basis, real_hws = tensor.u0_k_basis, tensor.k_hws_in_span
+
+    def basis_spy(spec, u0):
+        basis = real_basis(spec, u0)
+        bases.append(len(basis))
+        return basis
+
+    def hws_spy(spec, vectors):
+        found = real_hws(spec, vectors)
+        blocks = k_blocks(spec.p, spec.m, spec.q)
+        totals.append(sum(dimension(blocks, spec.state_charge(next(iter(vec))))
+                          for _w, vec in found))
+        return found
+
+    with mock.patch.object(tensor, "u0_k_basis", basis_spy), \
+            mock.patch.object(tensor, "k_hws_in_span", hws_spy):
+        for table in range(2, 8):
+            tensor_table_rows(table, m, n)
+    assert len(totals) == 36
+    assert totals == [x * y for x, y in zip(bases[::2], bases[1::2])]
 
 
 def test_deformed_factor_rejected():
