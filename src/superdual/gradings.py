@@ -209,7 +209,8 @@ def extended_diagram(g: Grading) -> ExtendedDiagram:
     kinds = g.node_kinds() + (node_kind(g.entries[-1], g.entries[0]),)
     ext = ExtendedDiagram(g, kinds)
     # parity bookkeeping: flips around a cycle come in pairs
-    assert ext.p_odd_count() % 2 == 0 and ext.c_odd_count() % 2 == 0
+    if ext.p_odd_count() % 2 or ext.c_odd_count() % 2:
+        raise AssertionError(f"an odd number of parity flips around the cycle of {kinds}")
     return ext
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from ..diagrams import NonCompactYoungDiagram
 from ..rationals import rat
 from .states import (
-    MAX_COLOURS, MAX_U0_DEGREE, PERMS, State, _bump, _perm_bump, add_into, reduce_state,
+    MAX_BLOCK, MAX_COLOURS, MAX_U0_DEGREE, PERMS, State, _bump, _perm_bump, add_into, reduce_state,
     set_field, zero_state,
 )
 
@@ -274,8 +274,11 @@ def column_det(n: int, op, lc: dict) -> dict:
     op(row, k, lc) is a linear map.  The partial sums are kept per set of
     rows used so far, so the 2^n sets replace the n! permutations
     (n 2^(n-1) applications of op) and cancelling terms merge early.  A new
-    row adds one inversion per used row below it.
+    row adds one inversion per used row below it.  n > MAX_BLOCK is refused
+    with ValueError before op is applied.
     """
+    if n > MAX_BLOCK:
+        raise ValueError(f"a {n} x {n} determinant is outside the supported sizes 0..{MAX_BLOCK}")
     sums = {0: lc}  # bitmask of the rows used -> partial sum
     for k in range(n - 1, -1, -1):
         nxt = {}

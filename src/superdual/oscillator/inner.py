@@ -188,7 +188,10 @@ class BlockSpectrum:
 
         The order refines dominance, so a vector of the least component, such
         as a highest vector of V_mu (x) V_mu on its own slice (mu, mu), costs
-        one Casimir application."""
+        one Casimir application.  C2 and C3 separate every component up to
+        block size 3; beyond it two components can share both (on size 4,
+        (7,7,1,1) and (8,5,3) at degree 16), and such a slice is refused
+        with ValueError."""
         got = self._nodes.get(margins)
         if got is None:
             n = self.n
@@ -205,7 +208,10 @@ class BlockSpectrum:
             )
             pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
             if len(set(pairs)) < len(pairs):
-                raise AssertionError("two components share their C2 and C3 eigenvalues")
+                raise ValueError(
+                    f"a slice of degree {d} on a block of size {n} is outside the supported "
+                    "range: two of its components share their C2 and C3 eigenvalues"
+                )
             t = 0
             while len({c2 + t * c3 for c2, c3 in pairs}) < len(pairs):
                 t += 1

@@ -95,20 +95,17 @@ def minor_powers(spec: OscillatorSpec, side: str, mu, v):
 class HwsReport:
     raised_to_zero: bool
     weight: FundamentalWeight | None
-    failing: tuple | None  # (i, j) of the first non-annihilating raising op
 
 
 def verify_hws(spec: OscillatorSpec, v) -> HwsReport:
     """Check E_ij v = 0 for all i < j and read the Cartan eigenvalues."""
     lc = v if isinstance(v, dict) else {v: 1}
-    if len({spec.state_charge(s) for s in lc}) != 1:
-        return HwsReport(False, None, None)
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            if generator_action(spec, i, j, lc):
-                return HwsReport(False, None, (i, j))
+    if len({spec.state_charge(s) for s in lc}) != 1 or any(
+        generator_action(spec, i, j, lc) for i in range(spec.n) for j in range(i + 1, spec.n)
+    ):
+        return HwsReport(False, None)
     w = FundamentalWeight(grading_pmq(spec.p, spec.m, spec.q), spec.state_weight(next(iter(lc))))
-    return HwsReport(True, w, None)
+    return HwsReport(True, w)
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +113,18 @@ def verify_hws(spec: OscillatorSpec, v) -> HwsReport:
 # ---------------------------------------------------------------------------
 
 def eminus_generators(spec: OscillatorSpec):
-    """E^(-) generators (i, j, odd?) with block(i) > block(j)."""
-    gens = []
-    p, m, q = spec.p, spec.m, spec.q
-    for a in range(p, p + m):  # f rows x b cols: odd
-        for bd in range(p):
-            gens.append((a, bd, True))
-    for al in range(p + m, p + m + q):  # a rows x b cols: even
-        for bd in range(p):
-            gens.append((al, bd, False))
-    for al in range(p + m, p + m + q):  # a rows x f cols: odd
-        for a in range(p, p + m):
-            gens.append((al, a, True))
-    return gens
+    """E^(-) generators (i, j, odd?) with block(i) > block(j): the f rows
+    on the b columns, the a rows on the b columns, the a rows on the f
+    columns, in that order."""
+    b, f, a = (range(spec.n)[blk] for blk in k_blocks(spec.p, spec.m, spec.q))
+    return [(i, j, odd) for rows, cols, odd in ((f, b, True), (a, b, False), (a, f, True))
+            for i in rows for j in cols]
 
 
 def k_lowering_generators(spec: OscillatorSpec):
-    gens = []
-    blocks = [(0, spec.p), (spec.p, spec.p + spec.m), (spec.p + spec.m, spec.n)]
-    for lo, hi in blocks:
-        for j in range(lo, hi):
-            for i in range(j + 1, hi):
-                gens.append((i, j))
-    return gens
+    """K-lowering generators (i, j), i > j in one block."""
+    return [(i, j) for blk in k_blocks(spec.p, spec.m, spec.q)
+            for j in range(spec.n)[blk] for i in range(j + 1, blk.stop)]
 
 
 # ---------------------------------------------------------------------------

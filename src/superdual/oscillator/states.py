@@ -41,9 +41,10 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-# Largest n for which PERMS enumerates the n! permutations.  It bounds every
-# determinant the oscillator expands: the deformed-block size, the Capelli
-# colour count P and the size of a minor.
+# Largest n for which PERMS enumerates the n! permutations, and the largest
+# determinant that `algebra.column_det` expands (ValueError beyond it).  It
+# bounds every determinant the oscillator expands: the deformed-block size,
+# the Capelli colour count P and the size of a U_0 minor.
 MAX_BLOCK = 8
 
 # Largest colour count P and U_0 degree (the number of oscillators in the

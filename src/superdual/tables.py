@@ -55,29 +55,30 @@ def _weight_text(cells) -> str:
     return f"[{','.join(cells[:2])};{','.join(cells[2:6])};{','.join(cells[6:])}]"
 
 
+def _u0_weight(d: NonCompactYoungDiagram) -> tuple:
+    """The weight of the K-highest vector of U_0(d), checked to be a
+    highest-weight vector (AssertionError otherwise)."""
+    rep = verify_hws(*build_u0(d))
+    if not rep.raised_to_zero:
+        raise AssertionError(f"U_0 of {d.label} is not annihilated by every E_ij, i < j")
+    return rep.weight.values
+
+
 def table1_lines():
     lines = ["# Table 1: su(2,|4|2) unitary supermultiplets with one colour (P=1)"]
     lines.append("# HWS | fundamental weight [E_11..E_88] | [mu_L,tau,mu_R;beta_L,beta_R] | BPS")
     for name, kind, sym in _T1_ROWS:
         if sym is None:
             d = doubleton(kind)
-            spec, u0 = build_u0(d)
-            rep = verify_hws(spec, u0)
-            assert rep.raised_to_zero
-            weight_txt = _weight_text([rat_str(v) for v in rep.weight.values])
+            weight_txt = _weight_text([rat_str(v) for v in _u0_weight(d)])
             lab_txt = label_2244(d.label)
         else:
             # verify the affine pattern at three instances, print symbolically
-            ws = []
-            for n in (1, 2, 3):
-                d = doubleton(kind, n)
-                spec, u0 = build_u0(d)
-                rep = verify_hws(spec, u0)
-                assert rep.raised_to_zero
-                ws.append(rep.weight.values)
+            ws = [_u0_weight(doubleton(kind, n)) for n in (1, 2, 3)]
             deltas = [tuple(b - a for a, b in zip(ws[0], ws[1])),
                       tuple(b - a for a, b in zip(ws[1], ws[2]))]
-            assert deltas[0] == deltas[1], "weight not affine in the parameter"
+            if deltas[0] != deltas[1]:
+                raise AssertionError(f"the {kind} weight is not affine in the parameter")
             slot = [i for i, dv in enumerate(deltas[0]) if dv][0]
             sign = "+" if deltas[0][slot] > 0 else "-"
             base = ws[0][slot] - deltas[0][slot]

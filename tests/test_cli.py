@@ -148,9 +148,15 @@ def test_tables_check_off_the_pinned_m_n_is_a_usage_error(capsys, argv):
     (["--table", "6", "--m", "-1"], "table 6 needs m >= n"),
     (["--table", "1", "--n", "-1"], "n = -1"),
     (["--table", "3", "--n", "-1"], "n = -1"),
+    (["--table", "2", "--m", "-1"], "table 2 does not read m = -1: only tables 6 and 7 read --m"),
+    (["--table", "5", "--m", "2"], "table 5 does not read m = 2: only tables 6 and 7 read --m"),
+    (["--table", "1", "--n", "5"], "table 1 does not read n = 5: only tables 2..7 read --n"),
+    (["--table", "1", "--m", "9", "--n", "0"], "table 1 does not read m = 9"),
 ])
 def test_tables_refuse_m_n_out_of_range(capsys, argv, what):
-    """n < 0 on any table, and m < n on tables 6 and 7, exit 2."""
+    """n < 0 on any table, and m < n on tables 6 and 7, exit 2; so does a
+    parameter the table does not read: --m off tables 6 and 7, --n on
+    table 1."""
     code, out, err = run(capsys, "tables", *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and what in err
@@ -332,14 +338,17 @@ def test_realization_checks_exit2(capsys, fields, realization, message):
 
 
 # an oracle input past the bounds next to states.MAX_BLOCK: 10^9 colours
-# (su(1,1) at beta = 10^9; su(2,2|4) with tau_1 = 10^9) and a U_0 vector of
-# degree 10^9 + 6 (mu_R^1 = 10^9); these once ended in MemoryError or ran on
+# (su(1,1) at beta = 10^9; su(2,2|4) with tau_1 = 10^9), a U_0 vector of
+# degree 10^9 + 6 (mu_R^1 = 10^9) and a 9 x 9 U_0 minor (mu_L = (1^9) on
+# su(10,1)); these once ended in MemoryError or ran on
 @pytest.mark.parametrize("fields, message", [
     ({"p": 1, "q": 1, "m": 0, "mu_L": [], "tau": [], "mu_R": [], "beta_R": "1000000000"},
      "1000000000 colours are outside the supported range 0..32"),
     ({"tau": [1000000000, 0, 0, 0]}, "1000000000 colours are outside the supported range 0..32"),
     ({"mu_R": [1000000000, 0], "beta_R": "1"},
      "a U_0 vector of degree 1000000006 is outside the supported range 0..32"),
+    ({"p": 10, "q": 1, "m": 0, "mu_L": [1] * 9, "tau": [], "mu_R": [], "beta_R": "9"},
+     "a 9 x 9 determinant is outside the supported sizes 0..8"),
 ])
 def test_oracle_input_bounds_exit2(capsys, fields, message):
     lab = json.dumps(_label(**fields))

@@ -7,6 +7,7 @@ import itertools
 from fractions import Fraction as F
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
 from superdual.oscillator import inner, states
-from superdual.oscillator.capelli import capelli_identity_check, capelli_norm_factor
+from superdual.oscillator.capelli import block_spec, capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
     BlockForm,
@@ -332,6 +333,31 @@ def test_casimir_closed_form_matches_highest_vector_eigenvalues():
             assert _casimir_value(mu, n, 3) == c2_plus_c3 - c2, (n, mu)
             cases += 1
     assert cases == 7 + 16 + 23 + 12 + 7 + 7 + 4 + 4
+
+
+def test_casimir_collisions_are_a_range_limit():
+    """C2 and C3 separate the components of every block up to size 3; on
+    size 4 they first fail at degree 16, where (7,7,1,1) and (8,5,3) share
+    both.  A slice with two such nodes is refused (ValueError, naming the
+    block size and the degree) before any Casimir is applied."""
+
+    def nodes(n, d):
+        return [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3))
+                for mu in partitions_bounded(n, d) if mu.size == d]
+
+    collide = [(n, d) for n in (1, 2, 3, 4) for d in range(17)
+               if len(set(nodes(n, d))) < len(nodes(n, d))]
+    assert collide == [(4, 16)]
+    assert _casimir_value(Partition((7, 7, 1, 1)), 4, 2) == _casimir_value(Partition((8, 5, 3)), 4, 2)
+    assert _casimir_value(Partition((7, 7, 1, 1)), 4, 3) == _casimir_value(Partition((8, 5, 3)), 4, 3)
+    spec = block_spec(4, F(1, 2))
+    diag = tuple(tuple(x if i == j else 0 for j in range(4)) for i, x in enumerate((7, 5, 2, 2)))
+    s = spec.vacuum()._replace(a=diag)
+    message = "a slice of degree 16 on a block of size 4 is outside the supported range"
+    with pytest.raises(ValueError, match=message):
+        inner_product(spec, {s: 1}, {s: 1})
+    with pytest.raises(ValueError, match=message):
+        delta_ladder_norms(4, F(1, 2), (5, 3), 3)
 
 
 # -- the pairing from its definition, one state pair at a time -------------

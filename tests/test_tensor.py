@@ -99,6 +99,33 @@ def test_tensor_decomposition_is_complete(m, n):
     assert totals == [x * y for x, y in zip(bases[::2], bases[1::2])]
 
 
+def test_verify_hws_checks_every_k_highest_vector():
+    """`tensor_decompose` reads each label from `verify_hws`, which checks
+    every E_ij, i < j, on each K-highest vector that `k_hws_in_span` finds:
+    48 + 50 + 50 of them over the rows of tables 2..7 at (m, n) = (2, 1),
+    (3, 2) and (2, 2)."""
+    found, checked = [], []
+    real_hws, real_verify = tensor.k_hws_in_span, tensor.verify_hws
+
+    def hws_spy(spec, vectors):
+        got = real_hws(spec, vectors)
+        found.extend(vec for _w, vec in got)
+        return got
+
+    def verify_spy(spec, v):
+        rep = real_verify(spec, v)
+        checked.append((v, rep.raised_to_zero))
+        return rep
+
+    with mock.patch.object(tensor, "k_hws_in_span", hws_spy), \
+            mock.patch.object(tensor, "verify_hws", verify_spy):
+        for m, n in ((2, 1), (3, 2), (2, 2)):
+            for table in range(2, 8):
+                tensor_table_rows(table, m, n)
+    assert len(found) == 148
+    assert checked == [(vec, True) for vec in found]
+
+
 def test_deformed_factor_rejected():
     gam = F(-1, 2)
     from superdual.diagrams import realize
