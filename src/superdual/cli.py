@@ -30,10 +30,6 @@ EXIT_USAGE = 2
 EXIT_NON_UNITARY = 3
 EXIT_INTERNAL = 4
 
-# the --m and --n at which the shipped tables goldens are rendered
-GOLDEN_M, GOLDEN_N = 2, 1
-
-
 def _load_json_arg(text: str):
     if os.path.exists(text):
         try:
@@ -259,18 +255,10 @@ def cmd_verify(args):
 def cmd_tables(args):
     from . import tables
 
-    m = GOLDEN_M if args.m is None else args.m
-    n = GOLDEN_N if args.n is None else args.n
-    if args.check and (m, n) != (GOLDEN_M, GOLDEN_N):
-        raise ValueError(
-            f"--check compares with the goldens rendered at --m {GOLDEN_M} --n {GOLDEN_N}, "
-            f"got --m {m} --n {n}"
-        )
-    if args.m is not None and args.table not in (6, 7):
-        raise ValueError(f"table {args.table} does not read m = {m}: only tables 6 and 7 read --m")
-    if args.n is not None and args.table == 1:
-        raise ValueError(f"table 1 does not read n = {n}: only tables 2..7 read --n")
-    text = tables.render_table(args.table, m=m, n=n)
+    gm, gn = tables.GOLDEN_M, tables.GOLDEN_N
+    if args.check and (args.m not in (None, gm) or args.n not in (None, gn)):
+        raise ValueError(f"--check compares with the goldens rendered at --m {gm} --n {gn}")
+    text = tables.render_table(args.table, m=args.m, n=args.n)
     sys.stdout.write(text)
     if args.check:
         golden = os.path.join(os.path.dirname(__file__), "goldens", f"table{args.table}.txt")
@@ -383,8 +371,8 @@ def build_parser():
 
     sp = add("tables", cmd_tables, help="regenerate the multiplet tables")
     sp.add_argument("--table", type=int, required=True, choices=range(1, 8))
-    sp.add_argument("--m", type=int, help=f"tables 6 and 7 only (default {GOLDEN_M})")
-    sp.add_argument("--n", type=int, help=f"tables 2..7 only (default {GOLDEN_N})")
+    sp.add_argument("--m", type=int, help="tables 6 and 7 only (default: the goldens' m)")
+    sp.add_argument("--n", type=int, help="tables 2..7 only (default: the goldens' n)")
     sp.add_argument("--check", action="store_true", help="diff against the shipped golden")
 
     sp = add("tensor", cmd_tensor, help="decompose a K-module tensor product")

@@ -33,7 +33,6 @@ UNITARY_SHORT = "UnitaryShort"
 class Verdict:
     status: str
     witnesses: tuple = ()
-    short_sides: tuple = ()  # subset of ("left", "right") for short verdicts
 
     @property
     def unitary(self):
@@ -171,7 +170,7 @@ def classify_supqm(label: RepLabel) -> Verdict:
             f" <= {label.p - 1 if s == 'left' else label.q - 1} (integer point)"
             for s in sides
         )
-        return Verdict(UNITARY_SHORT, sat, tuple(sides))
+        return Verdict(UNITARY_SHORT, sat)
     return Verdict(UNITARY_LONG)
 
 

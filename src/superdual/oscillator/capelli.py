@@ -52,10 +52,10 @@ def block_spec(P: int, gamma) -> OscillatorSpec:
     )
 
 
-def capelli_identity_check(P: int, gamma, cutoff: int = 4, max_s: int = 1) -> bool:
+def capelli_identity_check(P: int, gamma, cutoff: int) -> bool:
     """Verify Delta+ Delta = colDet(E + rho) as operators on the truncated basis."""
     spec = block_spec(P, gamma)  # at gamma = 0 Delta acts by plain derivatives
-    basis = basis_states(spec, cutoff, max_s=max_s)
+    basis = basis_states(spec, cutoff, max_s=1)
     for st in basis:
         lhs = delta_dagger(spec, "a", delta_lower(spec, "a", {st: 1}))
         rhs = _column_det_action(spec, {st: 1})

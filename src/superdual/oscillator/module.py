@@ -385,7 +385,7 @@ def analyze_gram(G):
     return kernel, witness
 
 
-def gram_positivity(d: NonCompactYoungDiagram, cutoff: int = 4) -> GramReport:
+def gram_positivity(d: NonCompactYoungDiagram, cutoff: int) -> GramReport:
     """Exact Gram analysis of the induced module up to the given E^(-) depth,
     on its K-dominant weight slices (`GramReport`).
 

@@ -1,10 +1,13 @@
 """Golden tables: the P = 1 doubleton list and the P = 2 tensor products.
 
-Table 1 lists the six one-colour supermultiplet families of su(2,|4|2) with
-fundamental weights, labels and BPS fractions.  Tables 2..7 decompose the
-K-module product of each family with the six one-colour factors.  Output is
-line-oriented and stable for byte-level golden tests; parametric rows are
-printed symbolically after the pattern has been verified at several numeric
+All seven tables read one ordered catalogue, FAMILIES, of the six one-colour
+supermultiplet families of su(2,|4|2).  Table 1 lists them with fundamental
+weights, labels and BPS fractions.  Table k = 2..7 decomposes the K-module
+product of each family (letters a b c, parameter n) with the (k - 1)-th
+(letters d e f, parameter m).  `render_table` states which table reads which
+parameter, the goldens' defaults and the refusals.  Output is line-oriented
+and stable for byte-level golden tests; parametric rows are printed
+symbolically after the pattern has been verified at several numeric
 instances.
 """
 
@@ -27,27 +30,33 @@ def label_2244(label: RepLabel) -> str:
     )
 
 
-def doubleton(kind: str, n: int = 0) -> NonCompactYoungDiagram:
-    """The P = 1 families: vac, f, ff, fff, am (a^m Delta_f), bn ((b)^n)."""
-    table = {
-        "vac": RepLabel(2, 2, 4, (), (), (), 1, 0),
-        "f": RepLabel(2, 2, 4, (), (1, 0, 0), (), 0, 0),
-        "ff": RepLabel(2, 2, 4, (), (1, 1, 0), (), 0, 0),
-        "fff": RepLabel(2, 2, 4, (), (1, 1, 1), (), 0, 0),
-        "am": RepLabel(2, 2, 4, (), (), (n, 0), 0, 1),
-        "bn": RepLabel(2, 2, 4, (n, 0), (), (), 1, 0),
-    }
-    return realize(table[kind], strategy=Realization(0, 0, 1 if kind == "am" else 0, 1))
+# The six one-colour families, in the order of Table 1 and of the second
+# factors of tables 2..7: kind -> (HWS text, with {0}..{2} the fermion letters
+# and {k} the parameter symbol; Table 1's parameter symbol, None for a family
+# without a parameter; |F_Delta|; the label at parameter k).
+FAMILIES = {
+    "vac": ("|0>", None, 0, lambda k: RepLabel(2, 2, 4, (), (), (), 1, 0)),
+    "f": ("f+_{0}|0>", None, 0, lambda k: RepLabel(2, 2, 4, (), (1, 0, 0), (), 0, 0)),
+    "ff": ("f+_{0} f+_{1}|0>", None, 0, lambda k: RepLabel(2, 2, 4, (), (1, 1, 0), (), 0, 0)),
+    "fff": ("f+_{0} f+_{1} f+_{2}|0>", None, 0,
+            lambda k: RepLabel(2, 2, 4, (), (1, 1, 1), (), 0, 0)),
+    "am": ("(a+)^{k} Delta_f+|0>", "m", 1, lambda k: RepLabel(2, 2, 4, (), (), (k, 0), 0, 1)),
+    "bn": ("(b+)^{k}|0>", "n", 0, lambda k: RepLabel(2, 2, 4, (k, 0), (), (), 1, 0)),
+}
+
+# the m (tables 6 and 7) and n (tables 2..7) of the shipped goldens
+GOLDEN_M, GOLDEN_N = 2, 1
 
 
-_T1_ROWS = [
-    ("|0>", "vac", None),
-    ("f+_a|0>", "f", None),
-    ("f+_a f+_b|0>", "ff", None),
-    ("f+_a f+_b f+_c|0>", "fff", None),
-    ("(a+)^m Delta_f+|0>", "am", "m"),
-    ("(b+)^n|0>", "bn", "n"),
-]
+def doubleton(kind: str, k: int = 0) -> NonCompactYoungDiagram:
+    """The P = 1 family `kind` of FAMILIES at parameter k, which only am and
+    bn read."""
+    _hws, _sym, fdelta, label = FAMILIES[kind]
+    return realize(label(k), strategy=Realization(0, 0, fdelta, 1))
+
+
+def _hws_text(kind: str, letters: str, sym) -> str:
+    return FAMILIES[kind][0].format(*letters, k=sym)
 
 
 def _weight_text(cells) -> str:
@@ -67,14 +76,14 @@ def _u0_weight(d: NonCompactYoungDiagram) -> tuple:
 def table1_lines():
     lines = ["# Table 1: su(2,|4|2) unitary supermultiplets with one colour (P=1)"]
     lines.append("# HWS | fundamental weight [E_11..E_88] | [mu_L,tau,mu_R;beta_L,beta_R] | BPS")
-    for name, kind, sym in _T1_ROWS:
+    for kind, (_hws, sym, _fdelta, _label) in FAMILIES.items():
         if sym is None:
             d = doubleton(kind)
             weight_txt = _weight_text([rat_str(v) for v in _u0_weight(d)])
             lab_txt = label_2244(d.label)
         else:
             # verify the affine pattern at three instances, print symbolically
-            ws = [_u0_weight(doubleton(kind, n)) for n in (1, 2, 3)]
+            ws = [_u0_weight(doubleton(kind, k)) for k in (1, 2, 3)]
             deltas = [tuple(b - a for a, b in zip(ws[0], ws[1])),
                       tuple(b - a for a, b in zip(ws[1], ws[2]))]
             if deltas[0] != deltas[1]:
@@ -94,55 +103,44 @@ def table1_lines():
 
             weight_txt = _weight_text([cell(i) for i in range(8)])
             d = doubleton(kind, 2)
-            lab_txt = label_2244(d.label).replace("2", sym, 1) if kind == "bn" else (
-                label_2244(d.label).replace(",2;", f",{sym};")
-            )
+            # the parameter is the one entry 2 of the label at k = 2
+            lab_txt = label_2244(d.label).replace("2", sym, 1)
         s, sbar, _t, _tb = bps_type_22_4(d)
         bps = f"({rat_str(s)},{rat_str(sbar)})"
-        lines.append(f"{name:<22} {weight_txt:<28} {lab_txt:<16} {bps}")
+        lines.append(f"{_hws_text(kind, 'abc', sym):<22} {weight_txt:<28} {lab_txt:<16} {bps}")
     return lines
 
 
-_FACTORS = [
-    ("|0>_1", "vac", 0),
-    ("f+_a|0>_1", "f", 0),
-    ("f+_a f+_b|0>_1", "ff", 0),
-    ("f+_a f+_b f+_c|0>_1", "fff", 0),
-    ("(a+)^n Delta_f+|0>_1", "am", "n"),
-    ("(b+)^n|0>_1", "bn", "n"),
-]
-
-_TABLE_FACTOR2 = {
-    2: ("|0>_2", "vac", 0),
-    3: ("f+_d|0>_2", "f", 0),
-    4: ("f+_d f+_e|0>_2", "ff", 0),
-    5: ("f+_d f+_e f+_f|0>_2", "fff", 0),
-    6: ("(a+)^m Delta_f+|0>_2", "am", "m"),
-    7: ("(b+)^m|0>_2", "bn", "m"),
-}
-
-
-def tensor_table_rows(table: int, m: int = 2, n: int = 1):
-    """Rows (lhs text, [labels]) of table 2..7 at concrete (m, n), m >= n."""
-    name2, kind2, par2 = _TABLE_FACTOR2[table]
-    f2 = doubleton(kind2, m if par2 else 0)
+def tensor_table_rows(table: int, m: int, n: int):
+    """Rows (lhs text, [labels]) of table 2..7: each family at parameter n,
+    letters a b c, times the table's family at parameter m, letters d e f."""
+    kind2 = dict(zip(range(2, 8), FAMILIES))[table]
+    f2 = doubleton(kind2, m)
     rows = []
-    for name1, kind1, par1 in _FACTORS:
-        f1 = doubleton(kind1, n if par1 else 0)
-        labels = tensor_decompose(f2, f1)
-        rows.append((name1, labels))
-    return name2, rows
+    for kind1 in FAMILIES:
+        labels = tensor_decompose(f2, doubleton(kind1, n))
+        rows.append((_hws_text(kind1, "abc", "n") + "_1", labels))
+    return _hws_text(kind2, "def", "m") + "_2", rows
 
 
-def table_lines(table: int, m: int = 2, n: int = 1):
-    """The lines of the table; n < 0, or m < n on tables 6 and 7, is refused
-    (ValueError)."""
+def render_table(table: int, m=None, n=None) -> str:
+    """The text of table 1..7.  Tables 6 and 7 read m, the parameter of their
+    second factor, and tables 2..7 read n, that of the first; each defaults
+    to the goldens' (GOLDEN_M, GOLDEN_N).  Refused (ValueError), in this
+    order: a parameter the table does not read, n < 0, and m < n on tables
+    6 and 7.  The messages name the `tables` command's --m and --n."""
+    if m is not None and table not in (6, 7):
+        raise ValueError(f"table {table} does not read m = {m}: only tables 6 and 7 read --m")
+    if n is not None and table == 1:
+        raise ValueError(f"table 1 does not read n = {n}: only tables 2..7 read --n")
+    m = GOLDEN_M if m is None else m
+    n = GOLDEN_N if n is None else n
     if n < 0:
         raise ValueError(f"n = {n} is outside the supported range n >= 0")
     if table in (6, 7) and m < n:
         raise ValueError(f"table {table} needs m >= n, got m = {m}, n = {n}")
     if table == 1:
-        return table1_lines()
+        return "\n".join(table1_lines()) + "\n"
     name2, rows = tensor_table_rows(table, m, n)
     lines = [
         f"# Table {table}: P=1 supermultiplets tensored with {name2}"
@@ -151,8 +149,4 @@ def table_lines(table: int, m: int = 2, n: int = 1):
     for name1, labels in rows:
         body = " (+) ".join(label_2244(l) for l in labels)
         lines.append(f"{name1:<22} -> {body}")
-    return lines
-
-
-def render_table(table: int, m: int = 2, n: int = 1) -> str:
-    return "\n".join(table_lines(table, m, n)) + "\n"
+    return "\n".join(lines) + "\n"
