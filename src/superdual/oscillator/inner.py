@@ -46,9 +46,10 @@ pairings, over the product of their denominators, with the Newton images of
 each b monomial and of its a coordinates taken once), and makes one
 Fraction per pairing from those sums and the two vectors' denominators.  A
 pairing with an empty vector, such as a vanishing PBW monomial, is 0 before
-any form is looked up.  `clear_caches()` drops both tables, and the normal
-forms modulo det X - t that `states` memoises.  A prepared vector is a
-per-call value, never memoised.
+any form is looked up.  `clear_caches()` drops both tables, the normal
+forms modulo det X - t that `states` memoises and the Gram oracle's
+gamma-free modules, whose vectors are held prepared, their equal keys
+shared (`share_keys`).
 """
 
 from __future__ import annotations
@@ -297,11 +298,15 @@ def block_form(n: int, gamma) -> BlockForm:
 
 def clear_caches() -> None:
     """Drop every shared block spectrum (nodes, images), block form
-    (divided differences) and normal form modulo det X - t; later calls
-    recompute them."""
+    (divided differences), normal form modulo det X - t and gamma-free Gram
+    oracle module (`module.fock_module`); later calls recompute them."""
+    from . import module  # module imports this one
+
     _SPECTRA.clear()
     _BLOCK_FORMS.clear()
     _NORMAL_FORMS.clear()
+    with module._MODULES_LOCK:
+        module._MODULES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,30 @@ def prepare(spec, u) -> Prepared:
             coords = coords.setdefault(_margins(sub), {})
         coords[sub] = c.numerator * (denom // c.denominator)
     return Prepared(denom, rests)
+
+
+def share_keys(u: Prepared, canon: dict) -> Prepared:
+    """u with every tuple in the keys of its nested dicts replaced by the
+    equal tuple first stored in canon, so that vectors held together store
+    each rest key, margin pair and coordinate key once."""
+    return Prepared(u.denom, _shared(u.rests, canon))
+
+
+def _shared(obj, canon):
+    if isinstance(obj, dict):
+        return {_canonical(k, canon): _shared(v, canon) for k, v in obj.items()}
+    if type(obj) is tuple:  # (Fock factor, coordinates)
+        return tuple(_shared(x, canon) for x in obj)
+    return obj
+
+
+def _canonical(key, canon):
+    if type(key) is not tuple:
+        return key
+    got = canon.get(key)
+    if got is None:
+        got = canon[key] = tuple(_canonical(x, canon) for x in key)
+    return got
 
 
 _ZERO = Fraction(0)

@@ -30,6 +30,21 @@ once by the lcm of its denominators).  Fractions are made only for the
 slice weights, the Gram entries that `inner_product` returns and a
 negative-norm witness.  A PBW family larger than `states.MAX_PBW_FAMILY` is
 refused before it is built.
+
+The oscillators that build U_0 and the PBW family do not depend on gamma;
+only the form does, through c_mu(gamma).  So `gram_positivity` splits in
+two.  The gamma-free module (`FockModule`: u_0 and, per K-dominant charge,
+the tags and `inner.prepare`d vectors of the family) is built once per
+realization shape and held in a process-wide table.  Its key,
+`module_key`, is p, m, q, P, the colour layout, which blocks are deformed,
+mu_L, tau, mu_R and the cutoff.  The table holds at most
+`states.MAX_HELD_VECTORS` vectors, drops its oldest module first, does not
+keep a module larger than the bound, and is emptied by
+`inner.clear_caches()`.  Every call still makes, at its own gamma, the
+cutoff and `OscillatorSpec.from_diagram` refusals before the lookup, |u_0|^2
+and its null check, one `inner_product` per upper-triangle Gram entry, the
+slice weights, `analyze_gram` and `highest_weight_counts`; nothing that
+depends on gamma is held.
 """
 
 from __future__ import annotations
@@ -38,14 +53,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, sub
+from threading import Lock
+from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram
 from ..ktypes import dimension, highest_weight_counts, is_dominant, k_blocks
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, column_det, generator_action, mul, mul_f
-from .inner import inner_product, prepare
-from .states import MAX_PBW_FAMILY, add_into
+from .inner import Prepared, inner_product, prepare, share_keys
+from .states import MAX_HELD_VECTORS, MAX_PBW_FAMILY, add_into
 
 
 # ---------------------------------------------------------------------------
@@ -385,39 +402,101 @@ def analyze_gram(G):
     return kernel, witness
 
 
+# ---------------------------------------------------------------------------
+# the gamma-free module, held per realization shape
+# ---------------------------------------------------------------------------
+
+class FockModule(NamedTuple):
+    """The gamma-free part of the truncated module: u_0 and, per K-dominant
+    charge in ascending order, the tags of its PBW family and their vectors,
+    prepared for `inner_product`.  size counts the vectors, u_0 included."""
+
+    u0: Prepared
+    slices: dict  # charge -> (tags, prepared vectors)
+    size: int
+
+
+def fock_module(spec: OscillatorSpec, u0, cutoff: int) -> FockModule:
+    """The module of u0 to the given E^(-) depth: `u0_k_basis`, then
+    `pbw_family`, with every check they make.  Its vectors share their equal
+    keys (`inner.share_keys`)."""
+    canon = {}
+    slices = {
+        charge: (tuple(tag for tag, _vec in fam),
+                 tuple(share_keys(prepare(spec, vec), canon) for _tag, vec in fam))
+        for charge, fam in pbw_family(spec, u0_k_basis(spec, u0), cutoff).items()
+    }
+    return FockModule(share_keys(prepare(spec, u0), canon), slices,
+                      1 + sum(len(tags) for tags, _vecs in slices.values()))
+
+
+def module_key(spec: OscillatorSpec, label, cutoff: int) -> tuple:
+    """The realization shape that fixes a `FockModule`: the spec but for its
+    gammas, which blocks are deformed, the label's partitions and the cutoff."""
+    return (spec.p, spec.m, spec.q, spec.P, spec.B_delta, spec.A_delta, spec.F_delta,
+            spec.F_cols, spec.b_deformed, spec.a_deformed,
+            label.mu_L.parts, label.tau.parts, label.mu_R.parts, cutoff)
+
+
+# module_key -> FockModule, oldest first, at most MAX_HELD_VECTORS vectors in
+# all; emptied by `inner.clear_caches()`.  The lock guards the eviction walk.
+_MODULES = {}
+_MODULES_LOCK = Lock()
+
+
+def _keep(key, held: FockModule) -> None:
+    """Store held under key, dropping the oldest modules until the vectors
+    held fit MAX_HELD_VECTORS; a module larger than the bound is not kept."""
+    with _MODULES_LOCK:
+        if held.size > MAX_HELD_VECTORS or key in _MODULES:
+            return
+        total = held.size + sum(m.size for m in _MODULES.values())
+        for old in list(_MODULES):
+            if total <= MAX_HELD_VECTORS:
+                break
+            total -= _MODULES.pop(old).size
+        _MODULES[key] = held
+
+
 def gram_positivity(d: NonCompactYoungDiagram, cutoff: int) -> GramReport:
     """Exact Gram analysis of the induced module up to the given E^(-) depth,
     on its K-dominant weight slices (`GramReport`).
 
     A negative cutoff is refused (ValueError): it would analyse no slice and
-    report an empty, positive definite Gram matrix."""
+    report an empty, positive definite Gram matrix.  The gamma-free module is
+    looked up by `module_key` after the realization's own refusals, and
+    built and kept when it is missing; the norm of u_0, every Gram entry and
+    the analysis are made at the diagram's gammas."""
     if cutoff < 0:
         raise ValueError(f"the E^(-) depth cutoff must be >= 0, got {cutoff}")
-    spec, u0 = build_u0(d)
+    spec = OscillatorSpec.from_diagram(d)
+    key = module_key(spec, d.label, cutoff)
+    held = _MODULES.get(key)
+    u0 = build_u0(d)[1] if held is None else held.u0
     norm0 = inner_product(spec, u0, u0)
     if norm0 == 0:
         raise AssertionError("U_0 highest vector is null; realization degenerate")
-    basis0 = u0_k_basis(spec, u0)
-    slices = pbw_family(spec, basis0, cutoff)
+    if held is None:
+        held = fock_module(spec, u0, cutoff)
+        _keep(key, held)
 
     reports = []
     witness = None
     kernels = {}
     has_negative = False
-    for charge, fam in slices.items():
-        vecs = [prepare(spec, vec) for _tag, vec in fam]  # split once per slice
-        G = [[Fraction(0)] * len(fam) for _ in fam]
-        for r in range(len(fam)):
-            for c in range(r, len(fam)):
+    for charge, (tags, vecs) in held.slices.items():
+        G = [[Fraction(0)] * len(vecs) for _ in vecs]
+        for r in range(len(vecs)):
+            for c in range(r, len(vecs)):
                 val = inner_product(spec, vecs[r], vecs[c])
                 G[r][c] = val
                 G[c][r] = val
         kern, neg = analyze_gram(G)
         kernels[charge] = kern
-        rep = SliceReport(spec.charge_weight(charge), len(fam), kern, neg is not None, None)
+        rep = SliceReport(spec.charge_weight(charge), len(vecs), kern, neg is not None, None)
         if neg is not None:
             has_negative = True
-            rep.witness = (tuple(tag for tag, _v in fam), tuple(neg))
+            rep.witness = (tags, tuple(neg))
             if witness is None:
                 witness = (rep.weight, rep.witness)
         reports.append(rep)

@@ -63,6 +63,12 @@ MAX_U0_DEGREE = 32
 # depth on su(2,2|4).
 MAX_PBW_FAMILY = 200_000
 
+# Most vectors that the Gram oracle's process-wide table of gamma-free
+# modules (`module.fock_module`: u_0 and the prepared K-dominant PBW slices)
+# holds at once.  The oldest module goes first, and a module larger than the
+# bound is used by its call and not kept.
+MAX_HELD_VECTORS = 20_000
+
 
 class _PermTable(dict):
     """n -> [(perm, sign)] over the permutations of range(n), built on first use.

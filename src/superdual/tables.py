@@ -113,7 +113,11 @@ def table1_lines():
 
 def tensor_table_rows(table: int, m: int, n: int):
     """Rows (lhs text, [labels]) of table 2..7: each family at parameter n,
-    letters a b c, times the table's family at parameter m, letters d e f."""
+    letters a b c, times the table's family at parameter m, letters d e f.
+    A table outside 2..7 is refused (ValueError)."""
+    if table not in range(2, 8):
+        raise ValueError(f"table {table} has no tensor rows: of the tables 1..7, "
+                         "tables 2..7 decompose tensor products")
     kind2 = dict(zip(range(2, 8), FAMILIES))[table]
     f2 = doubleton(kind2, m)
     rows = []
@@ -127,8 +131,11 @@ def render_table(table: int, m=None, n=None) -> str:
     """The text of table 1..7.  Tables 6 and 7 read m, the parameter of their
     second factor, and tables 2..7 read n, that of the first; each defaults
     to the goldens' (GOLDEN_M, GOLDEN_N).  Refused (ValueError), in this
-    order: a parameter the table does not read, n < 0, and m < n on tables
-    6 and 7.  The messages name the `tables` command's --m and --n."""
+    order: a table outside 1..7, a parameter the table does not read,
+    n < 0, and m < n on tables 6 and 7.  The messages name the `tables`
+    command's --m and --n."""
+    if table not in range(1, 8):
+        raise ValueError(f"table {table} is not one of the tables 1..7")
     if m is not None and table not in (6, 7):
         raise ValueError(f"table {table} does not read m = {m}: only tables 6 and 7 read --m")
     if n is not None and table == 1:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
-from superdual.oscillator import inner, states
+from superdual.oscillator import inner, module, states
 from superdual.oscillator.capelli import block_spec, capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
@@ -253,11 +253,13 @@ def test_clear_caches_gives_identical_results():
     cold = run()
     assert inner._BLOCK_FORMS and any(s._images for s in inner._SPECTRA.values())
     assert states._NORMAL_FORMS
+    assert module._MODULES
     warm = run()
     clear_caches()
     assert not inner._BLOCK_FORMS
     assert not inner._SPECTRA
     assert not states._NORMAL_FORMS
+    assert not module._MODULES
     again = run()
     assert cold == warm == again
     assert cold[0].has_negative and cold[2] is True

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
@@ -482,6 +483,139 @@ def test_gram_positivity_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, str(lab)
         finally:
             gc.enable()
+
+
+# (p, q, m) -> cutoff of the shapes drawn for the gamma-free module memo
+MEMO_SHAPES = {(1, 1, 0): 4, (2, 2, 0): 2, (1, 1, 1): 3, (2, 1, 2): 2}
+HALVES_THIRDS = (F(1, 3), F(1, 2), F(2, 3))
+
+
+def _key_of(d, cutoff):
+    return module.module_key(OscillatorSpec.from_diagram(d), d.label, cutoff)
+
+
+def _report(d, cutoff):
+    return repr(gram_positivity(d, cutoff=cutoff))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_gamma_free_module_is_shared_across_gamma(data):
+    """Two labels of one realization shape at different gammas, their betas
+    an offset from the bound in halves or thirds as the benchmark draws them:
+    the modules built cold at each gamma are equal (tags and prepared
+    vectors), and each report reads the same with the memo warm from the
+    other label as with the memo cleared."""
+    (p, q, m), cutoff = data.draw(st.sampled_from(sorted(MEMO_SHAPES.items())))
+    mu_l, tau, mu_r = (_proper_partition(data, n) for n in (p, m, q))
+    base_r = len(mu_r) + (0 if m else len(mu_l)) + data.draw(st.integers(-1, 1))
+    brs = [base_r + x for x in data.draw(
+        st.lists(st.sampled_from(HALVES_THIRDS), min_size=2, max_size=2, unique=True))]
+    bl = 0
+    if m:
+        bl = len(mu_l) + data.draw(st.integers(-1, 1)) + data.draw(
+            st.sampled_from((0,) + HALVES_THIRDS))
+    try:
+        ds = [realize(RepLabel(p, q, m, mu_l, tau, mu_r, bl, br), allow_nonunitary=True)
+              for br in brs]
+        keys = [_key_of(d, cutoff) for d in ds]
+    except ValueError:  # a label or realization outside the oracle's range
+        assume(False)
+    assert keys[0] == keys[1]
+    assert ds[0].realization.gamma_R != ds[1].realization.gamma_R or (
+        ds[0].realization.gamma_L != ds[1].realization.gamma_L)
+
+    cold = []
+    for d in ds:
+        inner.clear_caches()
+        spec, u0 = build_u0(d)
+        cold.append(module.fock_module(spec, u0, cutoff))
+    assert cold[0] == cold[1]
+
+    inner.clear_caches()
+    warm = [_report(d, cutoff) for d in ds]
+    assert list(module._MODULES) == [keys[0]]  # the second label met the first one's module
+    cleared = []
+    for d in ds:
+        inner.clear_caches()
+        cleared.append(_report(d, cutoff))
+    assert warm == cleared
+
+
+def test_module_memo_keeps_its_bound(monkeypatch):
+    """With the bound shrunk to 40 vectors: the vectors held never exceed it,
+    the oldest module goes first, and a module over the bound is analysed
+    exactly as with the memo cleared but is not kept."""
+    calls = [  # (name, label, cutoff): the module's size in the comment
+        ("a", RepLabel(1, 1, 0, (), (), (), 0, F(3, 2)), 6),  # 8
+        ("b", RepLabel(1, 1, 1, (), (), (), 1, 1), 4),  # 17
+        ("c", RepLabel(1, 1, 0, (), (), (), 0, 2), 6),  # 8
+        ("d", RepLabel(2, 2, 0, (), (), (), 0, F(5, 2)), 3),  # 13: a goes
+        ("a", RepLabel(1, 1, 0, (), (), (), 0, F(1, 2)), 6),  # a again: b goes, not c
+        ("e", RepLabel(2, 1, 2, (), (), (), 1, 1), 3),  # 48: analysed, not kept
+        ("d", RepLabel(2, 2, 0, (), (), (), 0, F(5, 2)), 3),  # a hit
+    ]
+    diagrams = [(name, realize(lab, allow_nonunitary=True), cutoff) for name, lab, cutoff in calls]
+    want = []
+    for _name, d, cutoff in diagrams:
+        inner.clear_caches()
+        want.append(_report(d, cutoff))
+    keys = {name: _key_of(d, cutoff) for name, d, cutoff in diagrams}
+    held = [["a"], ["a", "b"], ["a", "b", "c"], ["b", "c", "d"], ["c", "d", "a"],
+            ["c", "d", "a"], ["c", "d", "a"]]
+
+    monkeypatch.setattr(module, "MAX_HELD_VECTORS", 40)
+    inner.clear_caches()
+    for (name, d, cutoff), report, names in zip(diagrams, want, held):
+        assert _report(d, cutoff) == report, name
+        assert list(module._MODULES) == [keys[n] for n in names], name
+        assert sum(fm.size for fm in module._MODULES.values()) <= 40
+    assert module._MODULES[keys["d"]].size == 13
+
+
+def test_module_memo_under_threads(monkeypatch):
+    """Four threads share the memo, shrunk so that most stores evict, while
+    a fifth clears every cache: each report equals the one made alone, and
+    the vectors held stay within the bound."""
+    cases = [(realize(lab, allow_nonunitary=True), cutoff) for lab, cutoff in (
+        (RepLabel(1, 1, 0, (), (), (), 0, F(3, 2)), 6),
+        (RepLabel(1, 1, 1, (), (), (), 1, 1), 4),
+        (RepLabel(2, 2, 0, (), (), (), 0, F(5, 2)), 3),
+        (RepLabel(1, 1, 0, (), (), (), 0, F(1, 2)), 6),
+    )]
+    inner.clear_caches()
+    want = [_report(d, cutoff) for d, cutoff in cases]
+    monkeypatch.setattr(module, "MAX_HELD_VECTORS", 25)
+    inner.clear_caches()
+    errors, got = [], []
+
+    def work(k):
+        try:
+            for r in range(40):
+                d, cutoff = cases[(k + r) % len(cases)]
+                got.append((_report(d, cutoff), want[(k + r) % len(cases)]))
+                assert sum(fm.size for fm in list(module._MODULES.values())) <= 25
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    def clear():
+        for _ in range(100):
+            inner.clear_caches()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        threads.append(threading.Thread(target=clear))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(got) == 160 and all(a == b for a, b in got)
 
 
 def test_helicity_and_masslessness():

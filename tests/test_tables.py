@@ -1,9 +1,10 @@
 """`render_table` states the tables' parameter rule: which table reads m and
-n, the goldens' defaults, and the refusals, in that order."""
+n, the goldens' defaults, and the refusals, in that order.  A table outside
+1..7 is a usage error in the library too."""
 
 import pytest
 
-from superdual.tables import render_table
+from superdual.tables import render_table, tensor_table_rows
 
 TABLE6_M3_N2 = """\
 # Table 6: P=1 supermultiplets tensored with (a+)^m Delta_f+|0>_2  (m=3, n=2, m>=n)
@@ -31,3 +32,16 @@ def test_a_parameter_the_table_does_not_read_is_refused(table, kw, what):
 
 def test_table6_reads_m_and_n():
     assert render_table(6, m=3, n=2) == TABLE6_M3_N2
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: render_table(0), "table 0 is not one of the tables 1..7"),
+    (lambda: render_table(8), "table 8 is not one of the tables 1..7"),
+    (lambda: render_table(0, m=1), "table 0 is not one of the tables 1..7"),
+    (lambda: tensor_table_rows(1, 2, 1), "table 1 has no tensor rows: of the tables 1..7"),
+    (lambda: tensor_table_rows(8, 2, 1), "table 8 has no tensor rows: of the tables 1..7"),
+])
+def test_an_unknown_table_is_refused(call, what):
+    """A usage error in the library, not a bare KeyError from the catalogue."""
+    with pytest.raises(ValueError, match=what):
+        call()
