@@ -29,16 +29,21 @@ c_(d)(gamma) times the Fock pairing and applies no Casimir.
 Vectors are paired on integers.  `prepare` splits a vector once into plain
 rest keys and deformed blocks grouped by slice, holding its coordinates as
 integers over one denominator, the lcm of its coefficients' denominators;
-a Gram slice prepares each family vector once.  The images N_j are integer
-and do not depend on gamma, so each block size n has one shared
-`BlockSpectrum`.  It memoises the nodes of every slice and the images of every
-vector by integer content, so a vector entering many Gram entries, at any
-gamma, meets the Casimir once per node.  Each (n, gamma) has one `BlockForm`
-on top of it, which keeps only each slice's divided differences, computed
-once from c_mu(gamma) and held as integer numerators over one slice
-denominator: a slice pairing is the integer sum_j num_j <N_j u, v>_Fock over
-that denominator.  The forms are keyed on the integers (n, numerator,
-denominator) of (n, gamma), so a lookup hashes no Fraction.
+a Gram slice prepares each family vector once.  The form depends on gamma
+only through c_mu(gamma), so its memos split in two, each an `lru_cache`
+function on exact keys:
+
+- gamma-free: the nodes of each slice (`_slice_nodes`, keyed on n and the
+  margins) and the integer images N_1, N_2, ... of each vector
+  (`_newton_tail`, keyed on n, the margins and the vector's integer
+  coordinates), so a vector entering many Gram entries, at any gamma, meets
+  the Casimir once per node;
+- per gamma: each slice's divided differences (`_newton_numerators`), held as
+  integer numerators over one slice denominator and keyed on n, gamma's
+  numerator and denominator and the margins, so a lookup hashes no
+  Fraction.  A slice pairing is the integer sum_j num_j <N_j u, v>_Fock over
+  that denominator.
+
 `inner_product` stays on integers until it returns: it adds each slice
 pairing, times the Fock factor of its plain rest, into an integer numerator
 keyed by its denominator (on two deformed blocks the product of the a and b
@@ -46,22 +51,25 @@ pairings, over the product of their denominators, with the Newton images of
 each b monomial and of its a coordinates taken once), and makes one
 Fraction per pairing from those sums and the two vectors' denominators.  A
 pairing with an empty vector, such as a vanishing PBW monomial, is 0 before
-any form is looked up.  `clear_caches()` drops both tables, the normal
-forms modulo det X - t that `states` memoises and the Gram oracle's
-gamma-free modules, whose vectors are held prepared, their equal keys
-shared (`share_keys`).
+any memo is looked up.
+
+`clear_caches()` empties every memo of the Gram oracle: the three above, the
+normal forms modulo det X - t (`states._normal_form`), the Kostka numbers
+(`ktypes._kostka`) and the table of gamma-free modules (`module._MODULES`).
+Each but the last reports its size, hits and misses through `cache_info()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm
 from typing import NamedTuple
 
+from ..ktypes import _kostka
 from ..partitions import Partition, partitions_bounded
-from ..rationals import rat
-from .states import _NORMAL_FORMS
+from .states import _normal_form
 
 
 def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
@@ -174,137 +182,94 @@ def _dominates(mu: tuple, lam: tuple) -> bool:
     return all(a >= b for a, b in zip(accumulate(mu), accumulate(lam)))
 
 
-class BlockSpectrum:
-    """Gamma-independent data of the size-n block, memoised: the Newton
-    nodes of every slice met and the Newton images of every vector met."""
+# -- the memos: gamma-free nodes and images, per-gamma divided differences --
 
-    def __init__(self, n: int):
-        self.n = n
-        self._nodes = {}  # (rows, cols) -> (t, mus, lambdas)
-        self._images = {}  # frozenset(integer coords.items()) -> [N_1, N_2, ...]
+@lru_cache(maxsize=None)
+def _slice_nodes(n: int, margins) -> tuple:
+    """(t, mus, lambdas) of a slice of the size-n block: its components mu,
+    in ascending lexicographic order, and their eigenvalues lambda_mu of
+    C = C2 + t C3.
 
-    def nodes(self, margins):
-        """(t, mus, lambdas) of a slice: its components mu, in ascending
-        lexicographic order, and their eigenvalues lambda_mu of C = C2 + t C3.
-
-        The order refines dominance, so a vector of the least component, such
-        as a highest vector of V_mu (x) V_mu on its own slice (mu, mu), costs
-        one Casimir application.  C2 and C3 separate every component up to
-        block size 3; beyond it two components can share both (on size 4,
-        (7,7,1,1) and (8,5,3) at degree 16), and such a slice is refused
-        with ValueError."""
-        got = self._nodes.get(margins)
-        if got is None:
-            n = self.n
-            rows, cols = (tuple(sorted(m, reverse=True)) for m in margins)
-            d = sum(rows)
-            mus = sorted(
-                (
-                    mu for mu in partitions_bounded(n, d)
-                    if mu.size == d
-                    and _dominates(mu.padded(n), rows)
-                    and _dominates(mu.padded(n), cols)
-                ),
-                key=lambda mu: mu.parts,
-            )
-            pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
-            if len(set(pairs)) < len(pairs):
-                raise ValueError(
-                    f"a slice of degree {d} on a block of size {n} is outside the supported "
-                    "range: two of its components share their C2 and C3 eigenvalues"
-                )
-            t = 0
-            while len({c2 + t * c3 for c2, c3 in pairs}) < len(pairs):
-                t += 1
-            got = (t, tuple(mus), tuple(c2 + t * c3 for c2, c3 in pairs))
-            self._nodes[margins] = got
-        return got
-
-    def images(self, margins, coords: dict) -> list:
-        """[N_0 = coords, N_1, ...] of integer coordinates, stopping before
-        the first zero image.
-
-        C has integer entries, so the images are integer too.  N_k vanishes
-        for k nodes, so a one-node slice applies no Casimir and stores
-        nothing.  Memoised by content, so equal vectors meet the Casimir
-        once."""
-        t, _mus, lams = self.nodes(margins)
-        if len(lams) == 1:
-            return [coords]
-        key = frozenset(coords.items())
-        tail = self._images.get(key)
-        if tail is None:
-            tail, img = [], coords
-            for lam in lams[:-1]:
-                img = _casimir_apply(img, self.n, t, lam)
-                if not img:
-                    break
-                tail.append(img)
-            self._images[key] = tail
-        return [coords] + tail
+    The order refines dominance, so a vector of the least component, such
+    as a highest vector of V_mu (x) V_mu on its own slice (mu, mu), costs
+    one Casimir application.  C2 and C3 separate every component up to
+    block size 3; beyond it two components can share both (on size 4,
+    (7,7,1,1) and (8,5,3) at degree 16), and such a slice is refused
+    with ValueError."""
+    rows, cols = (tuple(sorted(m, reverse=True)) for m in margins)
+    d = sum(rows)
+    mus = sorted(
+        (
+            mu for mu in partitions_bounded(n, d)
+            if mu.size == d
+            and _dominates(mu.padded(n), rows)
+            and _dominates(mu.padded(n), cols)
+        ),
+        key=lambda mu: mu.parts,
+    )
+    pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
+    if len(set(pairs)) < len(pairs):
+        raise ValueError(
+            f"a slice of degree {d} on a block of size {n} is outside the supported "
+            "range: two of its components share their C2 and C3 eigenvalues"
+        )
+    t = 0
+    while len({c2 + t * c3 for c2, c3 in pairs}) < len(pairs):
+        t += 1
+    return t, tuple(mus), tuple(c2 + t * c3 for c2, c3 in pairs)
 
 
-class BlockForm:
-    """Deformed-block pairings for one (size, gamma): the shared spectrum of
-    its size plus each slice's divided differences of c_mu(gamma)."""
-
-    def __init__(self, n: int, gamma: Fraction):
-        self.n = n
-        self.gamma = rat(gamma)
-        self.spectrum = block_spectrum(n)
-        # (rows, cols) -> (numerators, denominator) of a_0, a_1, ...
-        self._newton = {}
-
-    def newton_numerators(self, margins) -> tuple:
-        """(nums, den): the divided differences a_j = c[lambda_0..lambda_j]
-        of c_mu(gamma) at the slice's nodes as integers over one positive
-        denominator, a_j = nums[j] / den; computed once per slice."""
-        got = self._newton.get(margins)
-        if got is None:
-            _t, mus, lams = self.spectrum.nodes(margins)
-            table = [c_mu(mu, self.gamma, self.n) for mu in mus]
-            coefs = [table[0]]
-            for j in range(1, len(lams)):
-                table = [
-                    (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
-                    for i in range(len(table) - 1)
-                ]
-                coefs.append(table[0])
-            den = lcm(*(a.denominator for a in coefs))
-            nums = tuple(a.numerator * (den // a.denominator) for a in coefs)
-            got = self._newton[margins] = (nums, den)
-        return got
+@lru_cache(maxsize=None)
+def _newton_tail(n: int, margins, coords: frozenset) -> tuple:
+    """(N_1, N_2, ...) of the integer coordinates whose items are coords,
+    stopping before the first zero image.  C has integer entries, so the
+    images are integer too; N_k vanishes for k nodes."""
+    t, _mus, lams = _slice_nodes(n, margins)
+    tail, img = [], dict(coords)
+    for lam in lams[:-1]:
+        img = _casimir_apply(img, n, t, lam)
+        if not img:
+            break
+        tail.append(img)
+    return tuple(tail)
 
 
-_SPECTRA = {}  # n -> BlockSpectrum
-_BLOCK_FORMS = {}  # (n, numerator, denominator) of (n, gamma) -> BlockForm
+def _newton_images(n: int, margins, nums, coords: dict) -> tuple:
+    """(N_0 = coords, N_1, ...) on a slice with the Newton numerators nums:
+    a one-node slice applies no Casimir, and otherwise the tail is looked up
+    by content, so equal vectors meet the Casimir once at every gamma."""
+    if len(nums) == 1:
+        return (coords,)
+    return (coords,) + _newton_tail(n, margins, frozenset(coords.items()))
 
 
-def block_spectrum(n: int) -> BlockSpectrum:
-    if n not in _SPECTRA:
-        _SPECTRA[n] = BlockSpectrum(n)
-    return _SPECTRA[n]
-
-
-def block_form(n: int, gamma) -> BlockForm:
-    """The shared form of size n at the rational gamma (a Fraction or int),
-    keyed on integers so that no lookup hashes a Fraction."""
-    key = (n, gamma.numerator, gamma.denominator)
-    form = _BLOCK_FORMS.get(key)
-    if form is None:
-        form = _BLOCK_FORMS[key] = BlockForm(n, gamma)
-    return form
+@lru_cache(maxsize=None)
+def _newton_numerators(n: int, gamma_num: int, gamma_den: int, margins) -> tuple:
+    """(nums, den): the divided differences a_j = c[lambda_0..lambda_j] of
+    c_mu(gamma), gamma = gamma_num / gamma_den, at the slice's nodes, as
+    integers over one positive denominator, a_j = nums[j] / den.  Keyed on
+    integers, so that no lookup hashes a Fraction."""
+    gamma = Fraction(gamma_num, gamma_den)
+    _t, mus, lams = _slice_nodes(n, margins)
+    table = [c_mu(mu, gamma, n) for mu in mus]
+    coefs = [table[0]]
+    for j in range(1, len(lams)):
+        table = [
+            (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
+            for i in range(len(table) - 1)
+        ]
+        coefs.append(table[0])
+    den = lcm(*(a.denominator for a in coefs))
+    return tuple(a.numerator * (den // a.denominator) for a in coefs), den
 
 
 def clear_caches() -> None:
-    """Drop every shared block spectrum (nodes, images), block form
-    (divided differences), normal form modulo det X - t and gamma-free Gram
-    oracle module (`module.fock_module`); later calls recompute them."""
+    """Empty every memo of the Gram oracle, as listed in the module
+    docstring; later calls recompute them."""
     from . import module  # module imports this one
 
-    _SPECTRA.clear()
-    _BLOCK_FORMS.clear()
-    _NORMAL_FORMS.clear()
+    for cache in (_slice_nodes, _newton_tail, _newton_numerators, _normal_form, _kostka):
+        cache.cache_clear()
     with module._MODULES_LOCK:
         module._MODULES.clear()
 
@@ -408,8 +373,8 @@ def inner_product(spec, u, v) -> Fraction:
     pv = pu if v is u else prepare(spec, v)
     if not pu.rests or not pv.rests:
         return _ZERO
-    form_a = block_form(spec.q, spec.gamma_R) if spec.a_deformed else None
-    form_b = block_form(spec.p, spec.gamma_L) if spec.b_deformed else None
+    form_a = (spec.q, spec.gamma_R.numerator, spec.gamma_R.denominator) if spec.a_deformed else None
+    form_b = (spec.p, spec.gamma_L.numerator, spec.gamma_L.denominator) if spec.b_deformed else None
     acc = {}  # slice denominator -> integer numerator
     for rest, (fact, data1) in pu.rests.items():
         got = pv.rests.get(rest)
@@ -430,12 +395,13 @@ def inner_product(spec, u, v) -> Fraction:
 def _eval_single(form, data1, data2, fact, acc):
     """Add fact times each slice pairing of one deformed block into acc: the
     integer sum_j num_j <N_j coords1, coords2>_Fock over the slice's
-    denominator, on the form's numerators."""
+    denominator.  form is the block's (n, gamma numerator, gamma
+    denominator)."""
     for marg, coords1 in data1.items():
         coords2 = data2.get(marg)
         if coords2:
-            nums, den = form.newton_numerators(marg)
-            num = _newton_pair(nums, form.spectrum.images(marg, coords1), coords2)
+            nums, den = _newton_numerators(*form, marg)
+            num = _newton_pair(nums, _newton_images(form[0], marg, nums, coords1), coords2)
             acc[den] = acc.get(den, 0) + fact * num
 
 
@@ -449,13 +415,13 @@ def _eval_double(form_a, form_b, data1, data2, fact, acc):
         if not bgroups2:
             continue
         a_marg, b_marg = key
-        nums_a, den_a = form_a.newton_numerators(a_marg)
-        nums_b, den_b = form_b.newton_numerators(b_marg)
+        nums_a, den_a = _newton_numerators(*form_a, a_marg)
+        nums_b, den_b = _newton_numerators(*form_b, b_marg)
         den = den_a * den_b
         total = 0
         for b1, coords_a1 in bgroups1.items():
-            images_a = form_a.spectrum.images(a_marg, coords_a1)
-            images_b = form_b.spectrum.images(b_marg, {b1: 1})
+            images_a = _newton_images(form_a[0], a_marg, nums_a, coords_a1)
+            images_b = _newton_images(form_b[0], b_marg, nums_b, {b1: 1})
             for b2, coords_a2 in bgroups2.items():
                 gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images_b))
                 if gb:

@@ -28,8 +28,8 @@ weight is made once for its report (`OscillatorSpec.charge_weight`);
 fraction-free on integer rows (`analyze_gram` scales a slice's Gram matrix
 once by the lcm of its denominators).  Fractions are made only for the
 slice weights, the Gram entries that `inner_product` returns and a
-negative-norm witness.  A PBW family larger than `states.MAX_PBW_FAMILY` is
-refused before it is built.
+negative-norm witness.  `states.MAX_PBW_FAMILY` bounds the PBW monomials
+before the walk and the vectors it builds (`pbw_family`).
 
 The oscillators that build U_0 and the PBW family do not depend on gamma;
 only the form does, through c_mu(gamma).  So `gram_positivity` splits in
@@ -43,8 +43,9 @@ keep a module larger than the bound, and is emptied by
 `inner.clear_caches()`.  Every call still makes, at its own gamma, the
 cutoff and `OscillatorSpec.from_diagram` refusals before the lookup, |u_0|^2
 and its null check, one `inner_product` per upper-triangle Gram entry, the
-slice weights, `analyze_gram` and `highest_weight_counts`; nothing that
-depends on gamma is held.
+slice weights, `analyze_gram` and `highest_weight_counts`.  Of these,
+only the divided differences inside `inner_product` are memoised per gamma
+(`inner`); the module table holds nothing that depends on gamma.
 """
 
 from __future__ import annotations
@@ -266,15 +267,17 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
     applied to the vector of its monomial's suffix (`_suffix_build`), so the
     vectors built are those of dominant formal charge and their suffixes.
 
-    A family of more than MAX_PBW_FAMILY vectors (`monomial_count` times the
-    basis size, all weights counted) is refused with ValueError before any
-    vector is built.
+    MAX_PBW_FAMILY bounds the walk twice, with ValueError: a family of more
+    monomials (`monomial_count`, all weights counted) is refused before any
+    vector is built, and the walk stops at the first monomial after which
+    it has built more vectors (the U_0 basis, suffixes and vanishing vectors
+    included).
     """
     gens = eminus_generators(spec)
-    size = len(u0_basis) * monomial_count(gens, cutoff)
-    if size > MAX_PBW_FAMILY:
+    count = monomial_count(gens, cutoff)
+    if count > MAX_PBW_FAMILY:
         raise ValueError(
-            f"a PBW family of {size} vectors (depth {cutoff}) is outside the "
+            f"a PBW family of {count} monomials (depth {cutoff}) is outside the "
             f"supported range 0..{MAX_PBW_FAMILY}"
         )
     blocks = k_blocks(spec.p, spec.m, spec.q)
@@ -306,6 +309,11 @@ def pbw_family(spec: OscillatorSpec, u0_basis, cutoff: int):
         for bi, charge in hits:
             vec = _suffix_build(spec, gens, roots, built, mono, bi, charge)
             slices.setdefault(charge, []).append(((mono, bi), vec))
+        if len(built) > MAX_PBW_FAMILY:
+            raise ValueError(
+                f"a PBW family (depth {cutoff}) that builds more than {MAX_PBW_FAMILY} "
+                "vectors is outside the supported range"
+            )
         if len(mono) < cutoff:
             first = mono[-1] + gens[mono[-1]][2] if mono else 0  # an odd one does not repeat
             stack.extend((mono + (g,), tuple(map(add, shift, roots[g])))

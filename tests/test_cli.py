@@ -109,13 +109,13 @@ def test_verify_negative_cutoff_exit2(capsys):
 
 
 def test_verify_refuses_a_pbw_family_past_the_bound(capsys):
-    """Yang-Mills at cutoff 6 has a PBW family of 524,244 vectors, past
-    MAX_PBW_FAMILY; the family is counted before any vector is built, so
+    """Yang-Mills at cutoff 7 has a PBW family of 238,710 monomials, past
+    MAX_PBW_FAMILY; the monomials are counted before any vector is built, so
     `verify` exits 2 at once instead of running for minutes."""
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "6")
+    code, out, err = run(capsys, "verify", "--label", YM, "--cutoff", "7")
     assert code == 2 and not out
-    assert err.startswith("error: ") and "524244 vectors" in err and "200000" in err
+    assert err.startswith("error: ") and "238710 monomials" in err and "200000" in err
     assert time.perf_counter() - t0 < 10
 
 

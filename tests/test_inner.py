@@ -14,18 +14,17 @@ from hypothesis import strategies as st
 from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
+from superdual import ktypes
 from superdual.oscillator import inner, module, states
 from superdual.oscillator.capelli import block_spec, capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
-    BlockForm,
-    BlockSpectrum,
     _casimir_apply,
     _casimir_value,
     _L_apply,
     _eval_single,
-    block_form,
-    block_spectrum,
+    _newton_numerators,
+    _slice_nodes,
     c_mu,
     clear_caches,
     inner_product,
@@ -170,13 +169,14 @@ def _divided_differences(mus, lams, gamma, n):
     return out
 
 
-def _slice_pairing(form, margins, u, v):
-    """The pairing of u and v on one slice by `_eval_single`, after checking
-    the form's Newton numerators against the closed-form divided
-    differences."""
-    nums, den = form.newton_numerators(margins)
-    _t, mus, lams = form.spectrum.nodes(margins)
-    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, form.gamma, form.n)
+def _slice_pairing(n, gamma, margins, u, v):
+    """The pairing of u and v on one slice of the size-n block at gamma by
+    `_eval_single`, after checking the slice's Newton numerators against the
+    closed-form divided differences."""
+    form = (n, gamma.numerator, gamma.denominator)
+    nums, den = _newton_numerators(*form, margins)
+    _t, mus, lams = _slice_nodes(n, margins)
+    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, gamma, n)
     acc = {}
     _eval_single(form, {margins: u}, {margins: v}, 1, acc)
     assert set(acc) <= {den}
@@ -187,10 +187,9 @@ def _slice_pairing(form, margins, u, v):
 @given(component_vectors())
 def test_block_form_matches_per_component_reference(case):
     n, gamma, margins, u, v, parts = case
-    # cold: a private spectrum; the shared one holds every earlier example
-    fresh = BlockForm(n, gamma)
-    fresh.spectrum = BlockSpectrum(n)
-    got = _slice_pairing(fresh, margins, u, v)
+    # cold: the memos emptied; after it they hold this example's entries
+    clear_caches()
+    got = _slice_pairing(n, gamma, margins, u, v)
 
     want = sum(
         (c_mu(mu, gamma, n) * r * s * _fock_pair(u_mu, v_mu) for mu, u_mu, v_mu, r, s in parts),
@@ -198,10 +197,9 @@ def test_block_form_matches_per_component_reference(case):
     )
     assert got == want
 
-    warmed = block_form(n, gamma)
     for _ in range(2):
-        _slice_pairing(warmed, margins, v, u)
-        assert _slice_pairing(warmed, margins, dict(u), dict(v)) == got
+        _slice_pairing(n, gamma, margins, v, u)
+        assert _slice_pairing(n, gamma, margins, dict(u), dict(v)) == got
 
     if n == 1:
         # one component, mu = (d): (gamma + 1)_d times the Fock pairing
@@ -230,43 +228,61 @@ def test_newton_numerators_are_the_divided_differences(case, gamma):
     """nums[j] / den is a_j, the closed form
     sum_i c_mu_i / prod_{k != i} (lambda_i - lambda_k), i, k <= j."""
     n, margins = case
-    form = BlockForm(n, gamma)
-    nums, den = form.newton_numerators(margins)
+    gamma = F(gamma)
+    form = (n, gamma.numerator, gamma.denominator)
+    nums, den = _newton_numerators(*form, margins)
     assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
-    _t, mus, lams = form.spectrum.nodes(margins)
+    _t, mus, lams = _slice_nodes(n, margins)
     assert len(nums) == len(mus)
     assert [F(a, den) for a in nums] == _divided_differences(mus, lams, gamma, n)
-    assert form.newton_numerators(margins) is form.newton_numerators(margins)
+    assert _newton_numerators(*form, margins) is _newton_numerators(*form, margins)
+
+
+# every lru_cache memo of the Gram oracle that `clear_caches` empties
+MEMOS = {
+    "nodes": inner._slice_nodes,
+    "images": inner._newton_tail,
+    "numerators": inner._newton_numerators,
+    "normal forms": states._normal_form,
+    "kostka": ktypes._kostka,
+}
+
+
+def _info(field):
+    """{memo name: one field of its cache_info()}"""
+    return {name: getattr(memo.cache_info(), field) for name, memo in MEMOS.items()}
 
 
 def test_clear_caches_gives_identical_results():
     d = realize(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), allow_nonunitary=True)
+    # Yang-Mills, whose K-type inversion asks for Kostka numbers
+    ym = realize(RepLabel(2, 2, 4, (0, 0), (1, 1, 0, 0), (0, 0), 0, 0))
 
     def run():
         return (
             gram_positivity(d, cutoff=3),
+            gram_positivity(ym, cutoff=1),
             delta_ladder_norms(3, F(-1, 3), Partition((1,)), 2),
             capelli_identity_check(3, F(-1, 3), cutoff=1),
         )
 
     clear_caches()
     cold = run()
-    assert inner._BLOCK_FORMS and any(s._images for s in inner._SPECTRA.values())
-    assert states._NORMAL_FORMS
+    assert all(_info("currsize").values())
     assert module._MODULES
     warm = run()
     clear_caches()
-    assert not inner._BLOCK_FORMS
-    assert not inner._SPECTRA
-    assert not states._NORMAL_FORMS
+    assert _info("currsize") == dict.fromkeys(MEMOS, 0)
     assert not module._MODULES
     again = run()
     assert cold == warm == again
-    assert cold[0].has_negative and cold[2] is True
+    assert cold[0].has_negative and cold[1].kernel_total == 80 and cold[3] is True
 
 
 def test_spectrum_shared_across_gamma_gives_identical_results():
-    """Spectral data warmed at gamma = 1/2 serves gamma = -1/3 unchanged."""
+    """Memos warmed at gamma = 1/2 serve gamma = -1/3 unchanged: a second
+    gamma on the same realization shape misses only the divided
+    differences."""
 
     def run(beta, gamma):
         # su(2,2) with beta = 2 + gamma_R: one deformed block of size 2
@@ -281,14 +297,13 @@ def test_spectrum_shared_across_gamma_gives_identical_results():
     cold = run(F(5, 3), F(-1, 3))
     clear_caches()
     run(F(5, 2), F(1, 2))
-    spectra = dict(inner._SPECTRA)
     # Newton nodes of the size-2 block's slices, images in both blocks
-    assert sorted(spectra) == [2, 3]
-    assert spectra[2]._nodes and spectra[2]._images and spectra[3]._images
+    assert _info("currsize")["nodes"] and _info("currsize")["images"]
+    before = _info("misses")
     warm = run(F(5, 3), F(-1, 3))
     assert warm == cold
-    assert all(inner._SPECTRA[n] is spectra[n] for n in (2, 3))
-    assert all(f.spectrum is spectra[f.n] for f in inner._BLOCK_FORMS.values())
+    after = _info("misses")
+    assert {name for name in MEMOS if after[name] != before[name]} == {"numerators"}
 
 
 def _times_leading_minor(poly, y, n):
@@ -380,7 +395,7 @@ def _block_pairing(n, gamma, sub1, sub2):
     margins = _bi_charge(sub1)
     if margins != _bi_charge(sub2):
         return 0
-    t, mus, lams = block_spectrum(n).nodes(margins)
+    t, mus, lams = _slice_nodes(n, margins)
     total, image = F(0), {sub1: 1}
     for a, lam in zip(_divided_differences(mus, lams, gamma, n), lams):
         total += a * _fock_pair(image, {sub2: 1})

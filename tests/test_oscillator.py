@@ -340,18 +340,37 @@ def test_pbw_suffix_build_matches_rebuild_from_base(data):
 
 
 def test_pbw_family_is_bounded_before_any_vector_is_built():
-    """The closed-form count on Yang-Mills at cutoffs 2..6, and a refusal
-    past MAX_PBW_FAMILY raised before the first E^(-) action."""
+    """The closed-form count on Yang-Mills at cutoffs 2..7, and a refusal
+    past MAX_PBW_FAMILY monomials raised before the first E^(-) action."""
     ym = RepLabel(2, 2, 4, (0, 0), (1, 1, 0, 0), (0, 0), 0, 0)
     spec, u0 = build_u0(realize(ym))
     basis = u0_k_basis(spec, u0)
     gens = eminus_generators(spec)
-    sizes = [len(basis) * monomial_count(gens, cutoff) for cutoff in range(2, 7)]
-    assert sizes == [1290, 8610, 42300, 163884, 524244]
-    assert sizes[3] <= MAX_PBW_FAMILY < sizes[4]
+    counts = [monomial_count(gens, cutoff) for cutoff in range(2, 8)]
+    assert counts == [215, 1435, 7050, 27314, 87374, 238710]
+    assert counts[4] <= MAX_PBW_FAMILY < counts[5]
     with mock.patch.object(module, "generator_action", side_effect=AssertionError("built")):
-        with pytest.raises(ValueError, match="524244 vectors"):
-            pbw_family(spec, basis, 6)
+        with pytest.raises(ValueError, match="238710 monomials"):
+            pbw_family(spec, basis, 7)
+
+
+def test_pbw_family_stops_once_past_the_bound_on_vectors_built():
+    """su(2,1|2) at cutoff 3 walks 111 monomials and builds more vectors
+    than that, its four basis vectors included.  With the bound lowered to
+    111 the closed-form check passes, and the walk stops with ValueError
+    once it has built more than 111, before its last E^(-) action."""
+    lab = RepLabel(2, 1, 2, (1,), (1,), (), F(5, 2), 1)
+    spec, u0 = build_u0(realize(lab))
+    basis = u0_k_basis(spec, u0)
+    assert monomial_count(eminus_generators(spec), 3) == 111
+    with mock.patch.object(module, "generator_action", wraps=module.generator_action) as act:
+        pbw_family(spec, basis, 3)
+    full = act.call_count
+    with mock.patch.object(module, "MAX_PBW_FAMILY", 111), \
+            mock.patch.object(module, "generator_action", wraps=module.generator_action) as act:
+        with pytest.raises(ValueError, match="builds more than 111 vectors"):
+            pbw_family(spec, basis, 3)
+    assert 0 < act.call_count < full
 
 
 def test_pbw_family_builds_only_dominant_targets_and_their_suffixes():
