@@ -298,7 +298,8 @@ def test_spectrum_shared_across_gamma_gives_identical_results():
     clear_caches()
     run(F(5, 2), F(1, 2))
     # Newton nodes of the size-2 block's slices, images in both blocks
-    assert _info("currsize")["nodes"] and _info("currsize")["images"]
+    sizes = _info("currsize")
+    assert sizes["nodes"] and sizes["images"]
     before = _info("misses")
     warm = run(F(5, 3), F(-1, 3))
     assert warm == cold
