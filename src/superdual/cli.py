@@ -157,7 +157,7 @@ def cmd_classify(args):
 def cmd_weight(args):
     label = _label_arg(args.label)
     target = parse_grading(args.grading) if args.grading else None
-    w = weight_from_label(label, target, allow_nonunitary=args.allow_nonunitary)
+    w = weight_from_label(label, target, allow_nonunitary=True)
     if args.format == "json":
         print(json.dumps(weight_to_json(w)))
     else:
@@ -166,7 +166,7 @@ def cmd_weight(args):
 
 
 def cmd_lattice(args):
-    if args.weight:
+    if args.weight is not None:
         w = _weight_arg(args.weight)
     else:
         label = _label_arg(args.label)
@@ -348,11 +348,11 @@ def build_parser():
     sp.add_argument("--label", required=True)
     sp.add_argument("--grading", help='target grading, e.g. "su(2,2|4)"')
     sp.add_argument("--format", choices=["text", "json"], default="json")
-    sp.add_argument("--allow-nonunitary", action="store_true")
 
     sp = add("lattice", cmd_lattice, help="plaquette sign matrix of a weight")
-    sp.add_argument("--weight", help="weight JSON (file or literal)")
-    sp.add_argument("--label", help="alternatively a label JSON")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--weight", help="weight JSON (file or literal)")
+    one.add_argument("--label", help="or a label JSON (file or literal)")
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = add("diagram", cmd_diagram, help="non-compact Young diagram of a label")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gradings import Grading
+from .gradings import MAX_INDICES, Grading
 from .lattice import lattice_shape
 from .partitions import Partition
 from .rationals import is_int, rat, rat_str, wire_int
@@ -96,6 +96,10 @@ class RepLabel:
             raise ValueError("beta_L must vanish for p=0")
         if self.q == 0 and self.beta_R != 0:
             raise ValueError("beta_R must vanish for q=0")
+        if self.m == 0 and self.beta_L != 0:
+            raise ValueError("beta_L must vanish for m=0")
+        if self.p + self.q + self.m > MAX_INDICES:
+            raise ValueError(f"p + q + m must be at most {MAX_INDICES}")
 
     def __str__(self):
         mu_l = ",".join(str(x) for x in self.mu_L.padded(self.p)) or "-"

@@ -7,13 +7,14 @@ lower rows carry the c-odd p-even indices (the nu_L block), the q upper rows
 the c-even ones (nu_R); horizontal edges carry the lambda values.
 
 Every edge of the lattice holds one E_ii eigenvalue.  Adjacent paths are
-related by duality transformations on p-odd nodes; around each unit cell
+related by duality transformations on p-odd nodes, which obey one rule across
+each unit cell (`_cross`):
 
     lambda_bottom = lambda_top + 1,  nu_right = nu_left - 1
 
-generically, while on a shortening cell (lambda_top + nu_left = 0) all four
-values coincide pairwise.  The cell sum S = lambda + nu is the same for both
-pairings and (-1)^{c_a+c_mu} S >= 0 is the plaquette unitarity constraint.
+unless lambda_top + nu_left = 0 (a shortening cell), where both values carry
+over unchanged.  The cell sum S = lambda + nu is the same for both pairings
+and (-1)^{c_a+c_mu} S >= 0 is the plaquette unitarity constraint.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def lattice_shape(g: Grading) -> LatticeShape:
     return LatticeShape(p_cnt, q_cnt, col, tuple(steps))
 
 
+def _cross(lam, nu, step):
+    """The duality rule across one cell: (lam + step, nu - step), or (lam, nu)
+    on a shortening cell (lam + nu = 0).  Step 1 carries a cell's top/left
+    pair of edges to its bottom/right pair, step -1 carries them back."""
+    if lam + nu == 0:
+        return lam, nu
+    return lam + step, nu - step
+
+
 def duality_step(w: FundamentalWeight, node: int) -> FundamentalWeight:
     """Duality transformation at the 1-based Dynkin node `node`.
 
@@ -89,15 +99,10 @@ def duality_step(w: FundamentalWeight, node: int) -> FundamentalWeight:
     v1, v2 = w.m(i), w.m(i + 1)
     if e1[0] == 0:
         # (nu, lambda) order: the new HWS is E_{a mu}|HWS>, raising E_aa
-        nu, lam = v1, v2
-        if lam + nu != 0:
-            lam, nu = lam + 1, nu - 1
-        new_vals_pair = (lam, nu)
+        new_vals_pair = _cross(v2, v1, 1)
     else:
         # (lambda, nu) order: the inverse transformation lowers E_aa
-        lam, nu = v1, v2
-        if lam + nu != 0:
-            lam, nu = lam - 1, nu + 1
+        lam, nu = _cross(v1, v2, -1)
         new_vals_pair = (nu, lam)
     # entries swap; each value stays attached to its oscillator type
     new_entries = list(g.entries)
@@ -128,80 +133,45 @@ class WeightLattice:
 
 
 def build_weight_lattice(w: FundamentalWeight) -> WeightLattice:
-    """Propagate the duality rules from w's path to every edge.
+    """Propagate the duality rule from w's path to every edge.
 
-    The per-cell relations are deterministic and local, so the result is
-    independent of the propagation order; every cell is re-verified at the
-    end and any inconsistency raises (it would signal an implementation bug,
-    not bad user input).
+    Each sweep crosses every cell from its known top/left pair of edges, or
+    else from its known bottom/right pair; it stores each unknown far edge
+    and compares each known one.  The first sweep that stores nothing has
+    compared every edge of every cell, so it verifies the lattice.  A
+    mismatch signals an implementation bug, not bad user input, and raises.
     """
     shape = lattice_shape(w.grading)
     p, q, m = shape.p, shape.q, shape.m
-    rows = p + q
     h = {}
     v = {}
-    for step, val in zip(shape.steps, w.values):
-        kind, a, b = step
-        if kind == "v":
-            v[(a, b)] = val
-        else:
-            h[(a, b)] = val
+    for (kind, a, b), val in zip(shape.steps, w.values):
+        (v if kind == "v" else h)[(a, b)] = val
 
-    def solve_cell(r, c):
-        """Return True if new values were assigned for cell (r, c)."""
-        top = h.get((r, c))
-        bot = h.get((r - 1, c))
-        left = v.get((r, c - 1))
-        right = v.get((r, c))
-        changed = False
-        if top is not None and left is not None:
-            nb = top if top + left == 0 else top + 1
-            nr = left if top + left == 0 else left - 1
-            if bot is None:
-                h[(r - 1, c)] = nb
-                changed = True
-            elif bot != nb:
-                raise AssertionError("inconsistent lattice propagation")
-            if right is None:
-                v[(r, c)] = nr
-                changed = True
-            elif right != nr:
-                raise AssertionError("inconsistent lattice propagation")
-        elif bot is not None and right is not None:
-            nt = bot if bot + right == 0 else bot - 1
-            nl = right if bot + right == 0 else right + 1
-            if top is None:
-                h[(r, c)] = nt
-                changed = True
-            if left is None:
-                v[(r, c - 1)] = nl
-                changed = True
-        return changed
+    def settle(edges, key, val, r, c):
+        """Store val on an unknown edge (True), or compare it with the known one."""
+        known = edges.get(key)
+        if known is None:
+            edges[key] = val
+            return True
+        if known != val:
+            raise AssertionError(f"cell ({r},{c}) violates the duality rules")
+        return False
 
-    for _ in range(rows + m + 1):
-        busy = False
-        for r in range(1, rows + 1):
+    for _ in range(p + q + m + 1):
+        stored = False
+        for r in range(1, p + q + 1):
             for c in range(1, m + 1):
-                busy |= solve_cell(r, c)
-        if not busy:
-            break
-
-    lat = WeightLattice(p, q, m, h, v)
-    _verify_lattice(lat)
-    return lat
-
-
-def _verify_lattice(lat: WeightLattice):
-    for r in range(1, lat.p + lat.q + 1):
-        for c in range(1, lat.m + 1):
-            top, bot = lat.h_edges[(r, c)], lat.h_edges[(r - 1, c)]
-            left, right = lat.v_edges[(r, c - 1)], lat.v_edges[(r, c)]
-            if top + left == 0:
-                ok = bot == top and right == left
-            else:
-                ok = bot == top + 1 and right == left - 1
-            if not ok:
-                raise AssertionError(f"cell ({r},{c}) violates the duality rules")
+                top, left, bot, right = (r, c), (r, c - 1), (r - 1, c), (r, c)
+                if top in h and left in v:
+                    lam, nu = _cross(h[top], v[left], 1)
+                    stored |= settle(h, bot, lam, r, c) | settle(v, right, nu, r, c)
+                elif bot in h and right in v:
+                    lam, nu = _cross(h[bot], v[right], -1)
+                    stored |= settle(h, top, lam, r, c) | settle(v, left, nu, r, c)
+        if not stored:
+            return WeightLattice(p, q, m, h, v)
+    raise AssertionError("the duality rules did not settle the lattice")
 
 
 @dataclass(frozen=True)

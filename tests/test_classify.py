@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdual.labels import (
     RepLabel,
@@ -16,7 +18,7 @@ from superdual.labels import (
     psu_central_charge,
     weight_from_label,
 )
-from superdual.partitions import Partition
+from superdual.partitions import Partition, partitions_bounded
 from superdual.weights import FundamentalWeight
 
 
@@ -99,6 +101,28 @@ def test_round_trip_random():
             continue
         w = weight_from_label(lab)
         assert label_from_weight(w) == lab
+
+
+RATIONAL_OFFSETS = st.builds(F, st.integers(-4, 8), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def m0_labels(draw, offsets=RATIONAL_OFFSETS, min_q=0):
+    """m = 0 labels with p >= 1 (an su(0,q) weight reads back as su(q,0));
+    for q >= 1 the single beta sits in beta_R at an offset from the bound
+    h_L + h_R."""
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(max(min_q, 2 - p), 3))
+    mu_l = draw(st.sampled_from(partitions_bounded(p - 1, 3)))
+    mu_r = draw(st.sampled_from(partitions_bounded(max(q - 1, 0), 3)))
+    beta = mu_l.height + mu_r.height + draw(offsets) if q else 0
+    return RepLabel(p, q, 0, mu_l, (), mu_r, 0, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m0_labels())
+def test_m0_label_weight_label_round_trip(lab):
+    assert label_from_weight(weight_from_label(lab, allow_nonunitary=True)) == lab
 
 
 def test_psu_central_charge():

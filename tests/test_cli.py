@@ -54,6 +54,19 @@ def test_weight_json_round_trip(capsys):
     assert out3 == out
 
 
+def test_weight_of_a_nonunitary_label(capsys):
+    lab = _label(p=1, q=1, m=1, mu_L=[0], tau=[0], mu_R=[0], beta_L="-1/2")
+    code, out, err = run(capsys, "weight", "--label", json.dumps(lab),
+                         "--grading", "su(1,|1|1)", "--format", "text")
+    assert code == 0 and out == "[1/2,0,0]\n" and not err
+
+
+@pytest.mark.parametrize("argv", [["lattice"], ["lattice", "--label", YM, "--weight", YM]])
+def test_lattice_takes_exactly_one_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "--weight" in err and "--label" in err
+
+
 def test_lattice_text_output(capsys):
     lab = json.dumps({"p": 0, "q": 4, "m": 2, "mu_L": [], "tau": [1, 0],
                       "mu_R": [3, 1, 0, 0], "beta_L": "0", "beta_R": "1"})
@@ -213,13 +226,15 @@ def test_malformed_label_exit2(capsys, label):
     assert err.startswith("error: malformed label JSON")
 
 
-# options that were parsed but had no effect, or could only fail
+# options that were parsed but had no effect or could only fail, and
+# `weight --allow-nonunitary`, whose effect is now the default
 @pytest.mark.parametrize("argv", [
     ["diagram", "--label", YM, "--grading", "not a grading"],
     ["diagram", "--label", YM, "--P", "1"],
     ["shorten", "--label", YM, "--P", "0"],
     ["do-label", "--label", YM, "--P", "2"],
     ["lattice", "--label", YM, "--grading", "su(2,2|4)"],
+    ["weight", "--label", YM, "--allow-nonunitary"],
 ])
 def test_removed_options_exit2(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -301,18 +316,36 @@ def test_oversized_grading_exit2(capsys, grading):
     ({"m": 0, "tau": [1]}, "tau must be empty for m=0"),
     ({"p": 0, "mu_L": [], "beta_L": "1"}, "beta_L must vanish for p=0"),
     ({"q": 0, "mu_R": [], "beta_R": "1"}, "beta_R must vanish for q=0"),
+    ({"m": 0, "tau": [], "beta_L": "5"}, "beta_L must vanish for m=0"),
 ])
 def test_label_checks_exit2(capsys, fields, message):
     code, out, err = run(capsys, "classify", "--label", json.dumps(_label(**fields)))
     assert code == 2 and not out and err == f"error: {message}\n"
 
 
+LABEL_COMMANDS = ["classify", "weight", "lattice", "diagram", "shorten", "verify"]
+
+
 @pytest.mark.parametrize("p", [0, 1])
-@pytest.mark.parametrize("command", ["classify", "weight", "lattice", "diagram", "shorten", "verify"])
+@pytest.mark.parametrize("command", LABEL_COMMANDS)
 def test_label_below_two_indices_exit2_in_every_command(capsys, p, command):
     lab = _label(p=p, q=0, m=0, mu_L=[0] * p, tau=[], mu_R=[])
     code, out, err = run(capsys, command, "--label", json.dumps(lab))
     assert code == 2 and not out and err == "error: p + q + m must be at least 2\n"
+
+
+@pytest.mark.parametrize("command", LABEL_COMMANDS)
+def test_label_above_64_indices_exit2_in_every_command(capsys, command):
+    # one index past gradings.MAX_INDICES
+    lab = _label(p=1, q=63, m=1, mu_L=[0], tau=[0], mu_R=[])
+    code, out, err = run(capsys, command, "--label", json.dumps(lab))
+    assert code == 2 and not out and err == "error: p + q + m must be at most 64\n"
+
+
+def test_label_of_64_indices_is_answered(capsys):
+    lab = _label(p=1, q=62, m=1, mu_L=[0], tau=[0], mu_R=[])
+    code, out, err = run(capsys, "shorten", "--label", json.dumps(lab))
+    assert code == 0 and out == "right: 1\nleft:  1\n" and not err
 
 
 _M0 = {"m": 0, "tau": [], "mu_L": [1, 0], "mu_R": [1, 0], "beta_R": "2"}

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdual.diagrams import (
     ExtendedYoungDiagram,
@@ -26,6 +28,7 @@ from superdual.labels import (
 )
 from superdual.lattice import duality_step
 from superdual.partitions import Partition
+from test_classify import m0_labels
 from test_lattice import random_paths
 
 
@@ -168,6 +171,15 @@ def test_extend_carve_random():
         back = carve(e, p, q, m)
         assert back.label == lab and back.realization == d.realization
         done += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(m0_labels(offsets=st.integers(0, 4), min_q=1))
+def test_m0_extend_carve_round_trip(lab):
+    # an integer beta at or above h_L + h_R: unitary, with both gammas zero
+    d = realize(lab)
+    back = carve(extend(d), lab.p, lab.q, 0)
+    assert back.label == lab and back.realization == d.realization
 
 
 def test_carve_other_algebra():

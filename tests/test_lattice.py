@@ -2,10 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superdual import lattice
 from superdual.gradings import Grading, parse_grading
 from superdual.labels import grading_distinguished, grading_pmq
 from superdual.lattice import (
+    _cross,
     build_weight_lattice,
     duality_step,
     lattice_shape,
@@ -110,21 +114,27 @@ def test_interior_noncompact_rejected():
         lattice_shape(g)
 
 
+def staircase(p, steps):
+    """The grading whose lattice path takes `steps` ("v" up, "h" right) from
+    the bottom-left corner, the first p vertical steps in the lower rows."""
+    entries = []
+    row = 0
+    for s in steps:
+        if s == "v":
+            row += 1
+            entries.append((0, 0 if row <= p else 1))
+        else:
+            entries.append((1, 1))
+    return Grading(entries)
+
+
 def random_paths(p, q, m, rng, count):
     """Random monotone staircases with p lower rows, q upper rows, m columns."""
     out = []
     for _ in range(count):
         steps = ["v"] * (p + q) + ["h"] * m
         rng.shuffle(steps)
-        entries = []
-        row = 0
-        for s in steps:
-            if s == "v":
-                row += 1
-                entries.append((0, 0 if row <= p else 1))
-            else:
-                entries.append((1, 1))
-        out.append(Grading(entries))
+        out.append(staircase(p, steps))
     return out
 
 
@@ -158,3 +168,47 @@ def test_column_monotonicity_long():
             lo = lat.cell_sum(r, c)
             nu_step = lat.v_edges[(r + 1, lat.m)] - lat.v_edges[(r, lat.m)]
             assert up - lo == nu_step - 1
+
+
+@st.composite
+def path_weights(draw):
+    """A weight on a random lattice path of a random (p+q) x m lattice; small
+    values, so that shortening cells are common."""
+    p, q, m = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    q = max(q, 1 - p)
+    steps = draw(st.permutations(["v"] * (p + q) + ["h"] * m))
+    vals = draw(st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2])),
+                         min_size=p + q + m, max_size=p + q + m))
+    return FundamentalWeight(staircase(p, steps), vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_weights())
+def test_every_cell_obeys_the_duality_rule(w):
+    """Every edge is filled, the path keeps its values, and each cell carries
+    its top/left pair to its bottom/right pair by `_cross`, and back."""
+    lat = build_weight_lattice(w)
+    h, v, rows = lat.h_edges, lat.v_edges, lat.p + lat.q
+    assert len(h) == (rows + 1) * lat.m and len(v) == rows * (lat.m + 1)
+    assert weight_in_grading(lat, w.grading) == w
+    for r in range(1, rows + 1):
+        for c in range(1, lat.m + 1):
+            assert _cross(h[(r, c)], v[(r, c - 1)], 1) == (h[(r - 1, c)], v[(r, c)])
+            assert _cross(h[(r - 1, c)], v[(r, c)], -1) == (h[(r, c)], v[(r, c - 1)])
+
+
+@pytest.mark.parametrize("wrong_step", [1, -1])
+def test_a_wrong_rule_in_one_direction_is_caught(monkeypatch, wrong_step):
+    # su(2,|2|2): the path is the top/left pair of the lower rows' cells and
+    # the bottom/right pair of the upper rows' cells, so both directions run
+    w = FundamentalWeight(grading_pmq(2, 2, 2), (-1, -2, 3, 1, 0, 0))
+    build_weight_lattice(w)
+    right = lattice._cross
+
+    def cross(lam, nu, step):
+        lam, nu = right(lam, nu, step)
+        return (lam + step, nu) if step == wrong_step else (lam, nu)
+
+    monkeypatch.setattr(lattice, "_cross", cross)
+    with pytest.raises(AssertionError, match=r"cell \(\d,\d\) violates the duality rules"):
+        build_weight_lattice(w)
