@@ -40,11 +40,12 @@ def _ceil(x: Fraction) -> int:
 class Realization:
     """Oscillator data (gamma_L, gamma_R, |F_Delta|, P) behind a label.
 
-    Admissibility: gammas > -1; the deformed determinant blocks are square,
-    so |A_Delta| = q when gamma_R != 0 (else h(mu_R)), |B_Delta| = p when
-    gamma_L != 0 (else h(mu_L)); A_Delta sits inside F_Delta, and F_Delta, F,
-    B_Delta are pairwise disjoint colour sets, which bounds P from below
-    (`layout`).
+    Admissibility: gamma > -1 on each non-empty side (p > 0 for gamma_L,
+    q > 0 for gamma_R; an empty side's determinant is 1); the deformed
+    determinant blocks are square, so |A_Delta| = q when gamma_R != 0 (else
+    h(mu_R)), |B_Delta| = p when gamma_L != 0 (else h(mu_L)); A_Delta sits
+    inside F_Delta, and F_Delta, F, B_Delta are pairwise disjoint colour
+    sets, which bounds P from below (`layout`).
     """
 
     gamma_L: Fraction
@@ -82,7 +83,7 @@ class Realization:
         return (B_delta, F_delta[:nA], F_delta, range(top, top + label.tau.part(1))), None
 
     def check(self, label: RepLabel):
-        if self.gamma_L <= -1 or self.gamma_R <= -1:
+        if (label.p and self.gamma_L <= -1) or (label.q and self.gamma_R <= -1):
             raise ValueError("gammas must exceed -1")
         if self.fdelta < 0 or self.P < 0:
             raise ValueError("fdelta and P are nonnegative integers")
@@ -154,11 +155,11 @@ def realize(label: RepLabel, strategy=None, allow_nonunitary=False) -> NonCompac
     """Attach realisation data to a label.
 
     A Realization `strategy` is checked and used as given.  Without one,
-    MinimalP keeps the gammas in (-1, 0], picking the smallest admissible
-    fdelta and then the smallest P.  With allow_nonunitary the same
-    arithmetic runs for non-unitary labels; a gamma may then fall at
-    or below -1 (exactly how the Gram oracle exhibits negative norms) and the
-    Realization invariants are not enforced.
+    MinimalP keeps the gamma of each non-empty side in (-1, 0], picking the
+    smallest admissible fdelta and then the smallest P.  With
+    allow_nonunitary the same arithmetic runs for non-unitary labels; a gamma
+    may then fall at or below -1 (exactly how the Gram oracle exhibits
+    negative norms) and the Realization invariants are not enforced.
     """
     if strategy is not None:
         strategy.check(label)
@@ -194,9 +195,16 @@ def _realize_generic(label: RepLabel) -> Realization:
 
 
 def _realize_m0(label: RepLabel) -> Realization:
-    """m = 0 realisation: beta = P + gamma_L + gamma_R, fdelta = 0."""
+    """m = 0 realisation: beta = P + gamma_L + gamma_R, fdelta = 0.
+
+    On a compact label (p = 0 or q = 0) P is the non-empty side's height and
+    beta - P goes on the gamma of the empty side."""
     beta = label.beta_R
     h_L, h_R = label.mu_L.height, label.mu_R.height
+    if label.p == 0:
+        return Realization(beta - h_R, rat(0), 0, h_R)
+    if label.q == 0:
+        return Realization(rat(0), beta - h_L, 0, h_L)
     if is_int(beta):
         P = max(int(beta), h_L + h_R)
         gam = beta - P  # 0 on the unitary locus, <= -1 off it

@@ -15,12 +15,18 @@ each unit cell (`_cross`):
 unless lambda_top + nu_left = 0 (a shortening cell), where both values carry
 over unchanged.  The cell sum S = lambda + nu is the same for both pairings
 and (-1)^{c_a+c_mu} S >= 0 is the plaquette unitarity constraint.
+
+`build_weight_lattice` holds every edge as an integer over one common
+denominator, fills the cells in path order (each off-path edge written once)
+and then checks each cell by crossing it back the other way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .gradings import Grading
 from .weights import FundamentalWeight
@@ -73,8 +79,9 @@ def lattice_shape(g: Grading) -> LatticeShape:
 
 def _cross(lam, nu, step):
     """The duality rule across one cell: (lam + step, nu - step), or (lam, nu)
-    on a shortening cell (lam + nu = 0).  Step 1 carries a cell's top/left
-    pair of edges to its bottom/right pair, step -1 carries them back."""
+    on a shortening cell (lam + nu = 0).  A positive step carries a cell's
+    top/left pair of edges to its bottom/right pair, a negative one carries
+    them back.  The step is +-1 on values, +-den on numerators over den."""
     if lam + nu == 0:
         return lam, nu
     return lam + step, nu - step
@@ -118,60 +125,74 @@ class WeightLattice:
 
     h_edges[(level, col)] with level in 0..p+q, col in 1..m (lambda values);
     v_edges[(row, col)] with row in 1..p+q, col in 0..m (nu values).
-    Rows 1..p are the c-odd (nu_L) rows.
+    Rows 1..p are the c-odd (nu_L) rows.  The lattice holds each edge as an
+    integer numerator over the common denominator `den` (h_num, v_num);
+    h_edges and v_edges are their Fraction view, built on first use.
     """
 
     p: int
     q: int
     m: int
-    h_edges: dict
-    v_edges: dict
+    den: int
+    h_num: dict
+    v_num: dict
+
+    @cached_property
+    def h_edges(self) -> dict:
+        return {k: Fraction(x, self.den) for k, x in self.h_num.items()}
+
+    @cached_property
+    def v_edges(self) -> dict:
+        return {k: Fraction(x, self.den) for k, x in self.v_num.items()}
 
     def cell_sum(self, row: int, col: int) -> Fraction:
         """S = lambda_top + nu_left (= lambda_bottom + nu_right)."""
-        return self.h_edges[(row, col)] + self.v_edges[(row, col - 1)]
+        return Fraction(self.h_num[(row, col)] + self.v_num[(row, col - 1)], self.den)
 
 
 def build_weight_lattice(w: FundamentalWeight) -> WeightLattice:
-    """Propagate the duality rule from w's path to every edge.
+    """Propagate the duality rule from w's path to every edge, then check it.
 
-    Each sweep crosses every cell from its known top/left pair of edges, or
-    else from its known bottom/right pair; it stores each unknown far edge
-    and compares each known one.  The first sweep that stores nothing has
-    compared every edge of every cell, so it verifies the lattice.  A
-    mismatch signals an implementation bug, not bad user input, and raises.
+    Every edge is an integer over den, the lcm of the path values'
+    denominators, so a cell's step is +-den.  The fill crosses each cell once,
+    in path order: cells right of the path from their top/left edges (rows
+    top-down, columns left to right, step +den), cells left of it from their
+    bottom/right edges (rows bottom-up, columns right to left, step -den).
+    Each edge off the path is written exactly once.  The check then crosses
+    every cell back the other way; a mismatch signals an implementation bug,
+    not bad user input, and raises.
     """
     shape = lattice_shape(w.grading)
     p, q, m = shape.p, shape.q, shape.m
+    den = lcm(*(x.denominator for x in w.values))
     h = {}
     v = {}
+    path_col = [0] * (p + q + 1)  # path_col[r]: column of row r's vertical path edge
     for (kind, a, b), val in zip(shape.steps, w.values):
-        (v if kind == "v" else h)[(a, b)] = val
-
-    def settle(edges, key, val, r, c):
-        """Store val on an unknown edge (True), or compare it with the known one."""
-        known = edges.get(key)
-        if known is None:
-            edges[key] = val
-            return True
-        if known != val:
-            raise AssertionError(f"cell ({r},{c}) violates the duality rules")
-        return False
-
-    for _ in range(p + q + m + 1):
-        stored = False
-        for r in range(1, p + q + 1):
-            for c in range(1, m + 1):
-                top, left, bot, right = (r, c), (r, c - 1), (r - 1, c), (r, c)
-                if top in h and left in v:
-                    lam, nu = _cross(h[top], v[left], 1)
-                    stored |= settle(h, bot, lam, r, c) | settle(v, right, nu, r, c)
-                elif bot in h and right in v:
-                    lam, nu = _cross(h[bot], v[right], -1)
-                    stored |= settle(h, top, lam, r, c) | settle(v, left, nu, r, c)
-        if not stored:
-            return WeightLattice(p, q, m, h, v)
-    raise AssertionError("the duality rules did not settle the lattice")
+        num = val.numerator * (den // val.denominator)
+        if kind == "v":
+            v[(a, b)] = num
+            path_col[a] = b
+        else:
+            h[(a, b)] = num
+    rows = range(1, p + q + 1)
+    for r in reversed(rows):
+        for c in range(path_col[r] + 1, m + 1):
+            h[(r - 1, c)], v[(r, c)] = _cross(h[(r, c)], v[(r, c - 1)], den)
+    for r in rows:
+        for c in range(path_col[r], 0, -1):
+            h[(r, c)], v[(r, c - 1)] = _cross(h[(r - 1, c)], v[(r, c)], -den)
+    for r in rows:
+        for c in range(1, m + 1):
+            top_left = (h[(r, c)], v[(r, c - 1)])
+            bottom_right = (h[(r - 1, c)], v[(r, c)])
+            if c <= path_col[r]:
+                ok = _cross(*top_left, den) == bottom_right
+            else:
+                ok = _cross(*bottom_right, -den) == top_left
+            if not ok:
+                raise AssertionError(f"cell ({r},{c}) violates the duality rules")
+    return WeightLattice(p, q, m, den, h, v)
 
 
 @dataclass(frozen=True)
@@ -191,10 +212,11 @@ def plaquette_check(lat: WeightLattice) -> PlaquetteReport:
     signs = []
     violations = []
     zeros = []
+    h, v = lat.h_num, lat.v_num
     for r in range(1, lat.p + lat.q + 1):
         row_signs = []
         for c in range(1, lat.m + 1):
-            s = lat.cell_sum(r, c)
+            s = h[(r, c)] + v[(r, c - 1)]
             signed = -s if r <= lat.p else s
             if signed > 0:
                 row_signs.append("+")

@@ -77,6 +77,46 @@ def test_lattice_text_output(capsys):
     assert "violations:" in lines[-1]
 
 
+def test_lattice_json_with_beta_in_thirds(capsys):
+    lab = json.dumps({"p": 2, "q": 2, "m": 2, "mu_L": [0, 0], "tau": [1, 0], "mu_R": [0, 0],
+                      "beta_L": "4/3", "beta_R": "2"})
+    code, out, err = run(capsys, "lattice", "--label", lab, "--format", "json")
+    assert code == 0 and not err
+    assert out == (
+        '{"p": 2, "q": 2, "m": 2, "h_edges": {"0,1": "5", "0,2": "4", "1,1": "4", '
+        '"1,2": "3", "2,1": "3", "2,2": "2", "3,1": "2", "3,2": "1", "4,1": "1", '
+        '"4,2": "0"}, "v_edges": {"1,0": "-13/3", "1,1": "-16/3", "1,2": "-19/3", '
+        '"2,0": "-13/3", "2,1": "-16/3", "2,2": "-19/3", "3,0": "2", "3,1": "1", '
+        '"3,2": "0", "4,0": "2", "4,1": "1", "4,2": "0"}, "violations": [], "zeros": []}\n'
+    )
+
+
+COMPACT_M0 = [
+    {"p": 0, "q": 3, "m": 0, "mu_L": [], "tau": [], "mu_R": [1, 0, 0], "beta_L": "0",
+     "beta_R": "0"},
+    {"p": 2, "q": 0, "m": 0, "mu_L": [1, 0], "tau": [], "mu_R": [], "beta_L": "0",
+     "beta_R": "0"},
+    {"p": 0, "q": 3, "m": 0, "mu_L": [], "tau": [], "mu_R": [2, 1, 0], "beta_L": "0",
+     "beta_R": "5/2"},
+]
+
+
+@pytest.mark.parametrize("label", COMPACT_M0)
+def test_compact_m0_labels_are_answered(capsys, label):
+    lab = json.dumps(label)
+    for argv in (["classify"], ["diagram"], ["shorten"], ["verify", "--cutoff", "2"]):
+        code, out, err = run(capsys, *argv, "--label", lab)
+        assert code == 0 and out and not err
+
+
+def test_weight_of_su03_ignores_beta(capsys):
+    # su(0,3|0): the weight is mu_R, whatever beta
+    for beta in ("0", "5/2", "3"):
+        lab = json.dumps(COMPACT_M0[0] | {"beta_R": beta})
+        code, out, err = run(capsys, "weight", "--label", lab, "--format", "text")
+        assert code == 0 and out == "[1,0,0]\n" and not err
+
+
 def test_diagram_formats(capsys):
     code, out, _ = run(capsys, "diagram", "--label", YM, "--format", "ascii")
     assert code == 0 and "[][]" in out

@@ -43,6 +43,20 @@ def test_realize_examples():
     assert d3.realization == Realization(gl, gr, 2, 4)
 
 
+@pytest.mark.parametrize("lab, real", [
+    (RepLabel(0, 3, 0, (), (), (1, 0, 0), 0, 0), Realization(-1, 0, 0, 1)),
+    (RepLabel(2, 0, 0, (1, 0), (), (), 0, 0), Realization(0, -1, 0, 1)),
+    (RepLabel(0, 3, 0, (), (), (2, 1, 0), 0, F(5, 2)), Realization(F(1, 2), 0, 0, 2)),
+])
+def test_realize_compact_m0(lab, real):
+    """A compact m = 0 label takes P from its one non-empty side and puts
+    beta - P on the gamma of the empty side, which nothing bounds."""
+    assert classify_supqm(lab).unitary
+    d = realize(lab)
+    assert d.realization == real
+    assert read_weight(d) == weight_from_label(lab)
+
+
 def test_realize_invariants_on_grid():
     rng = random.Random(3)
     for _ in range(100):

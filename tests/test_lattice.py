@@ -177,9 +177,60 @@ def path_weights(draw):
     p, q, m = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
     q = max(q, 1 - p)
     steps = draw(st.permutations(["v"] * (p + q) + ["h"] * m))
-    vals = draw(st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2])),
+    vals = draw(st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6])),
                          min_size=p + q + m, max_size=p + q + m))
     return FundamentalWeight(staircase(p, steps), vals)
+
+
+def sweep_lattice(w):
+    """Reference fill: sweeps of `Fraction` crossings until one stores nothing.
+
+    Each sweep crosses every cell from a known top/left pair, else from a
+    known bottom/right pair, stores each unknown far edge and compares each
+    known one.  Returns (h_edges, v_edges)."""
+    shape = lattice_shape(w.grading)
+    h, v = {}, {}
+    for (kind, a, b), val in zip(shape.steps, w.values):
+        (v if kind == "v" else h)[(a, b)] = val
+
+    def settle(edges, key, val):
+        if key not in edges:
+            edges[key] = val
+            return True
+        assert edges[key] == val
+        return False
+
+    for _ in range(shape.p + shape.q + shape.m + 1):
+        stored = False
+        for r in range(1, shape.p + shape.q + 1):
+            for c in range(1, shape.m + 1):
+                top, left, bot, right = (r, c), (r, c - 1), (r - 1, c), (r, c)
+                if top in h and left in v:
+                    lam, nu = _cross(h[top], v[left], 1)
+                    stored |= settle(h, bot, lam) | settle(v, right, nu)
+                elif bot in h and right in v:
+                    lam, nu = _cross(h[bot], v[right], -1)
+                    stored |= settle(h, top, lam) | settle(v, left, nu)
+        if not stored:
+            return h, v
+    raise AssertionError("the sweeps did not settle the lattice")
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_weights())
+def test_path_order_fill_matches_the_sweep_reference(w):
+    lat = build_weight_lattice(w)
+    assert (lat.h_edges, lat.v_edges) == sweep_lattice(w)
+
+
+def test_cell_sum_is_the_fraction_sum_of_its_top_and_left_edges():
+    w = FundamentalWeight(grading_pmq(2, 2, 2), (F(-1, 3), F(-5, 2), 3, F(1, 6), 0, F(2, 3)))
+    lat = build_weight_lattice(w)
+    assert lat.den == 6
+    for r in range(1, lat.p + lat.q + 1):
+        for c in range(1, lat.m + 1):
+            s = lat.cell_sum(r, c)
+            assert type(s) is F and s == lat.h_edges[(r, c)] + lat.v_edges[(r, c - 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,15 +251,22 @@ def test_every_cell_obeys_the_duality_rule(w):
 @pytest.mark.parametrize("wrong_step", [1, -1])
 def test_a_wrong_rule_in_one_direction_is_caught(monkeypatch, wrong_step):
     # su(2,|2|2): the path is the top/left pair of the lower rows' cells and
-    # the bottom/right pair of the upper rows' cells, so both directions run
-    w = FundamentalWeight(grading_pmq(2, 2, 2), (-1, -2, 3, 1, 0, 0))
-    build_weight_lattice(w)
+    # the bottom/right pair of the upper rows' cells, so both directions run.
+    # The second weight is half-integer, so the lattice's step is +-2 on
+    # numerators over 2: the wrong rule is keyed on the sign of the step.
+    weights = [
+        FundamentalWeight(grading_pmq(2, 2, 2), (-1, -2, 3, 1, 0, 0)),
+        FundamentalWeight(grading_pmq(2, 2, 2), (F(-1, 2), F(-5, 2), 3, F(1, 2), 0, 0)),
+    ]
+    for w in weights:
+        build_weight_lattice(w)
     right = lattice._cross
 
     def cross(lam, nu, step):
         lam, nu = right(lam, nu, step)
-        return (lam + step, nu) if step == wrong_step else (lam, nu)
+        return (lam + step, nu) if (step > 0) == (wrong_step > 0) else (lam, nu)
 
     monkeypatch.setattr(lattice, "_cross", cross)
-    with pytest.raises(AssertionError, match=r"cell \(\d,\d\) violates the duality rules"):
-        build_weight_lattice(w)
+    for w in weights:
+        with pytest.raises(AssertionError, match=r"cell \(\d,\d\) violates the duality rules"):
+            build_weight_lattice(w)
