@@ -197,14 +197,13 @@ def _realize_generic(label: RepLabel) -> Realization:
 def _realize_m0(label: RepLabel) -> Realization:
     """m = 0 realisation: beta = P + gamma_L + gamma_R, fdelta = 0.
 
-    On a compact label (p = 0 or q = 0) P is the non-empty side's height and
-    beta - P goes on the gamma of the empty side."""
+    For p = 0, P is mu_R's height and beta - P goes on the gamma of the empty
+    left side.  For q = 0 the label has beta = 0 and an empty mu_R, so the
+    integer branch gives P = h_L with gamma_R = -h_L on the empty right side."""
     beta = label.beta_R
     h_L, h_R = label.mu_L.height, label.mu_R.height
     if label.p == 0:
         return Realization(beta - h_R, rat(0), 0, h_R)
-    if label.q == 0:
-        return Realization(rat(0), beta - h_L, 0, h_L)
     if is_int(beta):
         P = max(int(beta), h_L + h_R)
         gam = beta - P  # 0 on the unitary locus, <= -1 off it

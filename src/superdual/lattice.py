@@ -237,5 +237,6 @@ def weight_in_grading(lat: WeightLattice, target: Grading) -> FundamentalWeight:
         raise ValueError("target grading has mismatching lattice dimensions")
     vals = []
     for kind, a, b in shape.steps:
-        vals.append(lat.v_edges[(a, b)] if kind == "v" else lat.h_edges[(a, b)])
+        num = lat.v_num[(a, b)] if kind == "v" else lat.h_num[(a, b)]
+        vals.append(Fraction(num, lat.den))
     return FundamentalWeight(target, vals)
