@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superdual.gradings import parse_grading
 from superdual.labels import (
     RepLabel,
     classify_contravariant,
@@ -71,6 +72,18 @@ def test_label_from_weight_table1():
     assert lab5 == RepLabel(2, 2, 4, (), (), (5, 0), 0, 1)
     lab0 = label_from_weight(FundamentalWeight(grading_pmq(1, 2, 1), (0, 0, 0, 0)))
     assert lab0 == RepLabel(1, 1, 2, (), (), (), 0, 0)
+
+
+@pytest.mark.parametrize("grading, values, message", [
+    # su(1,1|2) puts both p-even indices before the p-odd ones
+    ("su(1,1|2)", (0, 0, 0, 0), "grading; transport it first"),
+    # su(1,|2|1) with lambda = (0, 1) or (1/2, 0): no shifted partition
+    ("su(1,|2|1)", (0, 0, 1, 0), "lambda block is not a shifted partition"),
+    ("su(1,|2|1)", (0, F(1, 2), 0, 0), "lambda block is not a shifted partition"),
+], ids=["other-grading", "negative-step", "half-integer-step"])
+def test_label_from_weight_refusals(grading, values, message):
+    with pytest.raises(ValueError, match=message):
+        label_from_weight(FundamentalWeight(parse_grading(grading), values))
 
 
 def test_weight_from_label_examples():

@@ -61,6 +61,13 @@ def test_weight_of_a_nonunitary_label(capsys):
     assert code == 0 and out == "[1/2,0,0]\n" and not err
 
 
+def test_weight_in_another_family_exit2(capsys):
+    lab = _label(p=1, q=1, m=2, mu_L=[0], tau=[0, 0], mu_R=[0])
+    code, out, err = run(capsys, "weight", "--label", json.dumps(lab), "--grading", "su(2,1|2)")
+    assert code == 2 and not out
+    assert err == "error: target grading has mismatching lattice dimensions\n"
+
+
 @pytest.mark.parametrize("argv", [["lattice"], ["lattice", "--label", YM, "--weight", YM]])
 def test_lattice_takes_exactly_one_input(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdual import lattice
 from superdual.gradings import Grading, parse_grading
 from superdual.labels import grading_distinguished, grading_pmq
 from superdual.lattice import (
@@ -112,6 +111,17 @@ def test_interior_noncompact_rejected():
     g = Grading.from_blocks([(1, 0, 0), (1, 0, 1), (1, 0, 0), (2, 1, 1)])
     with pytest.raises(ValueError):
         lattice_shape(g)
+
+
+def test_mixed_fermion_classes_rejected():
+    with pytest.raises(ValueError, match="mixed c on p-odd indices"):
+        lattice_shape(Grading([(0, 0), (1, 1), (1, 0)]))
+
+
+def test_transport_to_another_family_rejected():
+    lat = build_weight_lattice(FundamentalWeight(grading_pmq(1, 1, 2), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="mismatching lattice dimensions"):
+        weight_in_grading(lat, grading_pmq(2, 1, 1))
 
 
 def staircase(p, steps):
@@ -248,25 +258,35 @@ def test_every_cell_obeys_the_duality_rule(w):
             assert _cross(h[(r - 1, c)], v[(r, c)], -1) == (h[(r, c)], v[(r, c - 1)])
 
 
-@pytest.mark.parametrize("wrong_step", [1, -1])
-def test_a_wrong_rule_in_one_direction_is_caught(monkeypatch, wrong_step):
-    # su(2,|2|2): the path is the top/left pair of the lower rows' cells and
-    # the bottom/right pair of the upper rows' cells, so both directions run.
-    # The second weight is half-integer, so the lattice's step is +-2 on
-    # numerators over 2: the wrong rule is keyed on the sign of the step.
-    weights = [
-        FundamentalWeight(grading_pmq(2, 2, 2), (-1, -2, 3, 1, 0, 0)),
-        FundamentalWeight(grading_pmq(2, 2, 2), (F(-1, 2), F(-5, 2), 3, F(1, 2), 0, 0)),
-    ]
-    for w in weights:
-        build_weight_lattice(w)
-    right = lattice._cross
+def undoes_itself(cross, lam, nu, step):
+    """Crossing a cell with `step` and back with -step returns the pair, and
+    the crossing keeps the cell sum lam + nu."""
+    lam2, nu2 = cross(lam, nu, step)
+    return cross(lam2, nu2, -step) == (lam, nu) and lam2 + nu2 == lam + nu
+
+
+def wrong_in_one_direction(wrong_step):
+    """`_cross` with one extra step on lambda whenever the step has
+    wrong_step's sign: right one way, wrong the other."""
 
     def cross(lam, nu, step):
-        lam, nu = right(lam, nu, step)
+        lam, nu = _cross(lam, nu, step)
         return (lam + step, nu) if (step > 0) == (wrong_step > 0) else (lam, nu)
 
-    monkeypatch.setattr(lattice, "_cross", cross)
-    for w in weights:
-        with pytest.raises(AssertionError, match=r"cell \(\d,\d\) violates the duality rules"):
-            build_weight_lattice(w)
+    return cross
+
+
+numerators = st.integers(-12, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(numerators, numerators), numerators.map(lambda x: (x, -x))),
+       st.sampled_from([1, 2, 3, 6, -1, -2, -3, -6]))
+def test_cross_undoes_itself_and_keeps_the_cell_sum(pair, step):
+    """The property that lets `build_weight_lattice` cross each cell once:
+    the rule is its own inverse for every step +-den (den in 1, 2, 3, 6 on
+    the workloads' values), on shortening cells (lam + nu = 0) and off them.
+    A rule wrong in either direction breaks it on every draw."""
+    assert undoes_itself(_cross, *pair, step)
+    for wrong_step in (1, -1):
+        assert not undoes_itself(wrong_in_one_direction(wrong_step), *pair, step)
