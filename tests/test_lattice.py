@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superdual import lattice
 from superdual.gradings import Grading, parse_grading
 from superdual.labels import grading_distinguished, grading_pmq
 from superdual.lattice import (
@@ -290,3 +291,25 @@ def test_cross_undoes_itself_and_keeps_the_cell_sum(pair, step):
     assert undoes_itself(_cross, *pair, step)
     for wrong_step in (1, -1):
         assert not undoes_itself(wrong_in_one_direction(wrong_step), *pair, step)
+
+
+@pytest.mark.parametrize("wrong_step", [1, -1])
+def test_a_wrong_rule_in_one_direction_is_caught(monkeypatch, wrong_step):
+    # su(2,|2|2): the path is the top/left pair of the lower rows' cells and
+    # the bottom/right pair of the upper rows' cells, so both directions run.
+    # The second weight is half-integer, so the lattice's step is +-2 on
+    # numerators over 2: the wrong rule is keyed on the sign of the step.
+    # The one-pass fill crosses each cell once and does not check itself, so
+    # the wrong rule is caught by the sweep reference, which keeps the right
+    # `_cross` (imported before the patch).
+    weights = [
+        FundamentalWeight(grading_pmq(2, 2, 2), (-1, -2, 3, 1, 0, 0)),
+        FundamentalWeight(grading_pmq(2, 2, 2), (F(-1, 2), F(-5, 2), 3, F(1, 2), 0, 0)),
+    ]
+    for w in weights:
+        lat = build_weight_lattice(w)
+        assert (lat.h_edges, lat.v_edges) == sweep_lattice(w)
+    monkeypatch.setattr(lattice, "_cross", wrong_in_one_direction(wrong_step))
+    for w in weights:
+        lat = build_weight_lattice(w)
+        assert (lat.h_edges, lat.v_edges) != sweep_lattice(w)
