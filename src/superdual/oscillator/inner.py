@@ -8,52 +8,65 @@ rescaled by
 
     c_mu(gamma) = prod_{(i,j) in mu} (gamma + n - i + j) / (n - i + j),
 
-n being the block size; the weights follow from the Capelli norm ladder
-|v t^{k+1}|^2 = prod_i (mu_i + n - i + gamma + k + 1) |v t^k|^2 together with
-F_gamma ~ F_{gamma+1}, and are the Faraut-Koranyi weights of the holomorphic
-discrete series.  The L_ij are Fock-adjoint (L_ij^+ = L_ji), so the component
-projectors P_mu are Fock-orthogonal and <u, v>_gamma = <D u, v>_Fock with
-D = sum_mu c_mu P_mu: the polynomial in one Casimir C that takes the value
-c_mu at its eigenvalue lambda_mu on V_mu.  In Newton form
+n being the block size: the Faraut-Koranyi weights of the holomorphic
+discrete series.  The components are Fock-orthogonal (L_ij^+ = L_ji), so
+an operator that acts on each by a scalar pairs as those scalars do.  At an
+integer gamma = k the form is the Fock form after k
+multiplications by det X, <det^k u, det^k v>_Fock = <A_k u, v>_Fock with
+A_k = Delta^k det^k, and A_k acts on V_mu (x) V_mu by
 
-    <u, v>_gamma = sum_j a_j(gamma) <N_j u, v>_Fock,
-    N_0 = u,   N_{j+1} = (C - lambda_j) N_j,
+    a_mu(k) = prod_i (mu_i + n - i + 1)_k,   so c_mu(k) = a_mu(k) / a_0(k).
 
-where a_j is the divided difference of c_mu(gamma) at lambda_0..lambda_j.
-The nodes of a bi-charge slice are the mu |- d of height <= n dominating both
-sorted margins (Kostka positivity), and C = C2 + t C3 with the least integer
-t >= 0 that makes their closed-form eigenvalues (`_casimir_value`) distinct.
-A one-node slice, such as every slice of degree 0 or of a size-1 block, is
-c_(d)(gamma) times the Fock pairing and applies no Casimir.
+By the Capelli identity (Howe-Umeda) A_k = C(k) A_{k-1} with the central
+C(s) = colDet(L_ij + (n - 1 - i + s) delta_ij), 0-based i, which acts on
+V_mu (x) V_mu by prod_i (mu_i + n - i + s); one step is one
+`algebra.column_det` over `_L_apply` (`_capelli_apply`).
+
+Every component mu of a bi-charge slice of degree d dominates both margins,
+so mu_1 >= m_1, their largest entry, and c_mu(gamma) / c_(m_1)(gamma) is a
+polynomial in gamma of degree <= e = d - m_1.  Interpolated at gamma = 0..e,
+
+    c_mu(gamma) = sum_{k=0}^{e} w_k(gamma) a_mu(k),
+    w_k(gamma) = c_(m_1)(gamma) L_k(gamma) / a_(m_1)(k),
+
+L_k the Lagrange basis on the nodes 0..e, so <u, v>_gamma is
+sum_k w_k <A_k u, v>_Fock.  With mu0 the lexicographically larger sorted
+margin (mu0_1 = m_1, so the sum also gives c_mu0) and the gamma-free tail
+R_k = A_k u - a_mu0(k) u,
+
+    <u, v>_gamma = c_mu0(gamma) <u, v>_Fock + sum_{k=1}^{e} w_k <R_k, v>_Fock.
+
+The tail is empty when u lies in V_mu0 (x) V_mu0, as a highest vector on its
+own slice does, and then u is paired once.  A slice with e = 0, such as
+every slice of degree 0 or of a size-1 block, has the one component (d):
+c_(d)(gamma) times the Fock pairing, with no C(s) applied.
 
 Vectors are paired on integers.  `prepare` splits a vector once into plain
 rest keys and deformed blocks grouped by slice, holding its coordinates as
 integers over one denominator, the lcm of its coefficients' denominators;
 a Gram slice prepares each family vector once.  The form depends on gamma
-only through c_mu(gamma), so its memos split in two, each an `lru_cache`
+only through the weights, so its memos split in two, each an `lru_cache`
 function on exact keys:
 
-- gamma-free: the nodes of each slice (`_slice_nodes`, keyed on n and the
-  margins) and the integer images N_1, N_2, ... of each vector
-  (`_newton_tail`, keyed on n, the margins and the vector's integer
-  coordinates), so a vector entering many Gram entries, at any gamma, meets
-  the Casimir once per node;
-- per gamma: each slice's divided differences (`_newton_numerators`), held as
-  integer numerators over one slice denominator and keyed on n, gamma's
-  numerator and denominator and the margins, so a lookup hashes no
-  Fraction.  A slice pairing is the integer sum_j num_j <N_j u, v>_Fock over
-  that denominator.
+- gamma-free: the integer tail R_1, ..., R_e of each vector (`_chain_tail`,
+  keyed on n, the margins and the vector's integer coordinates), so a vector
+  entering many Gram entries, at any gamma, meets the chain once;
+- per gamma: each slice's weights c_mu0, w_1, ..., w_e (`_chain_weights`),
+  held as integer numerators over one slice denominator and keyed on n,
+  gamma's numerator and denominator and the margins, so a lookup hashes no
+  Fraction.  A slice pairing is the integer
+  num_0 <u, v>_Fock + sum_k num_k <R_k, v>_Fock over that denominator.
 
 `inner_product` stays on integers until it returns: it adds each slice
 pairing, times the Fock factor of its plain rest, into an integer numerator
 keyed by its denominator (on two deformed blocks the product of the a and b
-pairings, over the product of their denominators, with the Newton images of
-each b monomial and of its a coordinates taken once), and makes one
-Fraction per pairing from those sums and the two vectors' denominators.  A
-pairing with an empty vector, such as a vanishing PBW monomial, is 0 before
-any memo is looked up.
+pairings, over the product of their denominators, with the tails of each b
+monomial and of its a coordinates taken once), and makes one Fraction per
+pairing from those sums and the two vectors' denominators.  A pairing with
+an empty vector, such as a vanishing PBW monomial, is 0 before any memo is
+looked up.
 
-`clear_caches()` empties every memo of the Gram oracle: the three above, the
+`clear_caches()` empties every memo of the Gram oracle: the two above, the
 normal forms modulo det X - t (`states._normal_form`), the Kostka numbers
 (`ktypes._kostka`) and the table of gamma-free modules (`module._MODULES`).
 Each but the last reports its size, hits and misses through `cache_info()`.
@@ -63,12 +76,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import factorial, lcm
 from typing import NamedTuple
 
 from ..ktypes import _kostka
-from ..partitions import Partition, partitions_bounded
+from ..partitions import Partition
+from .algebra import column_det
 from .states import _normal_form
 
 
@@ -79,24 +92,17 @@ def c_mu(mu: Partition, gamma: Fraction, n: int) -> Fraction:
     return out
 
 
-def _casimir_value(mu: Partition, n: int, order: int) -> int:
-    """Eigenvalue on V_mu of the quadratic (order 2) or cubic (order 3) gl(n)
-    invariant applied by `_casimir_apply`.
-
-    The Perelomov-Popov formula, summed in closed form over mu padded to n
-    parts (k = 1..n).
-    """
-    lam = mu.padded(n)
-    if order == 2:
-        return sum(x * (x + n + 1 - 2 * k) for k, x in enumerate(lam, 1))
-    size = sum(lam)
-    return sum(
-        x**3 + (2 * n + 1 - 3 * k) * x * x + ((n + 1 - 2 * k) ** 2 - k * (k - 1)) * x
-        for k, x in enumerate(lam, 1)
-    ) - (size * size - sum(x * x for x in lam)) // 2
+def _ladder_value(mu: tuple, k: int) -> int:
+    """a_mu(k) = prod_i (mu_i + n - i + 1)_k, mu padded to the block size n:
+    the eigenvalue of A_k = Delta^k det^k on V_mu (x) V_mu."""
+    n, out = len(mu), 1
+    for s in range(1, k + 1):
+        for i, x in enumerate(mu, 1):
+            out *= x + n - i + s
+    return out
 
 
-# -- the Casimir and the Fock form on monomial dicts ------------------------
+# -- the Capelli chain and the Fock form on monomial dicts ------------------
 
 def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
     """L_ij = sum_A x_iA d/dx_jA on a dict of monomial matrices.
@@ -123,31 +129,18 @@ def _L_apply(lc: dict, i: int, j: int, n: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _casimir_apply(lc: dict, n: int, t: int, shift: int = 0) -> dict:
-    """(C2 + t C3 - shift) lc with C2 = sum L_ik L_ki and C3 = sum L_ij L_jk L_ki,
-    the gl(n) invariants whose eigenvalues `_casimir_value` gives.
+def _capelli_apply(lc: dict, n: int, s: int) -> dict:
+    """C(s) lc, C(s) = colDet(L_ij + (n - 1 - i + s) delta_ij) with 0-based
+    i: the Capelli element that acts on V_mu (x) V_mu by
+    prod_i (mu_i + n - i + s), mu_i 1-based."""
 
-    Both share Y_ji = sum_k L_jk L_ki lc: C2 lc = sum_i Y_ii and
-    C3 lc = sum_ij L_ij Y_ji, so C2 alone needs only the diagonal."""
-    out = {}
+    def entry(i, j, term):
+        if i != j:
+            return _L_apply(term, i, j, n)
+        shift = n - 1 - i + s
+        return {m: c * f for m, c in term.items() if (f := sum(m[i]) + shift)}
 
-    def add(img, f):
-        for m, c in img.items():
-            out[m] = out.get(m, 0) + f * c
-
-    add(lc, -shift)
-    for i in range(n):
-        lowered = [_L_apply(lc, k, i, n) for k in range(n)]  # L_ki lc
-        for j in range(n) if t else (i,):
-            y = {}
-            for k in range(n):
-                for m, c in _L_apply(lowered[k], j, k, n).items():
-                    y[m] = y.get(m, 0) + c
-            if j == i:
-                add(y, 1)
-            if t:
-                add(_L_apply(y, i, j, n), t)
-    return {m: c for m, c in out.items() if c}
+    return column_det(n, entry, lc)
 
 
 def _fock_norm(mat) -> int:
@@ -171,96 +164,66 @@ def _fock_pair(coords1: dict, coords2: dict) -> int:
     return total
 
 
-def _newton_pair(nums, images, coords2) -> int:
-    """sum_j nums[j] <N_j, coords2>_Fock over the Newton images N_j."""
+def _chain_pair(nums, images, coords2) -> int:
+    """sum_k nums[k] <images[k], coords2>_Fock over u and its tail R_k."""
     return sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images))
 
 
-def _dominates(mu: tuple, lam: tuple) -> bool:
-    """Dominance order on equal-length tuples: every partial sum of mu is
-    at least that of lam."""
-    return all(a >= b for a, b in zip(accumulate(mu), accumulate(lam)))
+def _chain_shape(margins) -> tuple:
+    """(mu0, e): the lexicographically larger sorted margin of a slice and
+    e = d - m_1, the number of chain steps."""
+    mu0 = max(tuple(sorted(m, reverse=True)) for m in margins)
+    return mu0, sum(mu0[1:])
 
 
-# -- the memos: gamma-free nodes and images, per-gamma divided differences --
-
-@lru_cache(maxsize=None)
-def _slice_nodes(n: int, margins) -> tuple:
-    """(t, mus, lambdas) of a slice of the size-n block: its components mu,
-    in ascending lexicographic order, and their eigenvalues lambda_mu of
-    C = C2 + t C3.
-
-    The order refines dominance, so a vector of the least component, such
-    as a highest vector of V_mu (x) V_mu on its own slice (mu, mu), costs
-    one Casimir application.  C2 and C3 separate every component up to
-    block size 3; beyond it two components can share both (on size 4,
-    (7,7,1,1) and (8,5,3) at degree 16), and such a slice is refused
-    with ValueError."""
-    rows, cols = (tuple(sorted(m, reverse=True)) for m in margins)
-    d = sum(rows)
-    mus = sorted(
-        (
-            mu for mu in partitions_bounded(n, d)
-            if mu.size == d
-            and _dominates(mu.padded(n), rows)
-            and _dominates(mu.padded(n), cols)
-        ),
-        key=lambda mu: mu.parts,
-    )
-    pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
-    if len(set(pairs)) < len(pairs):
-        raise ValueError(
-            f"a slice of degree {d} on a block of size {n} is outside the supported "
-            "range: two of its components share their C2 and C3 eigenvalues"
-        )
-    t = 0
-    while len({c2 + t * c3 for c2, c3 in pairs}) < len(pairs):
-        t += 1
-    return t, tuple(mus), tuple(c2 + t * c3 for c2, c3 in pairs)
-
+# -- the memos: gamma-free tails, per-gamma weights -------------------------
 
 @lru_cache(maxsize=None)
-def _newton_tail(n: int, margins, coords: frozenset) -> tuple:
-    """(N_1, N_2, ...) of the integer coordinates whose items are coords,
-    stopping before the first zero image.  C has integer entries, so the
-    images are integer too; N_k vanishes for k nodes."""
-    t, _mus, lams = _slice_nodes(n, margins)
-    tail, img = [], dict(coords)
-    for lam in lams[:-1]:
-        img = _casimir_apply(img, n, t, lam)
-        if not img:
-            break
-        tail.append(img)
-    return tuple(tail)
+def _chain_tail(n: int, margins, coords: frozenset) -> tuple:
+    """(R_1, ..., R_e) of the integer coordinates u whose items are coords,
+    R_k = A_k u - a_mu0(k) u, with A_k u = C(k) A_{k-1} u; () when every
+    R_k vanishes, that is when u lies in V_mu0 (x) V_mu0."""
+    mu0, e = _chain_shape(margins)
+    u = dict(coords)
+    tail, img = [], u
+    for k in range(1, e + 1):
+        img = _capelli_apply(img, n, k)
+        a = _ladder_value(mu0, k)
+        rest = dict(img)
+        for m, c in u.items():
+            rest[m] = rest.get(m, 0) - a * c
+        tail.append({m: c for m, c in rest.items() if c})
+    return tuple(tail) if any(tail) else ()
 
 
-def _newton_images(n: int, margins, nums, coords: dict) -> tuple:
-    """(N_0 = coords, N_1, ...) on a slice with the Newton numerators nums:
-    a one-node slice applies no Casimir, and otherwise the tail is looked up
-    by content, so equal vectors meet the Casimir once at every gamma."""
+def _chain_images(n: int, margins, nums, coords: dict) -> tuple:
+    """(coords, R_1, ...) on a slice with the weights nums: a one-weight
+    slice (e = 0) applies no C(s), and otherwise the tail is looked up by
+    content, so equal vectors meet the chain once at every gamma."""
     if len(nums) == 1:
         return (coords,)
-    return (coords,) + _newton_tail(n, margins, frozenset(coords.items()))
+    return (coords,) + _chain_tail(n, margins, frozenset(coords.items()))
 
 
 @lru_cache(maxsize=None)
-def _newton_numerators(n: int, gamma_num: int, gamma_den: int, margins) -> tuple:
-    """(nums, den): the divided differences a_j = c[lambda_0..lambda_j] of
-    c_mu(gamma), gamma = gamma_num / gamma_den, at the slice's nodes, as
-    integers over one positive denominator, a_j = nums[j] / den.  Keyed on
-    integers, so that no lookup hashes a Fraction."""
+def _chain_weights(n: int, gamma_num: int, gamma_den: int, margins) -> tuple:
+    """(nums, den): c_mu0(gamma), w_1(gamma), ..., w_e(gamma) at
+    gamma = gamma_num / gamma_den, as integers over one positive
+    denominator, weight k = nums[k] / den.  Keyed on integers, so that no
+    lookup hashes a Fraction."""
     gamma = Fraction(gamma_num, gamma_den)
-    _t, mus, lams = _slice_nodes(n, margins)
-    table = [c_mu(mu, gamma, n) for mu in mus]
-    coefs = [table[0]]
-    for j in range(1, len(lams)):
-        table = [
-            (table[i + 1] - table[i]) / (lams[i + j] - lams[i])
-            for i in range(len(table) - 1)
-        ]
-        coefs.append(table[0])
-    den = lcm(*(a.denominator for a in coefs))
-    return tuple(a.numerator * (den // a.denominator) for a in coefs), den
+    mu0, e = _chain_shape(margins)
+    top = mu0[:1] + (0,) * (n - 1)
+    c_top = c_mu(Partition(top), gamma, n)
+    weights = [c_mu(Partition(mu0), gamma, n)]
+    for k in range(1, e + 1):
+        w = c_top / _ladder_value(top, k)
+        for j in range(e + 1):
+            if j != k:
+                w *= (gamma - j) / (k - j)
+        weights.append(w)
+    den = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
 def clear_caches() -> None:
@@ -268,7 +231,7 @@ def clear_caches() -> None:
     docstring; later calls recompute them."""
     from . import module  # module imports this one
 
-    for cache in (_slice_nodes, _newton_tail, _newton_numerators, _normal_form, _kostka):
+    for cache in (_chain_tail, _chain_weights, _normal_form, _kostka):
         cache.cache_clear()
     with module._MODULES_LOCK:
         module._MODULES.clear()
@@ -365,7 +328,7 @@ def inner_product(spec, u, v) -> Fraction:
     Factorises over oscillator families: plain Fock factors pair diagonally
     with factorials, fermions with delta, and each deformed block through its
     c_mu-weighted form, evaluated per bi-charge slice at vector level.  Each
-    slice pairing is an integer numerator over its Newton denominator; they
+    slice pairing is an integer numerator over its weights' denominator; they
     are summed per denominator and make one Fraction.  An empty vector pairs
     to 0 at once.
     """
@@ -394,36 +357,36 @@ def inner_product(spec, u, v) -> Fraction:
 
 def _eval_single(form, data1, data2, fact, acc):
     """Add fact times each slice pairing of one deformed block into acc: the
-    integer sum_j num_j <N_j coords1, coords2>_Fock over the slice's
-    denominator.  form is the block's (n, gamma numerator, gamma
-    denominator)."""
+    integer sum_k num_k <R_k, coords2>_Fock, R_0 = coords1 and R_k its
+    tail, over the slice's denominator.  form is the block's (n, gamma
+    numerator, gamma denominator)."""
     for marg, coords1 in data1.items():
         coords2 = data2.get(marg)
         if coords2:
-            nums, den = _newton_numerators(*form, marg)
-            num = _newton_pair(nums, _newton_images(form[0], marg, nums, coords1), coords2)
+            nums, den = _chain_weights(*form, marg)
+            num = _chain_pair(nums, _chain_images(form[0], marg, nums, coords1), coords2)
             acc[den] = acc.get(den, 0) + fact * num
 
 
 def _eval_double(form_a, form_b, data1, data2, fact, acc):
     """Add fact times each (a slice, b slice) pairing into acc: the b
     monomials b1, b2 of a group share the b margins of its key, so their
-    pairing is sum_j a_j(b) <N_j b1, b2>_Fock on the b-form's numerators.
-    The Newton images of b1 and of its a coordinates are taken once per b1."""
+    pairing is sum_k w_k(b) <R_k b1, b2>_Fock on the b-form's numerators.
+    The tails of b1 and of its a coordinates are taken once per b1."""
     for key, bgroups1 in data1.items():
         bgroups2 = data2.get(key)
         if not bgroups2:
             continue
         a_marg, b_marg = key
-        nums_a, den_a = _newton_numerators(*form_a, a_marg)
-        nums_b, den_b = _newton_numerators(*form_b, b_marg)
+        nums_a, den_a = _chain_weights(*form_a, a_marg)
+        nums_b, den_b = _chain_weights(*form_b, b_marg)
         den = den_a * den_b
         total = 0
         for b1, coords_a1 in bgroups1.items():
-            images_a = _newton_images(form_a[0], a_marg, nums_a, coords_a1)
-            images_b = _newton_images(form_b[0], b_marg, nums_b, {b1: 1})
+            images_a = _chain_images(form_a[0], a_marg, nums_a, coords_a1)
+            images_b = _chain_images(form_b[0], b_marg, nums_b, {b1: 1})
             for b2, coords_a2 in bgroups2.items():
                 gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images_b))
                 if gb:
-                    total += gb * _fock_norm(b2) * _newton_pair(nums_a, images_a, coords_a2)
+                    total += gb * _fock_norm(b2) * _chain_pair(nums_a, images_a, coords_a2)
         acc[den] = acc.get(den, 0) + fact * total

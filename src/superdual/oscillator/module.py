@@ -44,7 +44,7 @@ keep a module larger than the bound, and is emptied by
 cutoff and `OscillatorSpec.from_diagram` refusals before the lookup, |u_0|^2
 and its null check, one `inner_product` per upper-triangle Gram entry, the
 slice weights, `analyze_gram` and `highest_weight_counts`.  Of these,
-only the divided differences inside `inner_product` are memoised per gamma
+only the chain weights inside `inner_product` are memoised per gamma
 (`inner`); the module table holds nothing that depends on gamma.
 """
 
@@ -513,7 +513,8 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int) -> GramReport:
     for nu, h0 in highest_weight_counts(blocks, kernels).items():
         if h0 < 0:
             raise AssertionError(f"the Gram kernel at charge {nu} is no K-character (h0 = {h0})")
-        kernel_total += dimension(blocks, nu) * h0
+        if h0:
+            kernel_total += dimension(blocks, nu) * h0
     return GramReport(
         positive_definite=(not has_negative and kernel_total == 0),
         has_negative=has_negative,

@@ -1,13 +1,12 @@
-"""The deformed-block form: closed-form Casimir spectrum, the Newton form
-against an independent per-component reference, and the spectral data shared
-across gamma."""
+"""The deformed-block form: the Capelli chain and its weights in gamma
+against an independent per-component reference and a Casimir-Newton
+reference pairing, and the gamma-free data shared across gamma."""
 
 import hashlib
 import itertools
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, prod
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +18,10 @@ from superdual.oscillator import inner, module, states
 from superdual.oscillator.capelli import block_spec, capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
-    _casimir_apply,
-    _casimir_value,
     _L_apply,
+    _capelli_apply,
+    _chain_weights,
     _eval_single,
-    _newton_numerators,
-    _slice_nodes,
     c_mu,
     clear_caches,
     inner_product,
@@ -55,10 +52,8 @@ SLICES = (
     + [(3, (1, 1, 1), (1, 1, 1)), (3, (2, 1, 0), (1, 1, 1)), (3, (1, 0, 0), (0, 1, 0))]
 )
 
-# Slices of three to six nodes, drawn as often as all of SLICES together, so
-# that divided differences of order >= 2 carry weight.  The last two (n = 3,
-# d = 6) hold both (3, 3) and (4, 1, 1), which share their C2 eigenvalue, so
-# that C = C2 + t C3 with t > 0.
+# Slices of three to six components, drawn as often as all of SLICES
+# together, so that chains of e >= 2 steps carry weight.
 MANY_NODES = [
     (2, (2, 2), (2, 2)),
     (2, (2, 3), (3, 2)),
@@ -153,30 +148,11 @@ def component_vectors(draw):
     return n, gamma, (rows, cols), u, v, parts
 
 
-def _divided_differences(mus, lams, gamma, n):
-    """a_j = sum_{i <= j} c_mu_i / prod_{k <= j, k != i} (lambda_i - lambda_k):
-    the divided differences of c_mu(gamma) at the nodes, in closed form."""
-    out = []
-    for j in range(len(mus)):
-        a = F(0)
-        for i in range(j + 1):
-            term = c_mu(mus[i], gamma, n)
-            for k in range(j + 1):
-                if k != i:
-                    term /= lams[i] - lams[k]
-            a += term
-        out.append(a)
-    return out
-
-
 def _slice_pairing(n, gamma, margins, u, v):
     """The pairing of u and v on one slice of the size-n block at gamma by
-    `_eval_single`, after checking the slice's Newton numerators against the
-    closed-form divided differences."""
+    `_eval_single`."""
     form = (n, gamma.numerator, gamma.denominator)
-    nums, den = _newton_numerators(*form, margins)
-    _t, mus, lams = _slice_nodes(n, margins)
-    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, gamma, n)
+    _nums, den = _chain_weights(*form, margins)
     acc = {}
     _eval_single(form, {margins: u}, {margins: v}, 1, acc)
     assert set(acc) <= {den}
@@ -222,27 +198,43 @@ def slices(draw):
     return n, (rows, cols)
 
 
+def _rising_product(mu, n, k):
+    """a_mu(k) = prod_i (mu_i + n - i + 1)_k, the eigenvalue of
+    Delta^k det^k on V_mu (x) V_mu."""
+    return prod(mu.part(i) + n - i + 1 + j for i in range(1, n + 1) for j in range(k))
+
+
 @settings(max_examples=100, deadline=None)
 @given(slices(), st.sampled_from(GAMMAS + (F(0), F(5, 4))))
-def test_newton_numerators_are_the_divided_differences(case, gamma):
-    """nums[j] / den is a_j, the closed form
-    sum_i c_mu_i / prod_{k != i} (lambda_i - lambda_k), i, k <= j."""
+def test_chain_weights_give_c_mu_on_every_component(case, gamma):
+    """nums / den are c_mu0, w_1, ..., w_e, with mu0 the larger sorted margin
+    and e = d - m_1: c_mu0 + sum_k w_k (a_mu(k) - a_mu0(k)) = c_mu for every
+    mu |- d of at most n parts with mu_1 >= m_1, which includes every
+    component of the slice."""
     n, margins = case
     gamma = F(gamma)
     form = (n, gamma.numerator, gamma.denominator)
-    nums, den = _newton_numerators(*form, margins)
+    nums, den = _chain_weights(*form, margins)
     assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
-    _t, mus, lams = _slice_nodes(n, margins)
-    assert len(nums) == len(mus)
-    assert [F(a, den) for a in nums] == _divided_differences(mus, lams, gamma, n)
-    assert _newton_numerators(*form, margins) is _newton_numerators(*form, margins)
+    mu0 = Partition(max(sorted(m, reverse=True) for m in margins))
+    d, m1 = mu0.size, mu0.part(1)
+    assert len(nums) == d - m1 + 1
+    c0, *weights = (F(a, den) for a in nums)
+    assert c0 == c_mu(mu0, gamma, n)
+    for mu in partitions_bounded(n, d):
+        if mu.size == d and mu.part(1) >= m1:
+            got = c0 + sum(
+                w * (_rising_product(mu, n, k) - _rising_product(mu0, n, k))
+                for k, w in enumerate(weights, 1)
+            )
+            assert got == c_mu(mu, gamma, n), mu
+    assert _chain_weights(*form, margins) is _chain_weights(*form, margins)
 
 
 # every lru_cache memo of the Gram oracle that `clear_caches` empties
 MEMOS = {
-    "nodes": inner._slice_nodes,
-    "images": inner._newton_tail,
-    "numerators": inner._newton_numerators,
+    "tails": inner._chain_tail,
+    "weights": inner._chain_weights,
     "normal forms": states._normal_form,
     "kostka": ktypes._kostka,
 }
@@ -281,8 +273,7 @@ def test_clear_caches_gives_identical_results():
 
 def test_spectrum_shared_across_gamma_gives_identical_results():
     """Memos warmed at gamma = 1/2 serve gamma = -1/3 unchanged: a second
-    gamma on the same realization shape misses only the divided
-    differences."""
+    gamma on the same realization shape misses only the chain weights."""
 
     def run(beta, gamma):
         # su(2,2) with beta = 2 + gamma_R: one deformed block of size 2
@@ -297,14 +288,13 @@ def test_spectrum_shared_across_gamma_gives_identical_results():
     cold = run(F(5, 3), F(-1, 3))
     clear_caches()
     run(F(5, 2), F(1, 2))
-    # Newton nodes of the size-2 block's slices, images in both blocks
-    sizes = _info("currsize")
-    assert sizes["nodes"] and sizes["images"]
+    # chain tails in both blocks
+    assert _info("currsize")["tails"]
     before = _info("misses")
     warm = run(F(5, 3), F(-1, 3))
     assert warm == cold
     after = _info("misses")
-    assert {name for name in MEMOS if after[name] != before[name]} == {"numerators"}
+    assert {name for name in MEMOS if after[name] != before[name]} == {"weights"}
 
 
 def _times_leading_minor(poly, y, n):
@@ -327,6 +317,111 @@ def _highest_vector(mu, n):
         for _ in range(mu.part(y) - mu.part(y + 1)):
             poly = _times_leading_minor(poly, y, n)
     return poly
+
+
+def _capelli_eigenvalue(coords, n, s):
+    """Exact eigenvalue of C(s) on coords, or None if not an eigenvector."""
+    img = _capelli_apply(coords, n, s)
+    ref_m, ref_c = next(iter(coords.items()))
+    lam = img.get(ref_m, F(0)) / ref_c
+    want = {m: lam * c for m, c in coords.items() if lam * c}
+    return lam if img == want else None
+
+
+def test_capelli_element_acts_on_highest_vectors_by_its_closed_form():
+    """C(s) = colDet(L_ij + (n - 1 - i + s) delta_ij) acts on the highest
+    vector of V_mu (x) V_mu by prod_i (mu_i + n - i + s); at s = 0 it is
+    det X Delta, which kills every mu of height < n."""
+    cases = 0
+    for n, top in ((1, 5), (2, 4), (3, 3), (4, 3), (5, 2)):
+        for mu in partitions_bounded(n, top):
+            if mu.size > top:
+                continue
+            hv = _highest_vector(mu, n)
+            for s in range(4):
+                want = prod(mu.part(i) + n - i + s for i in range(1, n + 1))
+                assert _capelli_eigenvalue(hv, n, s) == want, (n, mu, s)
+            cases += 1
+    assert cases == 6 + 9 + 7 + 7 + 4
+
+
+# -- the Casimir-Newton pairing: a reference for the chain ------------------
+#
+# The form as the polynomial in one Casimir C = C2 + t C3 that takes the value
+# c_mu at its eigenvalue on each component, in Newton form over the
+# components of a slice.  C2 and C3 separate the components of every block up
+# to size 3, which covers every block that this reference pairs.
+
+
+def _casimir_value(mu, n, order):
+    """Eigenvalue on V_mu of the quadratic (order 2) or cubic (order 3) gl(n)
+    invariant applied by `_casimir_apply`: the Perelomov-Popov formula,
+    summed in closed form over mu padded to n parts (k = 1..n)."""
+    lam = mu.padded(n)
+    if order == 2:
+        return sum(x * (x + n + 1 - 2 * k) for k, x in enumerate(lam, 1))
+    size = sum(lam)
+    return sum(
+        x**3 + (2 * n + 1 - 3 * k) * x * x + ((n + 1 - 2 * k) ** 2 - k * (k - 1)) * x
+        for k, x in enumerate(lam, 1)
+    ) - (size * size - sum(x * x for x in lam)) // 2
+
+
+def _casimir_apply(lc, n, t, shift=0):
+    """(C2 + t C3 - shift) lc with C2 = sum L_ik L_ki and
+    C3 = sum L_ij L_jk L_ki, through Y_ji = sum_k L_jk L_ki lc."""
+    out = {}
+
+    def add(img, f):
+        for m, c in img.items():
+            out[m] = out.get(m, 0) + f * c
+
+    add(lc, -shift)
+    for i in range(n):
+        lowered = [_L_apply(lc, k, i, n) for k in range(n)]  # L_ki lc
+        for j in range(n) if t else (i,):
+            y = {}
+            for k in range(n):
+                for m, c in _L_apply(lowered[k], j, k, n).items():
+                    y[m] = y.get(m, 0) + c
+            if j == i:
+                add(y, 1)
+            if t:
+                add(_L_apply(y, i, j, n), t)
+    return {m: c for m, c in out.items() if c}
+
+
+def _slice_nodes(n, margins):
+    """(t, mus, lambdas): the components mu of a slice, in ascending
+    lexicographic order (which refines dominance), and their eigenvalues of
+    C = C2 + t C3, t >= 0 the least integer that makes them distinct."""
+    rows, cols = margins
+    d = sum(rows)
+    mus = sorted(
+        (mu for mu in partitions_bounded(n, d)
+         if mu.size == d and _dominates(mu, rows) and _dominates(mu, cols)),
+        key=lambda mu: mu.parts,
+    )
+    pairs = [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3)) for mu in mus]
+    assert len(set(pairs)) == len(pairs), "C2 and C3 do not separate the components"
+    t = next(t for t in itertools.count() if len({a + t * b for a, b in pairs}) == len(pairs))
+    return t, mus, [a + t * b for a, b in pairs]
+
+
+def _divided_differences(mus, lams, gamma, n):
+    """a_j = sum_{i <= j} c_mu_i / prod_{k <= j, k != i} (lambda_i - lambda_k):
+    the divided differences of c_mu(gamma) at the nodes, in closed form."""
+    out = []
+    for j in range(len(mus)):
+        a = F(0)
+        for i in range(j + 1):
+            term = c_mu(mus[i], gamma, n)
+            for k in range(j + 1):
+                if k != i:
+                    term /= lams[i] - lams[k]
+            a += term
+        out.append(a)
+    return out
 
 
 def _eigen_value(coords, n, t):
@@ -353,11 +448,13 @@ def test_casimir_closed_form_matches_highest_vector_eigenvalues():
     assert cases == 7 + 16 + 23 + 12 + 7 + 7 + 4 + 4
 
 
-def test_casimir_collisions_are_a_range_limit():
+def test_casimir_collision_slices_are_answered():
     """C2 and C3 separate the components of every block up to size 3; on
     size 4 they first fail at degree 16, where (7,7,1,1) and (8,5,3) share
-    both.  A slice with two such nodes is refused (ValueError, naming the
-    block size and the degree) before any Casimir is applied."""
+    both.  The chain needs no Casimir: the Delta ladder of a size-4 block
+    through degree 16 gives the Capelli norm factors, and a vector mixing
+    (7,7,1,1) and (8,5,3) on the slice (7,5,2,2)^2 pairs as the sum of
+    c_mu times its components' Fock pairings."""
 
     def nodes(n, d):
         return [(_casimir_value(mu, n, 2), _casimir_value(mu, n, 3))
@@ -366,16 +463,50 @@ def test_casimir_collisions_are_a_range_limit():
     collide = [(n, d) for n in (1, 2, 3, 4) for d in range(17)
                if len(set(nodes(n, d))) < len(nodes(n, d))]
     assert collide == [(4, 16)]
-    assert _casimir_value(Partition((7, 7, 1, 1)), 4, 2) == _casimir_value(Partition((8, 5, 3)), 4, 2)
-    assert _casimir_value(Partition((7, 7, 1, 1)), 4, 3) == _casimir_value(Partition((8, 5, 3)), 4, 3)
-    spec = block_spec(4, F(1, 2))
-    diag = tuple(tuple(x if i == j else 0 for j in range(4)) for i, x in enumerate((7, 5, 2, 2)))
-    s = spec.vacuum()._replace(a=diag)
-    message = "a slice of degree 16 on a block of size 4 is outside the supported range"
-    with pytest.raises(ValueError, match=message):
-        inner_product(spec, {s: 1}, {s: 1})
-    with pytest.raises(ValueError, match=message):
-        delta_ladder_norms(4, F(1, 2), (5, 3), 3)
+    big, small = Partition((8, 5, 3)), Partition((7, 7, 1, 1))
+    assert _casimir_value(small, 4, 2) == _casimir_value(big, 4, 2)
+    assert _casimir_value(small, 4, 3) == _casimir_value(big, 4, 3)
+
+    gamma = F(1, 2)
+    assert delta_ladder_norms(4, gamma, (5, 3), 3) == [
+        capelli_norm_factor(Partition((5, 3)), gamma, k, 4) for k in range(3)
+    ]
+
+    def lowered(mu, word):
+        """The highest vector of V_mu (x) V_mu, with the row lowerings L_ij
+        of word applied to its rows and then to its columns."""
+        vec = _highest_vector(mu, 4)
+        for _ in range(2):
+            for i, j in word:
+                vec = _L_apply(vec, i, j, 4)
+            vec = _transpose(vec)
+        return vec
+
+    # (r, s, u_mu, v_mu) per component, each lowered to (7,5,2,2) two ways
+    parts = [
+        (F(2), F(-1, 3), lowered(small, [(2, 1), (3, 1)]), lowered(small, [(3, 1), (2, 1)])),
+        (F(1), F(3, 2), lowered(big, [(3, 0), (3, 2)]), lowered(big, [(3, 2), (3, 0)])),
+    ]
+    assert all(u_mu and v_mu for _r, _s, u_mu, v_mu in parts)
+    want = sum(
+        c_mu(mu, gamma, 4) * r * s * _fock_pair(u_mu, v_mu)
+        for mu, (r, s, u_mu, v_mu) in zip((small, big), parts)
+    )
+    assert want != 0
+    spec = block_spec(4, gamma)
+
+    def states(terms):
+        """sum coef vec over (coef, vec) in terms, as a LinComb of states."""
+        out = {}
+        for coef, vec in terms:
+            for mat, c in vec.items():
+                key = spec.vacuum()._replace(a=mat)
+                out[key] = out.get(key, 0) + coef * c
+        return {key: c for key, c in out.items() if c}
+
+    u = states((r, u_mu) for r, _s, u_mu, _v in parts)
+    v = states((s, v_mu) for _r, s, _u, v_mu in parts)
+    assert inner_product(spec, u, v) == want
 
 
 # -- the pairing from its definition, one state pair at a time -------------
@@ -391,8 +522,9 @@ def _bi_charge(sub):
 
 def _block_pairing(n, gamma, sub1, sub2):
     """sum_j a_j <N_j sub1, sub2>_Fock on a deformed block of size n, zero
-    across bi-charge slices: a_j the closed-form divided differences,
-    N_0 = sub1 and N_{j+1} = (C - lambda_j) N_j by `_casimir_apply` itself."""
+    across bi-charge slices: the Casimir-Newton reference, a_j the
+    closed-form divided differences, N_0 = sub1 and
+    N_{j+1} = (C - lambda_j) N_j."""
     margins = _bi_charge(sub1)
     if margins != _bi_charge(sub2):
         return 0
