@@ -66,10 +66,12 @@ pairing from those sums and the two vectors' denominators.  A pairing with
 an empty vector, such as a vanishing PBW monomial, is 0 before any memo is
 looked up.
 
-`clear_caches()` empties every memo of the Gram oracle: the two above, the
+`clear_caches()` empties every memo of the oscillator: the two above, the
 normal forms modulo det X - t (`states._normal_form`), the Kostka numbers
-(`ktypes._kostka`) and the table of gamma-free modules (`module._MODULES`).
-Each but the last reports its size, hits and misses through `cache_info()`.
+(`ktypes._kostka`), the Capelli checks' gamma-free identity defects and
+ladder vectors (`capelli._identity_defect`, `capelli._ladder`) and the table
+of gamma-free modules (`module._MODULES`).  Each but the last reports its
+size, hits and misses through `cache_info()`.
 """
 
 from __future__ import annotations
@@ -227,11 +229,14 @@ def _chain_weights(n: int, gamma_num: int, gamma_den: int, margins) -> tuple:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the Gram oracle, as listed in the module
+    """Empty every memo of the oscillator, as listed in the module
     docstring; later calls recompute them."""
-    from . import module  # module imports this one
+    from . import capelli, module  # both import this one
 
-    for cache in (_chain_tail, _chain_weights, _normal_form, _kostka):
+    for cache in (
+        _chain_tail, _chain_weights, _normal_form, _kostka,
+        capelli._identity_defect, capelli._ladder,
+    ):
         cache.cache_clear()
     with module._MODULES_LOCK:
         module._MODULES.clear()

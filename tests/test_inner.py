@@ -14,7 +14,7 @@ from superdual.diagrams import realize
 from superdual.labels import RepLabel
 from superdual.oscillator import delta_ladder_norms, gram_positivity
 from superdual import ktypes
-from superdual.oscillator import inner, module, states
+from superdual.oscillator import capelli, inner, module, states
 from superdual.oscillator.capelli import block_spec, capelli_identity_check, capelli_norm_factor
 from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
@@ -231,12 +231,14 @@ def test_chain_weights_give_c_mu_on_every_component(case, gamma):
     assert _chain_weights(*form, margins) is _chain_weights(*form, margins)
 
 
-# every lru_cache memo of the Gram oracle that `clear_caches` empties
+# every lru_cache memo of the oscillator that `clear_caches` empties
 MEMOS = {
     "tails": inner._chain_tail,
     "weights": inner._chain_weights,
     "normal forms": states._normal_form,
     "kostka": ktypes._kostka,
+    "identity defects": capelli._identity_defect,
+    "ladders": capelli._ladder,
 }
 
 
@@ -282,14 +284,15 @@ def test_spectrum_shared_across_gamma_gives_identical_results():
         return (
             gram_positivity(d, cutoff=3),
             delta_ladder_norms(3, gamma, Partition((2, 1)), 2),
+            capelli_identity_check(2, gamma, cutoff=2),
         )
 
     clear_caches()
     cold = run(F(5, 3), F(-1, 3))
     clear_caches()
     run(F(5, 2), F(1, 2))
-    # chain tails in both blocks
-    assert _info("currsize")["tails"]
+    # chain tails in both blocks, the ladder and the identity defect
+    assert all(_info("currsize")[name] for name in ("tails", "ladders", "identity defects"))
     before = _info("misses")
     warm = run(F(5, 3), F(-1, 3))
     assert warm == cold
