@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations_with_replacement
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..diagrams import NonCompactYoungDiagram
@@ -150,13 +150,16 @@ class OscillatorSpec:
 
     @cached_property
     def _weight_offsets(self) -> tuple:  # state_weight - state_charge, per index
-        return ((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
-                + (rat(self.gamma_R),) * self.q)
+        offsets = ((-self.P - rat(self.gamma_L),) * self.p + (rat(0),) * self.m
+                   + (rat(self.gamma_R),) * self.q)
+        return tuple((o.numerator, o.denominator) for o in offsets)
 
     def charge_weight(self, charge) -> tuple:
         """The E_ii eigenvalues of every state of the given charge: entry i
-        is the constant offset of index i plus charge[i]."""
-        return tuple(map(add, self._weight_offsets, charge))
+        is the constant offset of index i plus charge[i], made as one
+        Fraction from the offset's numerator and denominator."""
+        return tuple(Fraction(num + c * den, den)
+                     for (num, den), c in zip(self._weight_offsets, charge))
 
     def state_weight(self, s: State) -> tuple:
         """E_ii eigenvalues of a monomial state, in su(p,|m|q) index order."""

@@ -47,7 +47,7 @@ from .algebra import (
 )
 from .inner import inner_product, prepare
 from .module import minor_powers
-from .states import combine, scale
+from .states import MAX_BLOCK, combine, scale
 
 
 def _shape(mu, P: int) -> Partition:
@@ -62,8 +62,17 @@ def _non_negative(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 0, not {value}")
 
 
+def _block_size(P: int) -> None:
+    if not 1 <= P <= MAX_BLOCK:
+        raise ValueError(f"P = {P} is outside the supported block sizes 1..{MAX_BLOCK}")
+
+
 def capelli_norm_factor(mu: Partition, gamma, n: int, P: int) -> Fraction:
-    """prod_{i=1}^{P} (mu_i + P - i + gamma + n + 1) with shifted weights."""
+    """prod_{i=1}^{P} (mu_i + P - i + gamma + n + 1) with shifted weights:
+    the ratio |v_{mu,n+1}|^2 / |v_{mu,n}|^2 for a ladder index n >= 0 on a
+    block of 1 <= P <= MAX_BLOCK colours (ValueError otherwise)."""
+    _block_size(P)
+    _non_negative("n", n)
     mu, gamma = _shape(mu, P), rat(gamma)
     out = Fraction(1)
     for i in range(1, P + 1):
@@ -72,7 +81,9 @@ def capelli_norm_factor(mu: Partition, gamma, n: int, P: int) -> Fraction:
 
 
 def block_spec(P: int, gamma) -> OscillatorSpec:
-    """A single deformed a-block: q = P flavours over P colours."""
+    """A single deformed a-block: q = P flavours over P colours,
+    1 <= P <= MAX_BLOCK (ValueError otherwise)."""
+    _block_size(P)
     gamma = rat(gamma)
     return OscillatorSpec(
         0, 0, P, P, rat(0), gamma, (), tuple(range(P)), (), ()
@@ -168,6 +179,7 @@ def _value(coeffs: tuple, gamma: Fraction):
 def capelli_identity_check(P: int, gamma, cutoff: int) -> bool:
     """Verify Delta+ Delta = colDet(E + rho) as operators on the truncated basis."""
     gamma = rat(gamma)
+    _block_size(P)
     _non_negative("cutoff", cutoff)
     defect = _identity_defect(P, cutoff, gamma != 0)
     return not any(_value(coeffs, gamma) for coeffs in defect)
@@ -193,16 +205,18 @@ def _column_det_action(spec: OscillatorSpec, lc):
 @lru_cache(maxsize=None)
 def _ladder(P: int, mu: tuple, nmax: int, deformed: bool) -> tuple:
     """v, Delta+ v, ..., Delta+^nmax v for v the highest vector of
-    V_mu (x) V_mu (the top-left minors), prepared for `inner_product`.
+    V_mu (x) V_mu (the top-left minors), prepared for `inner_product` with
+    their chain images and one key table.
 
     Delta+ multiplies t^0 states by det X, so the vectors do not depend on
     gamma; whether the block is deformed decides how `prepare` splits them."""
     spec = block_spec(P, 1 if deformed else 0)
     vec = minor_powers(spec, "a", Partition(mu), {spec.vacuum(): 1})
-    out = [prepare(spec, vec)]
+    canon = {}
+    out = [prepare(spec, vec, canon)]
     for _ in range(nmax):
         vec = delta_dagger(spec, "a", vec)
-        out.append(prepare(spec, vec))
+        out.append(prepare(spec, vec, canon))
     return tuple(out)
 
 

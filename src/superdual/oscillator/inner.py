@@ -43,14 +43,21 @@ c_(d)(gamma) times the Fock pairing, with no C(s) applied.
 
 Vectors are paired on integers.  `prepare` splits a vector once into plain
 rest keys and deformed blocks grouped by slice, holding its coordinates as
-integers over one denominator, the lcm of its coefficients' denominators;
-a Gram slice prepares each family vector once.  The form depends on gamma
-only through the weights, so its memos split in two, each an `lru_cache`
-function on exact keys:
+integers over one denominator, the lcm of its coefficients' denominators.
+A prepared vector also holds, per slice, its chain images u, R_1, ..., R_e
+Fock-weighted (each monomial's coefficient times its Fock norm), built once
+when it is prepared; on two deformed blocks, each b monomial's images are
+held indexed by target b2 -> (w_0, ..., w_e).  A held vector of a Gram
+module (`module.FockModule`) or a Capelli ladder (`capelli._ladder`) thus
+meets the chain and the factorials once, and a pairing is one sparse integer
+dot product per weight.  The form depends on gamma only through the
+weights, so its memos split in two, each an `lru_cache` function on exact
+keys:
 
 - gamma-free: the integer tail R_1, ..., R_e of each vector (`_chain_tail`,
-  keyed on n, the margins and the vector's integer coordinates), so a vector
-  entering many Gram entries, at any gamma, meets the chain once;
+  keyed on n, the margins and the vector's integer coordinates), which
+  serves `prepare`, so that equal coordinates, at any gamma, meet the chain
+  once;
 - per gamma: each slice's weights c_mu0, w_1, ..., w_e (`_chain_weights`),
   held as integer numerators over one slice denominator and keyed on n,
   gamma's numerator and denominator and the margins, so a lookup hashes no
@@ -60,11 +67,10 @@ function on exact keys:
 `inner_product` stays on integers until it returns: it adds each slice
 pairing, times the Fock factor of its plain rest, into an integer numerator
 keyed by its denominator (on two deformed blocks the product of the a and b
-pairings, over the product of their denominators, with the tails of each b
-monomial and of its a coordinates taken once), and makes one Fraction per
-pairing from those sums and the two vectors' denominators.  A pairing with
-an empty vector, such as a vanishing PBW monomial, is 0 before any memo is
-looked up.
+pairings, over the product of their denominators, visiting only the targets
+of each b monomial's images), and makes one Fraction per pairing from those
+sums and the two vectors' denominators.  A pairing with an empty vector,
+such as a vanishing PBW monomial, is 0 before any memo is looked up.
 
 `clear_caches()` empties every memo of the oscillator: the two above, the
 normal forms modulo det X - t (`states._normal_form`), the Kostka numbers
@@ -79,6 +85,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from ..ktypes import _kostka
@@ -154,21 +161,15 @@ def _fock_norm(mat) -> int:
     return out
 
 
-def _fock_pair(coords1: dict, coords2: dict) -> int:
-    """Fock pairing of integer coordinates: distinct monomials are orthogonal."""
-    if len(coords2) < len(coords1):
-        coords1, coords2 = coords2, coords1
+def _dot(x: dict, y: dict) -> int:
+    """sum_m x[m] y[m] over the monomials of two sparse integer vectors."""
+    if len(y) < len(x):
+        x, y = y, x
     total = 0
-    for m, c in coords1.items():
-        c2 = coords2.get(m)
-        if c2:
-            total += c * c2 * _fock_norm(m)
+    for m, c in x.items():
+        if m in y:
+            total += c * y[m]
     return total
-
-
-def _chain_pair(nums, images, coords2) -> int:
-    """sum_k nums[k] <images[k], coords2>_Fock over u and its tail R_k."""
-    return sum(a * _fock_pair(img, coords2) for a, img in zip(nums, images))
 
 
 def _chain_shape(margins) -> tuple:
@@ -183,8 +184,9 @@ def _chain_shape(margins) -> tuple:
 @lru_cache(maxsize=None)
 def _chain_tail(n: int, margins, coords: frozenset) -> tuple:
     """(R_1, ..., R_e) of the integer coordinates u whose items are coords,
-    R_k = A_k u - a_mu0(k) u, with A_k u = C(k) A_{k-1} u; () when every
-    R_k vanishes, that is when u lies in V_mu0 (x) V_mu0."""
+    R_k = A_k u - a_mu0(k) u, with A_k u = C(k) A_{k-1} u, each monomial's
+    coefficient times its Fock norm; () when every R_k vanishes, that is
+    when u lies in V_mu0 (x) V_mu0."""
     mu0, e = _chain_shape(margins)
     u = dict(coords)
     tail, img = [], u
@@ -194,17 +196,8 @@ def _chain_tail(n: int, margins, coords: frozenset) -> tuple:
         rest = dict(img)
         for m, c in u.items():
             rest[m] = rest.get(m, 0) - a * c
-        tail.append({m: c for m, c in rest.items() if c})
+        tail.append({m: c * _fock_norm(m) for m, c in rest.items() if c})
     return tuple(tail) if any(tail) else ()
-
-
-def _chain_images(n: int, margins, nums, coords: dict) -> tuple:
-    """(coords, R_1, ...) on a slice with the weights nums: a one-weight
-    slice (e = 0) applies no C(s), and otherwise the tail is looked up by
-    content, so equal vectors meet the chain once at every gamma."""
-    if len(nums) == 1:
-        return (coords,)
-    return (coords,) + _chain_tail(n, margins, frozenset(coords.items()))
 
 
 @lru_cache(maxsize=None)
@@ -267,17 +260,26 @@ def _split_state(spec, s):
 
 class Prepared(NamedTuple):
     """A vector split once for `inner_product`, never mutated: denom times
-    its coordinates, as integers.  rests maps each plain rest key to (its Fock
-    factor, the deformed coordinates): {None: int} with no deformed block,
-    margins -> {sub: int} with one, (a-margins, b-margins) -> b_sub ->
-    {a_sub: int} with two."""
+    its coordinates, as integers, with the Fock-weighted chain images of its
+    deformed coordinates built with it (`_held`, `_targets`).  rests maps
+    each plain rest key to (its Fock factor, the deformed data): {None: int}
+    with no deformed block; margins -> (coords, images) with one;
+    (a-margins, b-margins) -> b_sub -> (a coords, a images, b targets) with
+    two.  coords maps each block monomial to its integer coordinate."""
 
     denom: int
     rests: dict
 
 
-def prepare(spec, u) -> Prepared:
-    """A LinComb or state as a `Prepared` vector; a Prepared is returned as is."""
+def prepare(spec, u, canon: dict) -> Prepared:
+    """A LinComb or state as a `Prepared` vector; a Prepared is returned as is.
+
+    The images of every slice are built here, once per vector, the tails
+    through the content-keyed `_chain_tail`, so equal coordinates meet the
+    chain once at every gamma.  Every tuple in a key of the nested dicts
+    (rest keys, margins, the monomials of coordinates, images and targets)
+    is the equal tuple first stored in canon, so that vectors prepared with
+    one canon, such as a held module's, store each key once."""
     if isinstance(u, Prepared):
         return u
     lc = u if isinstance(u, dict) else {u: 1}
@@ -296,25 +298,53 @@ def prepare(spec, u) -> Prepared:
         elif sub is not None:
             coords = coords.setdefault(_margins(sub), {})
         coords[sub] = c.numerator * (denom // c.denominator)
-    return Prepared(denom, rests)
+    held = {}
+    for rest, (fact, data) in rests.items():
+        if spec.a_deformed and spec.b_deformed:
+            data = {
+                _canonical(key, canon): {
+                    _canonical(b1, canon): (*_held(spec.q, key[0], coords, canon),
+                                            _targets(spec.p, key[1], b1, canon))
+                    for b1, coords in group.items()
+                }
+                for key, group in data.items()
+            }
+        elif spec.a_deformed or spec.b_deformed:
+            n = spec.q if spec.a_deformed else spec.p
+            data = {_canonical(marg, canon): _held(n, marg, coords, canon)
+                    for marg, coords in data.items()}
+        held[_canonical(rest, canon)] = (fact, data)
+    return Prepared(denom, held)
 
 
-def share_keys(u: Prepared, canon: dict) -> Prepared:
-    """u with every tuple in the keys of its nested dicts replaced by the
-    equal tuple first stored in canon, so that vectors held together store
-    each rest key, margin pair and coordinate key once."""
-    return Prepared(u.denom, _shared(u.rests, canon))
+def _held(n: int, margins, coords: dict, canon: dict) -> tuple:
+    """(u, images) for the integer coordinates u on a slice of the size-n
+    block: images is (u, R_1, ..., R_e) with each monomial's coefficient
+    times its Fock norm, so that <R_k u, v>_Fock is `_dot` with v's
+    coordinates.  A one-weight slice (e = 0) applies no C(s); otherwise the
+    tail is `_chain_tail`'s.  Monomial keys are shared through canon."""
+    coords = {_canonical(m, canon): c for m, c in coords.items()}
+    images = [{m: c * _fock_norm(m) for m, c in coords.items()}]
+    if _chain_shape(margins)[1]:
+        images += ({_canonical(m, canon): w for m, w in img.items()}
+                   for img in _chain_tail(n, margins, frozenset(coords.items())))
+    return coords, tuple(images)
 
 
-def _shared(obj, canon):
-    if isinstance(obj, dict):
-        return {_canonical(k, canon): _shared(v, canon) for k, v in obj.items()}
-    if type(obj) is tuple:  # (Fock factor, coordinates)
-        return tuple(_shared(x, canon) for x in obj)
-    return obj
+def _targets(n: int, margins, b1, canon: dict) -> dict:
+    """The images of the monomial b1 indexed by target: b2 -> its weighted
+    coefficients (w_0, ..., w_e) in (b1, R_1 b1, ..., R_e b1)."""
+    _coords, images = _held(n, margins, {b1: 1}, canon)
+    out = {}
+    for k, img in enumerate(images):
+        for b2, w in img.items():
+            out.setdefault(b2, [0] * len(images))[k] = w
+    return {b2: tuple(ws) for b2, ws in out.items()}
 
 
 def _canonical(key, canon):
+    """key, or the equal tuple first stored in canon, its own tuples
+    canonical too."""
     if type(key) is not tuple:
         return key
     got = canon.get(key)
@@ -337,8 +367,9 @@ def inner_product(spec, u, v) -> Fraction:
     are summed per denominator and make one Fraction.  An empty vector pairs
     to 0 at once.
     """
-    pu = prepare(spec, u)
-    pv = pu if v is u else prepare(spec, v)
+    canon = {}
+    pu = prepare(spec, u, canon)
+    pv = pu if v is u else prepare(spec, v, canon)
     if not pu.rests or not pv.rests:
         return _ZERO
     form_a = (spec.q, spec.gamma_R.numerator, spec.gamma_R.denominator) if spec.a_deformed else None
@@ -362,14 +393,18 @@ def inner_product(spec, u, v) -> Fraction:
 
 def _eval_single(form, data1, data2, fact, acc):
     """Add fact times each slice pairing of one deformed block into acc: the
-    integer sum_k num_k <R_k, coords2>_Fock, R_0 = coords1 and R_k its
-    tail, over the slice's denominator.  form is the block's (n, gamma
-    numerator, gamma denominator)."""
-    for marg, coords1 in data1.items():
-        coords2 = data2.get(marg)
-        if coords2:
+    integer sum_k num_k <R_k, coords2>_Fock, R_0 = coords1 and R_k its tail,
+    one `_dot` of the first vector's weighted images per weight, over the
+    slice's denominator.  form is the block's (n, gamma numerator, gamma
+    denominator)."""
+    for marg, (_coords1, images) in data1.items():
+        got = data2.get(marg)
+        if got is not None:
             nums, den = _chain_weights(*form, marg)
-            num = _chain_pair(nums, _chain_images(form[0], marg, nums, coords1), coords2)
+            coords2 = got[0]
+            num = 0
+            for a, img in zip(nums, images):
+                num += a * _dot(img, coords2)
             acc[den] = acc.get(den, 0) + fact * num
 
 
@@ -377,21 +412,23 @@ def _eval_double(form_a, form_b, data1, data2, fact, acc):
     """Add fact times each (a slice, b slice) pairing into acc: the b
     monomials b1, b2 of a group share the b margins of its key, so their
     pairing is sum_k w_k(b) <R_k b1, b2>_Fock on the b-form's numerators.
-    The tails of b1 and of its a coordinates are taken once per b1."""
-    for key, bgroups1 in data1.items():
-        bgroups2 = data2.get(key)
-        if not bgroups2:
+    Only the targets b2 of b1's images are visited."""
+    for key, group1 in data1.items():
+        group2 = data2.get(key)
+        if group2 is None:
             continue
-        a_marg, b_marg = key
-        nums_a, den_a = _chain_weights(*form_a, a_marg)
-        nums_b, den_b = _chain_weights(*form_b, b_marg)
-        den = den_a * den_b
+        nums_a, den_a = _chain_weights(*form_a, key[0])
+        nums_b, den_b = _chain_weights(*form_b, key[1])
         total = 0
-        for b1, coords_a1 in bgroups1.items():
-            images_a = _chain_images(form_a[0], a_marg, nums_a, coords_a1)
-            images_b = _chain_images(form_b[0], b_marg, nums_b, {b1: 1})
-            for b2, coords_a2 in bgroups2.items():
-                gb = sum(a * img.get(b2, 0) for a, img in zip(nums_b, images_b))
+        for _coords1, images_a, targets in group1.values():
+            for b2, ws in targets.items():
+                got = group2.get(b2)
+                if got is None:
+                    continue
+                gb = sum(map(mul, nums_b, ws))
                 if gb:
-                    total += gb * _fock_norm(b2) * _chain_pair(nums_a, images_a, coords_a2)
+                    coords2 = got[0]
+                    for a, img in zip(nums_a, images_a):
+                        total += gb * a * _dot(img, coords2)
+        den = den_a * den_b
         acc[den] = acc.get(den, 0) + fact * total

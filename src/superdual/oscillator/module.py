@@ -35,10 +35,12 @@ The oscillators that build U_0 and the PBW family do not depend on gamma;
 only the form does, through c_mu(gamma).  So `gram_positivity` splits in
 two.  The gamma-free module (`FockModule`: u_0 and, per K-dominant charge,
 the tags and `inner.prepare`d vectors of the family) is built once per
-realization shape and held in a process-wide table.  Its key,
-`module_key`, is p, m, q, P, the colour layout, which blocks are deformed,
-mu_L, tau, mu_R and the cutoff.  The table holds at most
-`states.MAX_HELD_VECTORS` vectors, drops its oldest module first, does not
+realization shape and held in a process-wide table.  A held vector carries
+its gamma-free chain images, Fock-weighted, so every Gram entry at every
+gamma pairs it without rebuilding them.  The table's key, `module_key`, is
+p, m, q, P, the colour layout, which blocks are deformed, mu_L, tau, mu_R
+and the cutoff.  The table holds at most `states.MAX_HELD_VECTORS` vectors
+(their images not counted), drops its oldest module first, does not
 keep a module larger than the bound, and is emptied by
 `inner.clear_caches()`.  Every call still makes, at its own gamma, the
 cutoff and `OscillatorSpec.from_diagram` refusals before the lookup, |u_0|^2
@@ -62,7 +64,7 @@ from ..ktypes import dimension, highest_weight_counts, is_dominant, k_blocks
 from ..labels import grading_pmq
 from ..weights import FundamentalWeight
 from .algebra import OscillatorSpec, column_det, generator_action, mul, mul_f
-from .inner import Prepared, inner_product, prepare, share_keys
+from .inner import Prepared, inner_product, prepare
 from .states import MAX_HELD_VECTORS, MAX_PBW_FAMILY, add_into
 
 
@@ -186,8 +188,12 @@ class RowSpace:
     def insert(self, vec):
         """Reduce and store; returns the stored row or None if dependent."""
         red, piv = self.reduce(vec)
-        if piv is None:
-            return None
+        return None if piv is None else self.store(red, piv)
+
+    def store(self, red, piv):
+        """Store red, a row that `reduce` returned with its pivot piv, divided
+        by the gcd of its entries and signed positive at piv; returns the
+        stored row.  red itself is not changed."""
         g = gcd(*red.values())
         if red[piv] < 0:
             g = -g
@@ -373,12 +379,14 @@ def analyze_gram(G):
     its entries' denominators.  Row i is row i of L G, column u under key -u
     (the least column pivots), plus e_i under key -n - i.  Reduced, it is
     (g, c) with g = L G c zero on every stored column and c = c_i e_i plus
-    stored rows.  Every row with g != 0 is stored, so N - rank(G) rows
-    reduce to g = 0.  Before the first row with g_i <= 0 every stored row
-    has positive norm, so c / c_i is G-orthogonal to them and its norm has
-    the sign of g_i; a negative one is the witness.  With g_i = 0 and
-    g != 0, c / c_i is isotropic and pairs with e_p, p the least column of
-    g, by g_p = (L G c)_p / (L c_i); the witness tau c / c_i + e_p with
+    stored rows.  Every row with g != 0 is stored as reduced
+    (`RowSpace.store`), so N - rank(G) rows reduce to g = 0; g and c are
+    read off the row before the store divides it by its signed gcd.  Before
+    the first row with g_i <= 0 every stored row has positive norm, so
+    c / c_i is G-orthogonal to them and its norm has the sign of g_i; a
+    negative one is the witness.  With g_i = 0 and g != 0, c / c_i is
+    isotropic and pairs with e_p, p the least column of g, by
+    g_p = (L G c)_p / (L c_i); the witness tau c / c_i + e_p with
     tau = -(|G_pp| + |g_p|) / (2 g_p) has norm G_pp - |G_pp| - |g_p| < 0
     and does not change under G -> c G, c > 0.
     """
@@ -394,7 +402,7 @@ def analyze_gram(G):
         if piv <= -n:  # g = 0
             kernel += 1
             continue
-        space.insert(red)
+        space.store(red, piv)  # red keeps its scale: norm and c are read below
         norm = red.get(-i, 0)
         if norm > 0 or witness is not None:
             continue
@@ -417,7 +425,8 @@ def analyze_gram(G):
 class FockModule(NamedTuple):
     """The gamma-free part of the truncated module: u_0 and, per K-dominant
     charge in ascending order, the tags of its PBW family and their vectors,
-    prepared for `inner_product`.  size counts the vectors, u_0 included."""
+    prepared for `inner_product` with their chain images.  size counts the
+    vectors, u_0 included."""
 
     u0: Prepared
     slices: dict  # charge -> (tags, prepared vectors)
@@ -426,15 +435,15 @@ class FockModule(NamedTuple):
 
 def fock_module(spec: OscillatorSpec, u0, cutoff: int) -> FockModule:
     """The module of u0 to the given E^(-) depth: `u0_k_basis`, then
-    `pbw_family`, with every check they make.  Its vectors share their equal
-    keys (`inner.share_keys`)."""
+    `pbw_family`, with every check they make.  Its vectors, prepared with
+    one canon, share their equal keys (`inner.prepare`)."""
     canon = {}
     slices = {
         charge: (tuple(tag for tag, _vec in fam),
-                 tuple(share_keys(prepare(spec, vec), canon) for _tag, vec in fam))
+                 tuple(prepare(spec, vec, canon) for _tag, vec in fam))
         for charge, fam in pbw_family(spec, u0_k_basis(spec, u0), cutoff).items()
     }
-    return FockModule(share_keys(prepare(spec, u0), canon), slices,
+    return FockModule(prepare(spec, u0, canon), slices,
                       1 + sum(len(tags) for tags, _vecs in slices.values()))
 
 

@@ -162,7 +162,27 @@ def test_bad_arguments_are_refused_before_any_memo_lookup():
         delta_ladder_norms(2, F(1, 2), (1,), -1)
     with pytest.raises(ValueError, match="cutoff"):
         capelli_identity_check(2, F(1, 2), -1)
+    with pytest.raises(ValueError, match="P = -1 is outside"):
+        capelli_identity_check(-1, F(1, 2), 1)
+    with pytest.raises(ValueError, match="P = 0 is outside"):
+        delta_ladder_norms(0, F(1, 2), (), 1)
     assert infos() == before
+
+
+def test_negative_ladder_index_is_refused():
+    # prod_i (mu_i + P - i + gamma + n + 1) at n = -1 would read 5/4 here
+    with pytest.raises(ValueError, match="n must be >= 0, not -1"):
+        capelli_norm_factor(Partition((1,)), F(1, 2), -1, 2)
+
+
+@pytest.mark.parametrize("P", [0, -1, 9])
+def test_block_size_outside_one_to_max_block_is_refused(P):
+    # P = 0 would give the empty product 1, and P = -1 a message about
+    # "permutations of 0"
+    with pytest.raises(ValueError, match=f"P = {P} is outside the supported block sizes 1..8"):
+        capelli_norm_factor(Partition(()), F(1, 2), 0, P)
+    with pytest.raises(ValueError, match=f"P = {P} is outside"):
+        block_spec(P, F(1, 2))
 
 
 @pytest.mark.parametrize("gamma,nmax", [(-1, 2), (-2, 3)])

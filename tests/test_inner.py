@@ -150,13 +150,24 @@ def component_vectors(draw):
 
 def _slice_pairing(n, gamma, margins, u, v):
     """The pairing of u and v on one slice of the size-n block at gamma by
-    `_eval_single`."""
+    `_eval_single`, on the vectors that `prepare` makes of them as states of
+    `block_spec(n, gamma)`."""
+    spec = block_spec(n, gamma)
+    pu, pv = (
+        prepare(spec, {spec.vacuum()._replace(a=mat): c for mat, c in w.items()}, {})
+        for w in (u, v)
+    )
+    if not pu.rests or not pv.rests:
+        return F(0)
+    ((fact1, data1),) = pu.rests.values()
+    ((fact2, data2),) = pv.rests.values()
+    assert fact1 == fact2 == 1 and set(data1) == set(data2) == {margins}
     form = (n, gamma.numerator, gamma.denominator)
     _nums, den = _chain_weights(*form, margins)
     acc = {}
-    _eval_single(form, {margins: u}, {margins: v}, 1, acc)
+    _eval_single(form, data1, data2, 1, acc)
     assert set(acc) <= {den}
-    return F(acc.get(den, 0)) / den
+    return F(acc.get(den, 0), den * pu.denom * pv.denom)
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,12 +572,14 @@ def _definition_inner_product(spec, u, v):
     return total
 
 
-# no deformed block, only a (size 2), only b (size 2), both (sizes 2 and 1)
+# no deformed block, only a (size 2), only b (size 2), both (sizes 2 and 1),
+# both (sizes 2 and 2: a-side tails in the double form)
 PAIRING_SPECS = (
     OscillatorSpec.plain(p=1, m=1, q=1, P=2),
     OscillatorSpec(1, 1, 2, 3, F(0), F(1, 2), (), (0, 1), (), ()),
     OscillatorSpec(2, 0, 1, 3, F(-1, 3), F(0), (0, 1), (), (), ()),
     OscillatorSpec(2, 1, 1, 3, F(2, 3), F(-1, 2), (0, 1), (2,), (), ()),
+    OscillatorSpec(2, 0, 2, 4, F(1, 2), F(-2, 3), (0, 1), (2, 3), (), ()),
 )
 
 
@@ -620,11 +633,12 @@ def test_prepared_inner_product_matches_grouped_fraction_path(case):
     and states they came from; `prepare` passes a `Prepared` through; empty
     vectors pair to 0."""
     spec, pool, u, v = case
-    pu = prepare(spec, u)
-    assert prepare(spec, pu) is pu
+    pu = prepare(spec, u, {})
+    assert prepare(spec, pu, {}) is pu
     for x, y in _argument_pairs(pool, u, v):
         want = _definition_inner_product(spec, x, y)
-        px, py = prepare(spec, x), prepare(spec, y)
+        canon = {}  # x and y share their keys, as a held module's vectors do
+        px, py = prepare(spec, x, canon), prepare(spec, y, canon)
         for xx, yy in ((px, y), (x, py), (px, py)):
             got = inner_product(spec, xx, yy)
             assert type(got) is F and got == want
