@@ -200,6 +200,12 @@ class PlaquetteReport:
 
 
 def plaquette_check(lat: WeightLattice) -> PlaquetteReport:
+    """The sign of every plaquette (row r, column c), c in 1..m; its
+    violations and zeros.  An m = 0 lattice has no plaquette to decide its
+    unitarity from, so it is refused (ValueError) rather than reported
+    with no violation."""
+    if lat.m == 0:
+        raise ValueError("an m = 0 weight has no plaquettes")
     signs = []
     violations = []
     zeros = []

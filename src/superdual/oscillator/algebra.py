@@ -101,6 +101,14 @@ class OscillatorSpec:
         return self.gamma_L != 0
 
     @cached_property
+    def block_forms(self) -> tuple:
+        """(a form, b form): (n, gamma numerator, gamma denominator) of each
+        deformed block, n its size, and None for a block that is not
+        deformed; `inner` reads the block's weights under it."""
+        return tuple((n, gamma.numerator, gamma.denominator) if gamma else None
+                     for n, gamma in ((self.q, self.gamma_R), (self.p, self.gamma_L)))
+
+    @cached_property
     def bosons(self) -> dict:
         """{"a": Boson, "b": Boson}: the records every boson operator reads."""
         field = State._fields.index

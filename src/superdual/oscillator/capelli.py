@@ -26,7 +26,8 @@ the gamma-free work, and `inner.clear_caches()` empties both:
   the coefficient lists of the defect;
 - `_ladder`, keyed on (P, mu, nmax, whether the block is deformed): the
   vectors v, Delta+ v, ..., Delta+^nmax v of `delta_ladder_norms`, prepared
-  for `inner_product`, which pairs them at the caller's gamma.
+  for `inner_product` with one pair table, which keeps the gamma-free terms
+  of each norm, so that a later gamma only evaluates them.
 """
 
 from __future__ import annotations
@@ -70,14 +71,17 @@ def _block_size(P: int) -> None:
 def capelli_norm_factor(mu: Partition, gamma, n: int, P: int) -> Fraction:
     """prod_{i=1}^{P} (mu_i + P - i + gamma + n + 1) with shifted weights:
     the ratio |v_{mu,n+1}|^2 / |v_{mu,n}|^2 for a ladder index n >= 0 on a
-    block of 1 <= P <= MAX_BLOCK colours (ValueError otherwise)."""
+    block of 1 <= P <= MAX_BLOCK colours (ValueError otherwise).  With
+    gamma = a / b it is prod_i (b (mu_i + P - i + n + 1) + a) / b^P, made
+    on integers and returned as one Fraction."""
     _block_size(P)
     _non_negative("n", n)
     mu, gamma = _shape(mu, P), rat(gamma)
-    out = Fraction(1)
-    for i in range(1, P + 1):
-        out *= mu.part(i) + P - i + gamma + n + 1
-    return out
+    a, b = gamma.numerator, gamma.denominator
+    num = 1
+    for i, x in enumerate(mu.padded(P), 1):
+        num *= b * (x + P - i + n + 1) + a
+    return Fraction(num, b ** P)
 
 
 def block_spec(P: int, gamma) -> OscillatorSpec:
@@ -206,17 +210,18 @@ def _column_det_action(spec: OscillatorSpec, lc):
 def _ladder(P: int, mu: tuple, nmax: int, deformed: bool) -> tuple:
     """v, Delta+ v, ..., Delta+^nmax v for v the highest vector of
     V_mu (x) V_mu (the top-left minors), prepared for `inner_product` with
-    their chain images and one key table.
+    their chain images, one key table and one pair table, vector k at
+    index k.
 
     Delta+ multiplies t^0 states by det X, so the vectors do not depend on
     gamma; whether the block is deformed decides how `prepare` splits them."""
     spec = block_spec(P, 1 if deformed else 0)
     vec = minor_powers(spec, "a", Partition(mu), {spec.vacuum(): 1})
-    canon = {}
-    out = [prepare(spec, vec, canon)]
-    for _ in range(nmax):
+    canon, pairs = {}, {}
+    out = [prepare(spec, vec, canon, pairs)]
+    for k in range(1, nmax + 1):
         vec = delta_dagger(spec, "a", vec)
-        out.append(prepare(spec, vec, canon))
+        out.append(prepare(spec, vec, canon, pairs, k))
     return tuple(out)
 
 

@@ -49,35 +49,46 @@ Fock-weighted (each monomial's coefficient times its Fock norm), built once
 when it is prepared; on two deformed blocks, each b monomial's images are
 held indexed by target b2 -> (w_0, ..., w_e).  A held vector of a Gram
 module (`module.FockModule`) or a Capelli ladder (`capelli._ladder`) thus
-meets the chain and the factorials once, and a pairing is one sparse integer
-dot product per weight.  The form depends on gamma only through the
-weights, so its memos split in two, each an `lru_cache` function on exact
-keys:
+meets the chain and the factorials once.  The weights of a slice depend on
+its margins only through mu0, and on gamma; nothing else in the form does.
+So `inner_product` pairs in two steps:
+
+- `_pair_terms`, gamma-free: per mu0 (on two blocks per pair of them) the
+  integers <R_k u, v>_Fock, each one sparse integer dot product (`_dot`),
+  times the Fock factors of the plain rests;
+- `_evaluate`, per gamma: those integers dotted with the weights'
+  numerators, summed on integers over the lcm of the weights'
+  denominators, and one Fraction over that and the two vectors'
+  denominators.
+
+A held family prepares its vectors with one pair table, next to its canon,
+and each vector carries the table and its index in the family.  When both
+vectors of a pairing carry the same table, their terms are kept in it under
+(index u, index v), so a later pairing of the two, at any gamma, evaluates
+the kept terms and makes no dot product.  The table holds gamma-free
+integers only, and `module.fock_module` gives a module one only when its
+Gram entries, 1 + sum d(d + 1)/2 over its slices of d vectors, fit
+`states.MAX_HELD_VECTORS`; a larger module pairs without one.  A pairing
+with an empty vector, such as a vanishing PBW monomial, is 0 before any
+table or memo is looked up.
+
+The memos are `lru_cache` functions on exact keys:
 
 - gamma-free: the integer tail R_1, ..., R_e of each vector (`_chain_tail`,
   keyed on n, the margins and the vector's integer coordinates), which
   serves `prepare`, so that equal coordinates, at any gamma, meet the chain
   once;
-- per gamma: each slice's weights c_mu0, w_1, ..., w_e (`_chain_weights`),
-  held as integer numerators over one slice denominator and keyed on n,
-  gamma's numerator and denominator and the margins, so a lookup hashes no
-  Fraction.  A slice pairing is the integer
-  num_0 <u, v>_Fock + sum_k num_k <R_k, v>_Fock over that denominator.
-
-`inner_product` stays on integers until it returns: it adds each slice
-pairing, times the Fock factor of its plain rest, into an integer numerator
-keyed by its denominator (on two deformed blocks the product of the a and b
-pairings, over the product of their denominators, visiting only the targets
-of each b monomial's images), and makes one Fraction per pairing from those
-sums and the two vectors' denominators.  A pairing with an empty vector,
-such as a vanishing PBW monomial, is 0 before any memo is looked up.
+- per gamma: the weights c_mu0, w_1, ..., w_e (`_chain_weights`), held as
+  integer numerators over one denominator and keyed on n, gamma's
+  numerator and denominator and mu0, so a lookup hashes no Fraction.
 
 `clear_caches()` empties every memo of the oscillator: the two above, the
 normal forms modulo det X - t (`states._normal_form`), the Kostka numbers
 (`ktypes._kostka`), the Capelli checks' gamma-free identity defects and
-ladder vectors (`capelli._identity_defect`, `capelli._ladder`) and the table
-of gamma-free modules (`module._MODULES`).  Each but the last reports its
-size, hits and misses through `cache_info()`.
+ladder vectors with their pair table (`capelli._identity_defect`,
+`capelli._ladder`) and the table of gamma-free modules with their pair
+tables (`module._MODULES`).  Each but the last reports its size, hits and
+misses through `cache_info()`.
 """
 
 from __future__ import annotations
@@ -201,13 +212,14 @@ def _chain_tail(n: int, margins, coords: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _chain_weights(n: int, gamma_num: int, gamma_den: int, margins) -> tuple:
+def _chain_weights(n: int, gamma_num: int, gamma_den: int, mu0: tuple) -> tuple:
     """(nums, den): c_mu0(gamma), w_1(gamma), ..., w_e(gamma) at
     gamma = gamma_num / gamma_den, as integers over one positive
-    denominator, weight k = nums[k] / den.  Keyed on integers, so that no
+    denominator, weight k = nums[k] / den, for every slice of the size-n
+    block whose `_chain_shape` is (mu0, e).  Keyed on integers, so that no
     lookup hashes a Fraction."""
     gamma = Fraction(gamma_num, gamma_den)
-    mu0, e = _chain_shape(margins)
+    e = sum(mu0[1:])
     top = mu0[:1] + (0,) * (n - 1)
     c_top = c_mu(Partition(top), gamma, n)
     weights = [c_mu(Partition(mu0), gamma, n)]
@@ -262,16 +274,23 @@ class Prepared(NamedTuple):
     """A vector split once for `inner_product`, never mutated: denom times
     its coordinates, as integers, with the Fock-weighted chain images of its
     deformed coordinates built with it (`_held`, `_targets`).  rests maps
-    each plain rest key to (its Fock factor, the deformed data): {None: int}
-    with no deformed block; margins -> (coords, images) with one;
-    (a-margins, b-margins) -> b_sub -> (a coords, a images, b targets) with
-    two.  coords maps each block monomial to its integer coordinate."""
+    each plain rest key to (its Fock factor, the deformed data): its integer
+    coordinate with no deformed block; margins -> (coords, images, mu0)
+    with one; (a-margins, b-margins) -> ((a mu0, b mu0), b_sub -> (a coords,
+    a images, b targets)) with two.  coords maps each block monomial to its
+    integer coordinate, and mu0 is the slice's, which fixes its weights.
+
+    A vector of a held family also carries the family's pair table and its
+    own index in the family: (index u, index v) -> the gamma-free terms of
+    the pair (`_pair_terms`), filled by `inner_product`."""
 
     denom: int
     rests: dict
+    pairs: dict | None = None
+    index: int = 0
 
 
-def prepare(spec, u, canon: dict) -> Prepared:
+def prepare(spec, u, canon: dict, pairs: dict | None = None, index: int = 0) -> Prepared:
     """A LinComb or state as a `Prepared` vector; a Prepared is returned as is.
 
     The images of every slice are built here, once per vector, the tails
@@ -279,7 +298,9 @@ def prepare(spec, u, canon: dict) -> Prepared:
     chain once at every gamma.  Every tuple in a key of the nested dicts
     (rest keys, margins, the monomials of coordinates, images and targets)
     is the equal tuple first stored in canon, so that vectors prepared with
-    one canon, such as a held module's, store each key once."""
+    one canon, such as a held module's, store each key once.  A held family
+    passes its pair table and the vector's index in the family, so that
+    its pairs keep their terms."""
     if isinstance(u, Prepared):
         return u
     lc = u if isinstance(u, dict) else {u: 1}
@@ -302,19 +323,23 @@ def prepare(spec, u, canon: dict) -> Prepared:
     for rest, (fact, data) in rests.items():
         if spec.a_deformed and spec.b_deformed:
             data = {
-                _canonical(key, canon): {
-                    _canonical(b1, canon): (*_held(spec.q, key[0], coords, canon),
-                                            _targets(spec.p, key[1], b1, canon))
-                    for b1, coords in group.items()
-                }
+                _canonical(key, canon): (
+                    _canonical(tuple(_chain_shape(m)[0] for m in key), canon),
+                    {_canonical(b1, canon): (*_held(spec.q, key[0], coords, canon),
+                                             _targets(spec.p, key[1], b1, canon))
+                     for b1, coords in group.items()},
+                )
                 for key, group in data.items()
             }
         elif spec.a_deformed or spec.b_deformed:
             n = spec.q if spec.a_deformed else spec.p
-            data = {_canonical(marg, canon): _held(n, marg, coords, canon)
+            data = {_canonical(marg, canon): (*_held(n, marg, coords, canon),
+                                              _canonical(_chain_shape(marg)[0], canon))
                     for marg, coords in data.items()}
+        else:
+            data = data[None]
         held[_canonical(rest, canon)] = (fact, data)
-    return Prepared(denom, held)
+    return Prepared(denom, held, pairs, index)
 
 
 def _held(n: int, margins, coords: dict, canon: dict) -> tuple:
@@ -362,73 +387,120 @@ def inner_product(spec, u, v) -> Fraction:
 
     Factorises over oscillator families: plain Fock factors pair diagonally
     with factorials, fermions with delta, and each deformed block through its
-    c_mu-weighted form, evaluated per bi-charge slice at vector level.  Each
-    slice pairing is an integer numerator over its weights' denominator; they
-    are summed per denominator and make one Fraction.  An empty vector pairs
-    to 0 at once.
+    c_mu-weighted form, evaluated per bi-charge slice at vector level.  The
+    pairing is made in two steps: its gamma-free integer terms
+    (`_pair_terms`), then their value at the spec's gammas (`_evaluate`).
+    Two vectors of one held family keep their terms in the family's pair
+    table, so a later pairing of them, at any gamma, only evaluates.  An
+    empty vector pairs to 0 at once.
     """
-    canon = {}
-    pu = prepare(spec, u, canon)
-    pv = pu if v is u else prepare(spec, v, canon)
-    if not pu.rests or not pv.rests:
+    if type(u) is not Prepared or type(v) is not Prepared:
+        canon = {}
+        pu = prepare(spec, u, canon)
+        v = pu if v is u else prepare(spec, v, canon)
+        u = pu
+    if not u.rests or not v.rests:
         return _ZERO
-    form_a = (spec.q, spec.gamma_R.numerator, spec.gamma_R.denominator) if spec.a_deformed else None
-    form_b = (spec.p, spec.gamma_L.numerator, spec.gamma_L.denominator) if spec.b_deformed else None
-    acc = {}  # slice denominator -> integer numerator
+    pairs = u.pairs
+    if pairs is None or pairs is not v.pairs:
+        return _evaluate(spec, _pair_terms(spec, u, v), u.denom * v.denom)
+    key = (u.index, v.index)
+    terms = pairs.get(key)
+    if terms is None:
+        terms = pairs[key] = _pair_terms(spec, u, v)
+    return _evaluate(spec, terms, u.denom * v.denom)
+
+
+def _pair_terms(spec, pu: Prepared, pv: Prepared):
+    """The gamma-free terms of the pairing of pu and pv, summed over their
+    common rest keys, each times its rest's Fock factor, and over the
+    slices of one mu0, which share their weights: with no deformed block
+    one integer; with one, mu0 -> [n_0, ..., n_e] with
+    n_k = <R_k u, v>_Fock (R_0 u = u), one `_dot` of u's weighted images per
+    weight; with two, (a mu0, b mu0) -> the (e_a + 1) x (e_b + 1) rows
+    n_ij = sum over b monomials b1 of u, b2 of v of
+    <R_i u_b1, v_b2>_Fock <R_j b1, b2>_Fock, visiting only the targets b2
+    of each b1's images.  Where u's tail vanishes (images (u,) only), its
+    terms n_k, k >= 1, are 0."""
+    rests2 = pv.rests
+    form_a, form_b = spec.block_forms
+    if form_a is None and form_b is None:
+        total = 0
+        for rest, (fact, data1) in pu.rests.items():
+            got = rests2.get(rest)
+            if got is not None:
+                total += fact * data1 * got[1]
+        return total
+    double = form_a is not None and form_b is not None
+    terms = {}
     for rest, (fact, data1) in pu.rests.items():
-        got = pv.rests.get(rest)
+        got = rests2.get(rest)
         if got is None:
             continue
         data2 = got[1]
-        if form_a is not None and form_b is not None:
-            _eval_double(form_a, form_b, data1, data2, fact, acc)
-        elif form_a is not None or form_b is not None:
-            _eval_single(form_a or form_b, data1, data2, fact, acc)
-        else:
-            acc[1] = acc.get(1, 0) + fact * data1[None] * data2[None]
-    den = lcm(*acc)
-    num = sum(x * (den // d) for d, x in acc.items())
-    return Fraction(num, den * pu.denom * pv.denom)
-
-
-def _eval_single(form, data1, data2, fact, acc):
-    """Add fact times each slice pairing of one deformed block into acc: the
-    integer sum_k num_k <R_k, coords2>_Fock, R_0 = coords1 and R_k its tail,
-    one `_dot` of the first vector's weighted images per weight, over the
-    slice's denominator.  form is the block's (n, gamma numerator, gamma
-    denominator)."""
-    for marg, (_coords1, images) in data1.items():
-        got = data2.get(marg)
-        if got is not None:
-            nums, den = _chain_weights(*form, marg)
-            coords2 = got[0]
-            num = 0
-            for a, img in zip(nums, images):
-                num += a * _dot(img, coords2)
-            acc[den] = acc.get(den, 0) + fact * num
-
-
-def _eval_double(form_a, form_b, data1, data2, fact, acc):
-    """Add fact times each (a slice, b slice) pairing into acc: the b
-    monomials b1, b2 of a group share the b margins of its key, so their
-    pairing is sum_k w_k(b) <R_k b1, b2>_Fock on the b-form's numerators.
-    Only the targets b2 of b1's images are visited."""
-    for key, group1 in data1.items():
-        group2 = data2.get(key)
-        if group2 is None:
-            continue
-        nums_a, den_a = _chain_weights(*form_a, key[0])
-        nums_b, den_b = _chain_weights(*form_b, key[1])
-        total = 0
-        for _coords1, images_a, targets in group1.values():
-            for b2, ws in targets.items():
-                got = group2.get(b2)
+        if not double:
+            for marg, (_coords1, images, mu0) in data1.items():
+                got = data2.get(marg)
                 if got is None:
                     continue
-                gb = sum(map(mul, nums_b, ws))
-                if gb:
+                coords2 = got[0]
+                row = terms.get(mu0)
+                if row is None:
+                    row = terms[mu0] = [0] * (sum(mu0[1:]) + 1)
+                for k, img in enumerate(images):
+                    row[k] += fact * _dot(img, coords2)
+            continue
+        for key, (shapes, group1) in data1.items():
+            got = data2.get(key)
+            if got is None:
+                continue
+            group2 = got[1]
+            rows = terms.get(shapes)
+            if rows is None:
+                mu0_a, mu0_b = shapes
+                rows = terms[shapes] = [[0] * (sum(mu0_b[1:]) + 1)
+                                        for _ in range(sum(mu0_a[1:]) + 1)]
+            for _coords1, images_a, targets in group1.values():
+                for b2, ws in targets.items():
+                    got = group2.get(b2)
+                    if got is None:
+                        continue
                     coords2 = got[0]
-                    for a, img in zip(nums_a, images_a):
-                        total += gb * a * _dot(img, coords2)
-        den = den_a * den_b
-        acc[den] = acc.get(den, 0) + fact * total
+                    for row, img in zip(rows, images_a):
+                        dot = _dot(img, coords2)
+                        if dot:
+                            dot *= fact
+                            for j, w in enumerate(ws):
+                                row[j] += dot * w
+    return terms
+
+
+def _evaluate(spec, terms, denom: int) -> Fraction:
+    """The pairing whose `_pair_terms` are terms, over denom, the product of
+    the two vectors' denominators, at the spec's gammas: the terms of each
+    mu0 dotted with its `_chain_weights` numerators, added on integers over
+    the lcm of their denominators, then one Fraction."""
+    if type(terms) is int:
+        return Fraction(terms, denom)
+    form_a, form_b = spec.block_forms
+    num, den = 0, 1
+    for mu0, ns in terms.items():
+        if form_a is None or form_b is None:
+            nums, d = _chain_weights(*(form_a or form_b), mu0)
+            x = sum(map(mul, nums, ns))
+        else:
+            nums_a, den_a = _chain_weights(*form_a, mu0[0])
+            nums_b, d = _chain_weights(*form_b, mu0[1])
+            x = 0
+            for w, row in zip(nums_a, ns):
+                x += w * sum(map(mul, nums_b, row))
+            d *= den_a
+        if d != den:
+            if num:  # bring both over their lcm
+                m = lcm(den, d)
+                num *= m // den
+                x *= m // d
+                d = m
+            den = d
+        num += x
+    return Fraction(num, den * denom)

@@ -45,15 +45,24 @@ keep a module larger than the bound, and is emptied by
 `inner.clear_caches()`.  Every call still makes, at its own gamma, the
 cutoff and `OscillatorSpec.from_diagram` refusals before the lookup, |u_0|^2
 and its null check, one `inner_product` per upper-triangle Gram entry, the
-slice weights, `analyze_gram` and `highest_weight_counts`.  Of these,
-only the chain weights inside `inner_product` are memoised per gamma
-(`inner`); the module table holds nothing that depends on gamma.
+slice weights, `analyze_gram` and `highest_weight_counts`.
+
+The vectors of a module also share a pair table (`inner`): the gamma-free
+integer terms of each pairing that `inner_product` has made on them, kept
+under the two vectors' indices in the module (u_0 is 0).  At a second gamma
+every Gram entry of a held module evaluates its kept terms at that gamma
+and makes no dot product.  The table holds gamma-free integers only, one
+entry per pairing of non-empty vectors, and a module has one only when its
+Gram entries, 1 + sum d(d + 1)/2 over its slices of d vectors, fit
+`states.MAX_HELD_VECTORS`; a larger module, such as Yang-Mills at depth 6,
+pairs its vectors afresh at every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 from math import comb, gcd, lcm
 from operator import add, sub
 from threading import Lock
@@ -436,14 +445,24 @@ class FockModule(NamedTuple):
 def fock_module(spec: OscillatorSpec, u0, cutoff: int) -> FockModule:
     """The module of u0 to the given E^(-) depth: `u0_k_basis`, then
     `pbw_family`, with every check they make.  Its vectors, prepared with
-    one canon, share their equal keys (`inner.prepare`)."""
+    one canon, share their equal keys (`inner.prepare`).  u_0 is vector 0
+    of the family and the PBW vectors follow in slice order; they share one
+    pair table when the module's Gram entries, 1 + sum d(d + 1)/2 over its
+    slices of d vectors (never fewer than its vectors), fit
+    MAX_HELD_VECTORS, and carry none otherwise."""
+    family = pbw_family(spec, u0_k_basis(spec, u0), cutoff)
+    entries = 1 + sum(len(fam) * (len(fam) + 1) // 2 for fam in family.values())
+    pairs = {} if entries <= MAX_HELD_VECTORS else None
     canon = {}
+    # only vectors that share a table need an index; the rest keep index 0,
+    # a shared small int, which spares a large module one int per vector
+    index = count(1) if pairs is not None else repeat(0)
     slices = {
         charge: (tuple(tag for tag, _vec in fam),
-                 tuple(prepare(spec, vec, canon) for _tag, vec in fam))
-        for charge, fam in pbw_family(spec, u0_k_basis(spec, u0), cutoff).items()
+                 tuple(prepare(spec, vec, canon, pairs, next(index)) for _tag, vec in fam))
+        for charge, fam in family.items()
     }
-    return FockModule(prepare(spec, u0, canon), slices,
+    return FockModule(prepare(spec, u0, canon, pairs), slices,
                       1 + sum(len(tags) for tags, _vecs in slices.values()))
 
 
@@ -482,19 +501,20 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int) -> GramReport:
     A negative cutoff is refused (ValueError): it would analyse no slice and
     report an empty, positive definite Gram matrix.  The gamma-free module is
     looked up by `module_key` after the realization's own refusals, and
-    built and kept when it is missing; the norm of u_0, every Gram entry and
-    the analysis are made at the diagram's gammas."""
+    built when it is missing; the norm of u_0, every Gram entry and the
+    analysis are made at the diagram's gammas, each pairing on the module's
+    held vectors, and a module is kept once its u_0 has passed the null
+    check."""
     if cutoff < 0:
         raise ValueError(f"the E^(-) depth cutoff must be >= 0, got {cutoff}")
     spec = OscillatorSpec.from_diagram(d)
     key = module_key(spec, d.label, cutoff)
-    held = _MODULES.get(key)
-    u0 = build_u0(d)[1] if held is None else held.u0
-    norm0 = inner_product(spec, u0, u0)
-    if norm0 == 0:
+    held = found = _MODULES.get(key)
+    if found is None:
+        held = fock_module(spec, build_u0(d)[1], cutoff)
+    if inner_product(spec, held.u0, held.u0) == 0:
         raise AssertionError("U_0 highest vector is null; realization degenerate")
-    if held is None:
-        held = fock_module(spec, u0, cutoff)
+    if found is None:
         _keep(key, held)
 
     reports = []
@@ -502,12 +522,10 @@ def gram_positivity(d: NonCompactYoungDiagram, cutoff: int) -> GramReport:
     kernels = {}
     has_negative = False
     for charge, (tags, vecs) in held.slices.items():
-        G = [[Fraction(0)] * len(vecs) for _ in vecs]
-        for r in range(len(vecs)):
+        G = [[None] * len(vecs) for _ in vecs]  # every entry is set below
+        for r, u in enumerate(vecs):
             for c in range(r, len(vecs)):
-                val = inner_product(spec, vecs[r], vecs[c])
-                G[r][c] = val
-                G[c][r] = val
+                G[r][c] = G[c][r] = inner_product(spec, u, vecs[c])
         kern, neg = analyze_gram(G)
         kernels[charge] = kern
         rep = SliceReport(spec.charge_weight(charge), len(vecs), kern, neg is not None, None)

@@ -69,7 +69,9 @@ MAX_PBW_FAMILY = 200_000
 # Most vectors that the Gram oracle's process-wide table of gamma-free
 # modules (`module.fock_module`: u_0 and the prepared K-dominant PBW slices)
 # holds at once.  The oldest module goes first, and a module larger than the
-# bound is used by its call and not kept.
+# bound is used by its call and not kept.  It also gates a module's pair
+# table (`inner`): a module whose Gram entries, 1 + sum d(d + 1)/2 over its
+# slices of d vectors, exceed it keeps no pairing terms.
 MAX_HELD_VECTORS = 20_000
 
 

@@ -1,13 +1,19 @@
+import io
 import json
 import pathlib
 import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superdual.cli import main
+from superdual.labels import RepLabel
 
 YM = json.dumps(
     {"p": 2, "q": 2, "m": 4, "mu_L": [0, 0], "tau": [1, 1, 0, 0], "mu_R": [0, 0],
@@ -96,6 +102,59 @@ def test_lattice_json_with_beta_in_thirds(capsys):
         '"2,0": "-13/3", "2,1": "-16/3", "2,2": "-19/3", "3,0": "2", "3,1": "1", '
         '"3,2": "0", "4,0": "2", "4,1": "1", "4,2": "0"}, "violations": [], "zeros": []}\n'
     )
+
+
+# su(1,1|0) below its bound: non-unitary, and its weight lattice has no cell
+M0_NON_UNITARY = {"p": 1, "q": 1, "m": 0, "mu_L": [0], "tau": [], "mu_R": [0],
+                  "beta_L": "0", "beta_R": "-3"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lattice_refuses_an_m0_label(capsys, fmt):
+    lab = json.dumps(M0_NON_UNITARY)
+    code, out, err = run(capsys, "lattice", "--label", lab, "--format", fmt)
+    assert code == 2 and not out and "an m = 0 weight has no plaquettes" in err
+    assert run(capsys, "classify", "--label", lab)[0] == 3
+
+
+def _exit_code(*argv):
+    """main's exit code, its output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@st.composite
+def small_labels(draw):
+    """A label with 2 <= p + q + m <= 6, partition entries <= 2 and betas in
+    [-6, 12] with denominators up to 4; m = 0 included."""
+    p, q, m = (draw(st.integers(0, 4)) for _ in range(3))
+    assume(2 <= p + q + m <= 6)
+
+    def part(n):
+        return sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), reverse=True)
+
+    def beta(side):
+        if not side:
+            return Fraction(0)
+        return Fraction(draw(st.integers(-24, 48)), 4)
+
+    try:
+        return RepLabel(p, q, m, part(max(p - 1, 0)), part(max(m - 1, 0)), part(max(q - 1, 0)),
+                        beta(p and m), beta(q))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_labels())
+def test_lattice_answers_with_the_exit_code_of_classify(lab):
+    """Wherever `lattice --label` answers, it exits as `classify` does; it
+    refuses exactly the m = 0 labels, whose weights have no plaquettes."""
+    text = json.dumps(lab.to_json())
+    code = _exit_code("lattice", "--label", text)
+    assert (code == 2) == (lab.m == 0)
+    if code != 2:
+        assert code == _exit_code("classify", "--label", text)
 
 
 COMPACT_M0 = [
@@ -435,10 +494,14 @@ def test_oracle_input_bounds_exit2(capsys, fields, message):
     for argv in (["verify", "--label", lab], ["tensor", "--left", lab, "--right", lab]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err == f"error: {message}\n"
-    # the theorem side stays exact for any beta
+    # the theorem side stays exact for any beta; an m = 0 weight has no
+    # plaquettes, so `lattice` refuses it
     for cmd in ("classify", "weight", "lattice"):
         code, out, err = run(capsys, cmd, "--label", lab)
-        assert code == 0 and out and not err
+        if cmd == "lattice" and json.loads(lab)["m"] == 0:
+            assert code == 2 and not out and err == "error: an m = 0 weight has no plaquettes\n"
+        else:
+            assert code == 0 and out and not err
 
 
 def test_diagram_window_bound_exit2(capsys):

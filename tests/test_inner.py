@@ -20,8 +20,10 @@ from superdual.oscillator.algebra import OscillatorSpec
 from superdual.oscillator.inner import (
     _L_apply,
     _capelli_apply,
+    _chain_shape,
     _chain_weights,
-    _eval_single,
+    _evaluate,
+    _pair_terms,
     c_mu,
     clear_caches,
     inner_product,
@@ -149,9 +151,9 @@ def component_vectors(draw):
 
 
 def _slice_pairing(n, gamma, margins, u, v):
-    """The pairing of u and v on one slice of the size-n block at gamma by
-    `_eval_single`, on the vectors that `prepare` makes of them as states of
-    `block_spec(n, gamma)`."""
+    """The pairing of u and v on one slice of the size-n block at gamma: the
+    terms `_pair_terms` makes of the vectors that `prepare` makes of them as
+    states of `block_spec(n, gamma)`, evaluated by `_evaluate`."""
     spec = block_spec(n, gamma)
     pu, pv = (
         prepare(spec, {spec.vacuum()._replace(a=mat): c for mat, c in w.items()}, {})
@@ -162,12 +164,10 @@ def _slice_pairing(n, gamma, margins, u, v):
     ((fact1, data1),) = pu.rests.values()
     ((fact2, data2),) = pv.rests.values()
     assert fact1 == fact2 == 1 and set(data1) == set(data2) == {margins}
-    form = (n, gamma.numerator, gamma.denominator)
-    _nums, den = _chain_weights(*form, margins)
-    acc = {}
-    _eval_single(form, data1, data2, 1, acc)
-    assert set(acc) <= {den}
-    return F(acc.get(den, 0), den * pu.denom * pv.denom)
+    terms = _pair_terms(spec, pu, pv)
+    ((mu0, ns),) = terms.items()
+    assert mu0 == _chain_shape(margins)[0] and all(type(x) is int for x in ns)
+    return _evaluate(spec, terms, pu.denom * pv.denom)
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,9 +225,9 @@ def test_chain_weights_give_c_mu_on_every_component(case, gamma):
     n, margins = case
     gamma = F(gamma)
     form = (n, gamma.numerator, gamma.denominator)
-    nums, den = _chain_weights(*form, margins)
-    assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
     mu0 = Partition(max(sorted(m, reverse=True) for m in margins))
+    nums, den = _chain_weights(*form, mu0.padded(n))
+    assert type(den) is int and den > 0 and all(type(a) is int for a in nums)
     d, m1 = mu0.size, mu0.part(1)
     assert len(nums) == d - m1 + 1
     c0, *weights = (F(a, den) for a in nums)
@@ -239,7 +239,7 @@ def test_chain_weights_give_c_mu_on_every_component(case, gamma):
                 for k, w in enumerate(weights, 1)
             )
             assert got == c_mu(mu, gamma, n), mu
-    assert _chain_weights(*form, margins) is _chain_weights(*form, margins)
+    assert _chain_weights(*form, mu0.padded(n)) is _chain_weights(*form, mu0.padded(n))
 
 
 # every lru_cache memo of the oscillator that `clear_caches` empties

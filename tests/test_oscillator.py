@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
@@ -635,6 +636,91 @@ def test_module_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not errors
     assert len(got) == 160 and all(a == b for a, b in got)
+
+
+# (label, cutoff) of oracle-verify's shapes: no deformed block, the a block,
+# the b block, both
+TABLE_SHAPES = [
+    (RepLabel(1, 1, 0, (), (), (), 0, 1), 5),
+    (RepLabel(2, 1, 2, (), (), (), 0, 0), 2),
+    (RepLabel(1, 1, 0, (), (), (), 0, F(1, 3)), 5),
+    (RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), 3),
+    (RepLabel(1, 1, 1, (), (), (), F(1, 2), 1), 4),
+    (RepLabel(2, 2, 0, (1,), (), (), 0, F(3, 2)), 3),
+    (RepLabel(2, 1, 2, (), (), (), F(-2, 3), F(1, 3)), 3),
+]
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+def _gram_entries(slices):
+    """1 + sum d(d + 1)/2 over slices of d vectors: |u_0|^2 and every
+    upper-triangle Gram entry."""
+    return 1 + sum(len(vecs) * (len(vecs) + 1) // 2 for _tags, vecs in slices.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TABLE_SHAPES), st.lists(st.tuples(NONZERO, NONZERO), max_size=2))
+def test_held_vectors_pair_through_their_table_as_fresh_vectors(shape, gammas):
+    """The vectors of a held module pair through the family's pair table as
+    the same vectors do as fresh LinCombs, at the module's gammas and at
+    random ones on its deformed blocks."""
+    lab, cutoff = shape
+    spec, u0 = build_u0(realize(lab, allow_nonunitary=True))
+    held = module.fock_module(spec, u0, cutoff)
+    fresh = pbw_family(spec, u0_k_basis(spec, u0), cutoff)
+    pairs = held.u0.pairs
+    assert pairs == {} and all(v.pairs is pairs for _tags, vecs in held.slices.values()
+                               for v in vecs)
+    for gamma_l, gamma_r in [(spec.gamma_L, spec.gamma_R)] + gammas:
+        at = replace(spec, gamma_L=gamma_l if spec.b_deformed else spec.gamma_L,
+                     gamma_R=gamma_r if spec.a_deformed else spec.gamma_R)
+        assert inner_product(at, held.u0, held.u0) == inner_product(at, u0, u0)
+        for charge, (_tags, vecs) in held.slices.items():
+            lcs = [vec for _tag, vec in fresh[charge]]
+            for r, c in itertools.combinations_with_replacement(range(len(vecs)), 2):
+                got = inner_product(at, vecs[r], vecs[c])
+                assert type(got) is F and got == inner_product(at, lcs[r], lcs[c])
+    assert 0 < len(pairs) <= _gram_entries(held.slices)
+
+
+def test_a_second_gamma_on_a_held_module_makes_no_dot_product():
+    """su(2,1|2) with both blocks deformed at two gammas of one shape: the
+    second finds every entry's terms in the table, adds none and calls no
+    `inner._dot`, and its report equals the one built cold."""
+    ds = [realize(RepLabel(2, 1, 2, (), (), (), bl, br), allow_nonunitary=True)
+          for bl, br in ((F(-2, 3), F(1, 3)), (F(-1, 2), F(1, 2)))]
+    assert _key_of(ds[0], 3) == _key_of(ds[1], 3)
+    inner.clear_caches()
+    _report(ds[0], 3)
+    (held,) = module._MODULES.values()
+    pairs = held.u0.pairs
+    kept = dict(pairs)
+    with mock.patch.object(inner, "_dot", side_effect=AssertionError("a dot product")):
+        warm = _report(ds[1], 3)
+    assert list(module._MODULES.values()) == [held] and pairs == kept
+    inner.clear_caches()
+    assert _report(ds[1], 3) == warm
+
+
+def test_a_module_over_the_bound_carries_no_pair_table(monkeypatch):
+    """fock_module gives its vectors a pair table exactly when its Gram
+    entries fit MAX_HELD_VECTORS; a module without one reports the same."""
+    d = realize(RepLabel(2, 2, 0, (), (), (), 0, F(1, 2)), allow_nonunitary=True)
+    spec, u0 = build_u0(d)
+    entries = _gram_entries(module.fock_module(spec, u0, 3).slices)
+    inner.clear_caches()
+    want = _report(d, 3)
+    monkeypatch.setattr(module, "MAX_HELD_VECTORS", entries - 1)
+    held = module.fock_module(spec, u0, 3)
+    assert held.size <= entries - 1  # the vectors fit; the entries do not
+    vectors = [held.u0] + [v for _tags, vecs in held.slices.values() for v in vecs]
+    assert all(v.pairs is None and v.index == 0 for v in vectors)
+    inner.clear_caches()
+    assert _report(d, 3) == want
+    (kept,) = module._MODULES.values()
+    assert kept.u0.pairs is None
+    monkeypatch.setattr(module, "MAX_HELD_VECTORS", entries)
+    assert module.fock_module(spec, u0, 3).u0.pairs == {}
 
 
 def test_helicity_and_masslessness():
